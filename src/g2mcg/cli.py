@@ -17,7 +17,7 @@ from typing import Optional
 from . import pi1
 from . import homology as hom
 from .decompose import admissible_splits
-from .dsl import ParseError, parse_document, parse_word
+from .dsl import ParseError, parse_document, parse_relator
 from .fixtures import load_corpus
 from .invariants import (
     FiberSignature,
@@ -28,7 +28,6 @@ from .invariants import (
 )
 from .moves import replay
 from .registry import Registry, UnknownCurve, standard_registry
-from .words import PositiveRelator, word_str
 
 
 def _load_registry(path: Optional[str]) -> Registry:
@@ -54,7 +53,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         doc = parse_document(text, reg)
         relators = dict(doc.relators)
     else:
-        relators = {"input": PositiveRelator(parse_word(text, reg))}
+        relators = {"input": parse_relator(text, reg)}
     if not relators:
         print("no relators found", file=sys.stderr)
         return 2
@@ -69,12 +68,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if not ok:
             status = 1
         if args.format == "records":
-            rec = f"relator={name} identity={identity} ab={ab} n={sig.n} s={sig.s}"
+            rec = f"relator={name} identity={identity} ab={ab}"
             try:
-                inv = invariants(sig)
-                rec += " " + invariant_records(sig, inv)
+                rec += " " + invariant_records(sig, invariants(sig))
             except SignatureNotIntegral:
-                rec += " invariants=non-integral"
+                rec += f" n={sig.n} s={sig.s} invariants=non-integral"
             lines.append(rec)
         else:
             lines.append(f"{name}: image {'=' if identity else '!='} identity, "
@@ -120,8 +118,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
     chunks = []
     for name, script in scripts.items():
         report = replay(reg, script)
-        if args.pi1:
-            chunks.append(_pi1_replay_note(reg, script, args.bound))
         chunks.append(report.render() if args.format == "text" else _report_records(report))
         if not report.ok:
             status = 1
@@ -135,14 +131,6 @@ def _report_records(report) -> str:
         sig = f" n={s.signature[0]} s={s.signature[1]}" if s.signature else ""
         lines.append(f"step={s.index} ok={s.ok} move={s.text!r}{sig}")
     return "\n".join(lines)
-
-
-def _pi1_replay_note(reg: Registry, script, bound: int) -> str:
-    try:
-        verdict = pi1.equal_up_to_inner(reg, script.start, script.start, bound)
-        return f"# pi1 oracle enabled (bound {bound}); start action computed: {verdict.status}"
-    except pi1.MissingAutomorphism as exc:
-        return f"# pi1 oracle skipped: no action table for curve {exc}"
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
@@ -166,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--registry", help="registry file (default: built-in standard registry)")
     parser.add_argument("--format", choices=("text", "records"), default="text")
-    parser.add_argument("--pi1", action="store_true", help="enable the surface-group oracle")
-    parser.add_argument("--bound", type=int, default=12, help="conjugator search bound")
+    parser.add_argument("--pi1", action="store_true",
+                        help="also check the surface-group action (verify only)")
     parser.add_argument("--out", help="write output to this path instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -194,6 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.pi1 and args.command != "verify":
+        print(f"error: --pi1 applies to verify only, not {args.command}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (ParseError, UnknownCurve) as exc:

@@ -17,46 +17,33 @@ Script files are line oriented:
     relator NAME = WORD
     script NAME
     start NAME | start [label=L]: WORD
-    ~ commute @I
-    H @I left|right
-    B @I fwd|rev1|rev2
-    L @I inst=ID dir=up|down [out=K] [conj=WORD]
-    C by=WORD
-    shift K
-    expand @I
-    contract @I..J
-    alias @I rel=ID [dir=fwd|rev]
-    central @I len=K to=J
+    MOVE
     checkpoint [label=L]: WORD
     final [label=L]: WORD
     end
 
-Positions are 0-based letter indices into the current word.  Blank lines
-and '#' comments are ignored.
+A MOVE line follows the ``syntax`` template of a class in ``moves.MOVES``,
+which also prints the move back (``moves.describe``).  Positions are
+0-based letter indices into the current word.  Blank lines and '#'
+comments are ignored.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 from .moves import (
-    Alias,
-    Braid,
-    CentralSlide,
+    MOVES,
+    SLOT,
     Checkpoint,
-    Commute,
-    Contract,
-    CyclicShift,
     Entry,
-    Expand,
     Final,
-    GlobalConjugate,
-    Hurwitz,
     Lantern,
     Move,
     MoveScript,
+    Nat,
     describe,
 )
 from .registry import Registry, UnknownCurve
@@ -239,20 +226,9 @@ def _serialize_script(script: MoveScript) -> str:
             lab = f" label={entry.label}" if entry.label else ""
             lines.append(f"{kind}{lab}: {serialize_word(entry.word)}")
         else:
-            lines.append(_serialize_move(entry))
+            lines.append(describe(entry, serialize_word))
     lines.append("end")
     return "\n".join(lines)
-
-
-def _serialize_move(move: Move) -> str:
-    if isinstance(move, Lantern):
-        s = f"L @{move.pos} inst={move.inst} dir={move.direction} out={move.out}"
-        if move.conj:
-            s += f" conj={serialize_word(move.conj)}"
-        return s
-    if isinstance(move, GlobalConjugate):
-        return f"C by={serialize_word(move.by)}"
-    return describe(move)
 
 
 def serialize_document(doc: "Document") -> str:
@@ -273,67 +249,57 @@ class Document:
     scripts: dict[str, MoveScript] = field(default_factory=dict)
 
 
-_MOVE_RES = {
-    "commute": re.compile(r"^~\s*commute\s+@(\d+)$"),
-    "hurwitz": re.compile(r"^H\s+@(\d+)\s+(left|right)$"),
-    "braid": re.compile(r"^B\s+@(\d+)\s+(fwd|rev1|rev2)$"),
-    "lantern": re.compile(
-        r"^L\s+@(\d+)\s+inst=(\w+)\s+dir=(up|down)(?:\s+out=(\d+))?(?:\s+conj=(.+))?$"
-    ),
-    "shift": re.compile(r"^shift\s+(-?\d+)$"),
-    "conj": re.compile(r"^C\s+by=(.+)$"),
-    "expand": re.compile(r"^expand\s+@(\d+)$"),
-    "contract": re.compile(r"^contract\s+@(\d+)\.\.(\d+)$"),
-    "alias": re.compile(r"^alias\s+@(\d+)\s+rel=(\w+)(?:\s+dir=(fwd|rev))?$"),
-    "central": re.compile(r"^central\s+@(\d+)\s+len=(\d+)\s+to=(\d+)$"),
-}
-
 _CHECK_RE = re.compile(r"^(checkpoint|final)(?:\s+label=([\w()+-]+))?\s*:\s*(.+)$")
 _START_RE = re.compile(r"^start(?:\s+label=([\w()+-]+))?\s*:\s*(.+)$")
 _START_REF_RE = re.compile(r"^start\s+([\w()+-]+)$")
 
 
+# The values a slot takes, by its field's annotation; a Literal takes its choices.
+_SLOT_PATTERNS = {Word: ".+", Nat: r"\d+", int: r"-?\d+", str: r"\w+"}
+
+
+def _slot_value(kind, text: str, registry: Optional[Registry], lineno: int):
+    if kind == Word:
+        return parse_word(text, registry, lineno)
+    return int(text) if kind in (int, Nat) else text
+
+
+def _literal_pattern(text: str) -> str:
+    return r"\s+".join(map(re.escape, text.split(" ")))
+
+
+def _compile_move(cls: type) -> tuple[type, dict, re.Pattern]:
+    """The move class, its field annotations and the regex of its syntax."""
+    kinds = get_type_hints(cls)
+    parts, last = [], 0
+    for m in SLOT.finditer(cls.syntax):
+        prefix, optional, name = m.groups()
+        name = optional or name
+        values = _SLOT_PATTERNS.get(kinds[name]) or "|".join(map(re.escape, get_args(kinds[name])))
+        slot = f"(?P<{name}>{values})"
+        if optional:
+            slot = f"(?:{_literal_pattern(prefix)}{slot})?"
+        parts += [_literal_pattern(cls.syntax[last : m.start()]), slot]
+        last = m.end()
+    parts.append(_literal_pattern(cls.syntax[last:]))
+    return cls, kinds, re.compile("".join(parts))
+
+
+_MOVE_SYNTAX = [_compile_move(cls) for cls in MOVES]
+
+
 def _parse_move(line: str, lineno: int, registry: Optional[Registry]) -> Optional[Move]:
-    stripped = line.strip()
-    m = _MOVE_RES["commute"].match(stripped)
-    if m:
-        return Commute(int(m.group(1)))
-    m = _MOVE_RES["hurwitz"].match(stripped)
-    if m:
-        return Hurwitz(int(m.group(1)), m.group(2))
-    m = _MOVE_RES["braid"].match(stripped)
-    if m:
-        return Braid(int(m.group(1)), m.group(2))
-    m = _MOVE_RES["lantern"].match(stripped)
-    if m:
-        pos, inst, direction, out, conj = m.groups()
-        if registry is not None and inst not in registry.lanterns:
-            raise ParseError(f"unknown lantern instance {inst!r}", lineno)
-        return Lantern(
-            int(pos),
-            inst,
-            direction,
-            out=int(out) if out else 0,
-            conj=parse_word(conj, registry, lineno) if conj else (),
-        )
-    m = _MOVE_RES["shift"].match(stripped)
-    if m:
-        return CyclicShift(int(m.group(1)))
-    m = _MOVE_RES["conj"].match(stripped)
-    if m:
-        return GlobalConjugate(parse_word(m.group(1), registry, lineno))
-    m = _MOVE_RES["expand"].match(stripped)
-    if m:
-        return Expand(int(m.group(1)))
-    m = _MOVE_RES["contract"].match(stripped)
-    if m:
-        return Contract(int(m.group(1)), int(m.group(2)))
-    m = _MOVE_RES["alias"].match(stripped)
-    if m:
-        return Alias(int(m.group(1)), m.group(2), m.group(3) or "fwd")
-    m = _MOVE_RES["central"].match(stripped)
-    if m:
-        return CentralSlide(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+    for cls, kinds, pattern in _MOVE_SYNTAX:
+        m = pattern.fullmatch(line)
+        if m is None:
+            continue
+        if cls is Lantern and registry is not None and m["inst"] not in registry.lanterns:
+            raise ParseError(f"unknown lantern instance {m['inst']!r}", lineno)
+        return cls(**{
+            name: _slot_value(kinds[name], text, registry, lineno)
+            for name, text in m.groupdict().items()
+            if text is not None
+        })
     return None
 
 

@@ -52,13 +52,6 @@ def mat_neg(m: Mat) -> Mat:
     return tuple(tuple(-x for x in row) for row in m)  # type: ignore[return-value]
 
 
-def mat_pow(m: Mat, k: int) -> Mat:
-    out = IDENTITY
-    for _ in range(k):
-        out = mat_mul(out, m)
-    return out
-
-
 def transpose(m: Mat) -> Mat:
     return tuple(tuple(m[j][i] for j in range(4)) for i in range(4))  # type: ignore[return-value]
 

@@ -64,7 +64,6 @@ class InvariantSet:
     chi_h: int
     b2plus: Optional[int] = None
     b2minus: Optional[int] = None
-    label: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -93,14 +92,13 @@ def invariants(sig: FiberSignature, simply_connected: bool = False) -> Invariant
         raise SignatureNotIntegral(f"sigma+e = {sigma+e} is not divisible by 4")
     chi_h = (sigma + e) // 4
     b2p = b2m = None
-    label = None
     if simply_connected:
         # 2 - 2 b1 + 2 b2+ = e + sigma with b1 = 0.
         if (e + sigma - 2) % 2 or (e - sigma - 2) % 2:
             raise SignatureNotIntegral("betti numbers are not integral")
         b2p = (e + sigma - 2) // 2
         b2m = (e - sigma - 2) // 2
-    return InvariantSet(e, sigma, c1sq, chi_h, b2p, b2m, label)
+    return InvariantSet(e, sigma, c1sq, chi_h, b2p, b2m)
 
 
 def blowdown_delta(p: int) -> BlowdownDelta:
@@ -189,8 +187,6 @@ def invariant_records(sig: FiberSignature, inv: InvariantSet) -> str:
              f"c1sq={inv.c1sq}", f"chi_h={inv.chi_h}"]
     if inv.b2plus is not None:
         parts += [f"b2plus={inv.b2plus}", f"b2minus={inv.b2minus}"]
-    if inv.label:
-        parts.append(f"label={inv.label}")
     return " ".join(parts)
 
 

@@ -4,35 +4,14 @@ Every move application checks a legality clause before rewriting and
 asserts afterwards that the homology image is preserved (conjugated, for
 global conjugation and cyclic shifts, which move the basepoint of the
 relator).  An illegal move raises IllegalMove carrying the failed clause;
-replay never silently skips a step.
-
-Supported moves
----------------
-commute       swap two adjacent letters whose curves the registry declares
-              geometrically disjoint (homology commuting is re-checked but
-              never suffices on its own)
-hurwitz       elementary transformation (a, b) -> (aba^-1, a) or
-              (a, b) -> (b, b^-1 a b); always legal
-braid         the two-letter consequences of t_a t_b t_a = t_b t_a t_b for
-              braid-adjacent curves: (a^-1(b), b) <-> (b, a) and
-              (b, a(b)) <-> (a, b)
-lantern       replace a cyclic rotation of one side of a registered lantern
-              instance (optionally conjugated letterwise) by a chosen
-              rotation of the other side; down = 4 letters -> 3, up = 3 -> 4
-shift         cyclic rotation of a relator
-conjugate     global conjugation u^-1 w u of a full relator
-expand        rewrite t_{u(a)} as u t_a u^-1
-contract      inverse of expand over a span
-alias         swap a subword matching one side of a registered alias
-              relation for the other side
-central       slide a block equal to a registered central word to another
-              position
+replay never silently skips a step.  The moves are the classes in MOVES.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Literal, NewType, Optional, Union
 
 from . import homology as hom
 from .registry import Registry
@@ -58,71 +37,118 @@ class IllegalMove(ValueError):
         self.reason = reason
 
 
+# A non-negative integer: a letter position, a block length or a rotation.
+Nat = NewType("Nat", int)
+
+
+# Each move class spells its line once, in ``syntax``: literal text with one
+# {field} slot per field, read and printed by the field's annotation (Nat and
+# int as numbers, Literal as one of its choices, str as a name, Word as a
+# word).  A space stands for any run of blanks on input.  A part in brackets
+# is optional: input may leave it out, so the field keeps its default, and
+# output leaves it out when its word is empty.
+SLOT = re.compile(r"\[([^\]{]*)\{(\w+)\}\]|\{(\w+)\}")
+
+
 @dataclass(frozen=True)
 class Commute:
-    pos: int
+    """Swap adjacent letters on curves the registry declares disjoint
+    (commuting homology images are re-checked but never enough)."""
+
+    syntax = "~ commute @{pos}"
+    pos: Nat
 
 
 @dataclass(frozen=True)
 class Hurwitz:
-    pos: int
-    side: str  # "left": (a,b) -> (aba^-1, a);  "right": (a,b) -> (b, b^-1 a b)
+    """(a, b) -> (aba^-1, a) on the left, (b, b^-1 a b) on the right; always legal."""
+
+    syntax = "H @{pos} {side}"
+    pos: Nat
+    side: Literal["left", "right"]
 
 
 @dataclass(frozen=True)
 class Braid:
-    pos: int
-    form: str  # "fwd" | "rev1" | "rev2"
+    """t_a t_b t_a = t_b t_a t_b for braid-adjacent a, b, two letters at a time:
+    fwd takes (a^-1(b), b) to (b, a) and (b, a(b)) to (a, b); rev1, rev2 undo it."""
+
+    syntax = "B @{pos} {form}"
+    pos: Nat
+    form: Literal["fwd", "rev1", "rev2"]
 
 
 @dataclass(frozen=True)
 class Lantern:
-    pos: int
+    """Replace a rotation of one side of a lantern instance, each letter
+    conjugated by conj, by rotation out of the other side (down: 4 -> 3)."""
+
+    syntax = "L @{pos} inst={inst} dir={direction}[ out={out}][ conj={conj}]"
+    pos: Nat
     inst: str
-    direction: str  # "down" | "up"
-    out: int = 0  # rotation of the side being inserted
+    direction: Literal["down", "up"]
+    out: Nat = 0
     conj: Word = ()
 
 
 @dataclass(frozen=True)
 class CyclicShift:
+    """Cyclic rotation of a relator."""
+
+    syntax = "shift {k}"
     k: int
 
 
 @dataclass(frozen=True)
 class GlobalConjugate:
+    """Global conjugation u^-1 w u of a relator."""
+
+    syntax = "C by={by}"
     by: Word
 
 
 @dataclass(frozen=True)
 class Expand:
-    pos: int
+    """Rewrite t_{u(a)} as u t_a u^-1."""
+
+    syntax = "expand @{pos}"
+    pos: Nat
 
 
 @dataclass(frozen=True)
 class Contract:
-    lo: int
-    hi: int
+    """Inverse of expand over the span lo..hi."""
+
+    syntax = "contract @{lo}..{hi}"
+    lo: Nat
+    hi: Nat
 
 
 @dataclass(frozen=True)
 class Alias:
-    pos: int
+    """Swap one side of a registered alias relation for the other (fwd: lhs -> rhs)."""
+
+    syntax = "alias @{pos} rel={rel}[ dir={direction}]"
+    pos: Nat
     rel: str
-    direction: str = "fwd"  # fwd: lhs -> rhs
+    direction: Literal["fwd", "rev"] = "fwd"
 
 
 @dataclass(frozen=True)
 class CentralSlide:
-    pos: int
-    length: int
-    dest: int
+    """Slide a block equal to a registered central word to another position."""
+
+    syntax = "central @{pos} len={length} to={dest}"
+    pos: Nat
+    length: Nat
+    dest: Nat
 
 
-Move = Union[
+MOVES = (
     Commute, Hurwitz, Braid, Lantern, CyclicShift, GlobalConjugate,
     Expand, Contract, Alias, CentralSlide,
-]
+)
+Move = Union[MOVES]
 
 
 @dataclass(frozen=True)
@@ -148,31 +174,17 @@ class MoveScript:
     start_label: str = ""
 
 
-def describe(move: Move) -> str:
-    if isinstance(move, Commute):
-        return f"~ commute @{move.pos}"
-    if isinstance(move, Hurwitz):
-        return f"H @{move.pos} {move.side}"
-    if isinstance(move, Braid):
-        return f"B @{move.pos} {move.form}"
-    if isinstance(move, Lantern):
-        s = f"L @{move.pos} inst={move.inst} dir={move.direction} out={move.out}"
-        if move.conj:
-            s += f" conj={word_str(move.conj)}"
-        return s
-    if isinstance(move, CyclicShift):
-        return f"shift {move.k}"
-    if isinstance(move, GlobalConjugate):
-        return f"C by={word_str(move.by)}"
-    if isinstance(move, Expand):
-        return f"expand @{move.pos}"
-    if isinstance(move, Contract):
-        return f"contract @{move.lo}..{move.hi}"
-    if isinstance(move, Alias):
-        return f"alias @{move.pos} rel={move.rel} dir={move.direction}"
-    if isinstance(move, CentralSlide):
-        return f"central @{move.pos} len={move.length} to={move.dest}"
-    raise TypeError(move)
+def describe(move: Move, word_fmt: Callable[[Word], str] = word_str) -> str:
+    """The move's line: its syntax template filled in, words by ``word_fmt``."""
+
+    def fill(m: re.Match) -> str:
+        prefix, optional, name = m.groups()
+        value = getattr(move, optional or name)
+        if optional and value == ():
+            return ""
+        return (prefix or "") + (word_fmt(value) if isinstance(value, tuple) else str(value))
+
+    return SLOT.sub(fill, move.syntax)
 
 
 def _need(move: Move, cond: bool, reason: str) -> None:
@@ -182,30 +194,18 @@ def _need(move: Move, cond: bool, reason: str) -> None:
 
 def _braid_fwd(reg: Registry, move: Move, p: Letter, q: Letter) -> tuple[Letter, Letter]:
     """Forward braid patterns: (a^-1(b), b) -> (b, a) or (b, a(b)) -> (a, b)."""
-    # pattern 1: first letter is a one-step conjugate of the second
-    if (
-        p.curve.is_conjugate
-        and len(p.curve.conj) == 1
-        and not q.curve.is_conjugate
-        and p.curve.name == q.curve.name
-        and p.curve.conj[0].exp == -1
-        and not p.curve.conj[0].curve.is_conjugate
-        and reg.braid_adjacent(p.curve.conj[0].curve.name, q.curve.name)
-    ):
-        a = p.curve.conj[0].curve
-        return (Letter(Curve(q.curve.name)), Letter(a))
-    # pattern 2: second letter is a one-step conjugate of the first
-    if (
-        q.curve.is_conjugate
-        and len(q.curve.conj) == 1
-        and not p.curve.is_conjugate
-        and q.curve.name == p.curve.name
-        and q.curve.conj[0].exp == 1
-        and not q.curve.conj[0].curve.is_conjugate
-        and reg.braid_adjacent(q.curve.conj[0].curve.name, p.curve.name)
-    ):
-        a = q.curve.conj[0].curve
-        return (Letter(a), Letter(Curve(p.curve.name)))
+    # The first letter conjugates the second by a^-1, or the second the first by a.
+    for conj, plain, exp in ((p.curve, q.curve, -1), (q.curve, p.curve, 1)):
+        if (
+            len(conj.conj) == 1
+            and not plain.is_conjugate
+            and conj.name == plain.name
+            and conj.conj[0].exp == exp
+            and not conj.conj[0].curve.is_conjugate
+            and reg.braid_adjacent(conj.conj[0].curve.name, plain.name)
+        ):
+            a, b = Letter(conj.conj[0].curve), Letter(Curve(plain.name))
+            return (b, a) if exp == -1 else (a, b)
     raise IllegalMove(
         move,
         f"pair ({p!r}, {q!r}) matches neither forward braid pattern",
@@ -240,18 +240,18 @@ def _match_rotation(
     return None
 
 
+# Lantern direction -> (side matched in the word, side put in its place).
+_LANTERN_SIDES = {"down": ("lhs", "rhs"), "up": ("rhs", "lhs")}
+
+
 def apply_move(reg: Registry, w: Word, move: Move) -> Word:
     """Apply one legal move; raises IllegalMove with the failed clause."""
     before = reg.image(w)
     out = _apply(reg, w, move)
     out = reg.canonical_word(out)
-    after = reg.image(out)
-    if isinstance(move, (GlobalConjugate, CyclicShift)):
-        # Image is only preserved up to conjugation; relator legality already
-        # forces it to the identity, so equality still holds here.
-        assert after == before, "relator image not preserved"
-    else:
-        assert after == before, f"move broke the homology image: {describe(move)}"
+    # Shift and C preserve the image only up to conjugation, but they apply
+    # only to relators, whose image is the identity, so equality holds too.
+    assert reg.image(out) == before, f"move broke the homology image: {describe(move)}"
     return out
 
 
@@ -288,43 +288,32 @@ def _apply(reg: Registry, w: Word, move: Move) -> Word:
         _need(move, p.exp == 1 and q.exp == 1, "braid patterns take positive letters")
         if move.form == "fwd":
             rep = _braid_fwd(reg, move, p, q)
-        elif move.form == "rev1":
-            # (b, a) -> (a^-1(b), b)
+        elif move.form in ("rev1", "rev2"):
             _need(move, not p.curve.is_conjugate and not q.curve.is_conjugate,
-                  "rev1 takes two plain letters")
+                  f"{move.form} takes two plain letters")
             _need(move, reg.braid_adjacent(p.curve.name, q.curve.name),
                   f"{p.curve.name},{q.curve.name} are not braid-adjacent")
-            conj = make_curve(p.curve.name, (Letter(q.curve, -1),))
-            rep = (Letter(conj), Letter(p.curve))
-        elif move.form == "rev2":
-            # (a, b) -> (b, a(b))
-            _need(move, not p.curve.is_conjugate and not q.curve.is_conjugate,
-                  "rev2 takes two plain letters")
-            _need(move, reg.braid_adjacent(p.curve.name, q.curve.name),
-                  f"{p.curve.name},{q.curve.name} are not braid-adjacent")
-            conj = make_curve(q.curve.name, (Letter(p.curve, 1),))
-            rep = (Letter(q.curve), Letter(conj))
+            if move.form == "rev1":  # (b, a) -> (a^-1(b), b)
+                rep = (Letter(make_curve(p.curve.name, (Letter(q.curve, -1),))), Letter(p.curve))
+            else:  # (a, b) -> (b, a(b))
+                rep = (Letter(q.curve), Letter(make_curve(q.curve.name, (Letter(p.curve, 1),))))
         else:
             raise IllegalMove(move, f"unknown braid form {move.form!r}")
         return w[: move.pos] + rep + w[move.pos + 2 :]
 
     if isinstance(move, Lantern):
         _need(move, move.inst in reg.lanterns, f"unknown lantern instance {move.inst}")
+        _need(move, move.direction in _LANTERN_SIDES, f"unknown direction {move.direction!r}")
         inst = reg.lanterns[move.inst]
-        if move.direction == "down":
-            src = [inst.lhs_word(r) for r in range(4)]
-            dst = inst.rhs_word(move.out % 3)
-        elif move.direction == "up":
-            src = [inst.rhs_word(r) for r in range(3)]
-            dst = inst.lhs_word(move.out % 4)
-        else:
-            raise IllegalMove(move, f"unknown direction {move.direction!r}")
+        src_side, dst_side = _LANTERN_SIDES[move.direction]
+        src = inst.rotations(src_side)
+        dst_rotations = inst.rotations(dst_side)
+        dst = dst_rotations[move.out % len(dst_rotations)]
         r = _match_rotation(reg, w, move.pos, src, move.conj)
         _need(
             move,
             r is not None,
-            f"word at {move.pos} matches no rotation of {move.inst} "
-            f"{'lhs' if move.direction == 'down' else 'rhs'}",
+            f"word at {move.pos} matches no rotation of {move.inst} {src_side}",
         )
         width = len(src[0])
         return w[: move.pos] + _conjugated_side(reg, dst, move.conj) + w[move.pos + width :]
@@ -388,11 +377,7 @@ def inverse_move(reg: Registry, w: Word, move: Move) -> Move:
             return Braid(move.pos, "rev1" if p.curve.is_conjugate else "rev2")
         return Braid(move.pos, "fwd")
     if isinstance(move, Lantern):
-        inst = reg.lanterns[move.inst]
-        if move.direction == "down":
-            src = [inst.lhs_word(r) for r in range(4)]
-        else:
-            src = [inst.rhs_word(r) for r in range(3)]
+        src = reg.lanterns[move.inst].rotations(_LANTERN_SIDES[move.direction][0])
         r = _match_rotation(reg, w, move.pos, src, move.conj)
         if r is None:
             raise IllegalMove(move, "cannot invert a move that does not apply")
@@ -423,26 +408,19 @@ def match_lantern(reg: Registry, w: Word, inst_id: str) -> list[tuple[int, Word,
     inst = reg.lanterns[inst_id]
     cw = reg.canonical_word(w)
     hits: list[tuple[int, Word, str, int]] = []
-    for side_name, sides in (
-        ("lhs", [inst.lhs_word(r) for r in range(4)]),
-        ("rhs", [inst.rhs_word(r) for r in range(3)]),
-    ):
+    for side_name in ("lhs", "rhs"):
+        sides = inst.rotations(side_name)
         width = len(sides[0])
         for pos in range(len(cw) - width + 1):
-            first = cw[pos]
-            candidates: list[Word] = [()]
-            if first.curve.conj:
-                candidates.append(first.curve.conj)
-            seen = set()
-            for conj in candidates:
-                for r, side in enumerate(sides):
-                    if reg.canonical_word(cw[pos : pos + width]) == _conjugated_side(
-                        reg, side, conj
-                    ):
-                        key = (pos, side_name)
-                        if key not in seen:
-                            hits.append((pos, conj, side_name, r))
-                            seen.add(key)
+            block = reg.canonical_word(cw[pos : pos + width])
+            conjs = [(), cw[pos].curve.conj] if cw[pos].curve.conj else [()]
+            hit = next(
+                ((pos, conj, side_name, r) for conj in conjs for r, side in enumerate(sides)
+                 if block == _conjugated_side(reg, side, conj)),
+                None,
+            )
+            if hit:
+                hits.append(hit)
     return hits
 
 

@@ -195,10 +195,6 @@ def compose(outer: Aut, inner: Aut) -> Aut:
     return {g: apply_aut(outer, inner[g]) for g in GENS}
 
 
-def conjugation_by(z: str) -> Aut:
-    return {g: dehn_reduce(z + g + inverse(z)) for g in GENS}
-
-
 def preserves_relator(aut: Aut) -> bool:
     return is_trivial(apply_aut(aut, RELATOR))
 

@@ -82,13 +82,16 @@ class LanternInstance:
     lhs: tuple[str, str, str, str]
     rhs: tuple[str, str, str]
 
+    def rotations(self, side: str) -> list[Word]:
+        """Every cyclic rotation of one side, "lhs" or "rhs", as a word."""
+        names = getattr(self, side)
+        return [tuple(letter(n) for n in names[r:] + names[:r]) for r in range(len(names))]
+
     def lhs_word(self, rotation: int = 0) -> Word:
-        names = self.lhs[rotation:] + self.lhs[:rotation]
-        return tuple(letter(n) for n in names)
+        return self.rotations("lhs")[rotation]
 
     def rhs_word(self, rotation: int = 0) -> Word:
-        names = self.rhs[rotation:] + self.rhs[:rotation]
-        return tuple(letter(n) for n in names)
+        return self.rotations("rhs")[rotation]
 
 
 @dataclass(frozen=True)
@@ -626,10 +629,13 @@ class Registry:
 
     @staticmethod
     def parse(text: str) -> "Registry":
+        """Read the text of serialize(); a malformed line raises ParseError."""
+        from .dsl import ParseError, parse_word
+
         curves: list[CurveData] = []
         lanterns: list[LanternInstance] = []
         curve_re = re.compile(
-            r"^(\w+)\s+(sep|nonsep)\s+h=\(([-\d,\s]+)\)(?:\s+def=(.+))?$"
+            r"^(\w+)\s+(sep|nonsep)\s+h=\(((?:\s*-?\d+\s*,){3}\s*-?\d+\s*)\)(?:\s+def=(.+))?$"
         )
         lant_re = re.compile(r"^(\w+):\s+(.+?)\s*=\s*(.+)$")
         for lineno, raw in enumerate(text.splitlines(), 1):
@@ -640,16 +646,12 @@ class Registry:
             if m:
                 name, sep, h, defn = m.groups()
                 vec = tuple(int(x) for x in h.split(","))
-                if len(vec) != 4:
-                    raise ValueError(f"line {lineno}: homology must have 4 entries")
                 d = None
                 if defn:
                     dm = re.match(r"^\[(.+)\]\((\w+)\)$", defn.strip())
                     if not dm:
-                        raise ValueError(f"line {lineno}: bad def expression {defn!r}")
-                    from .dsl import parse_word
-
-                    d = make_curve(dm.group(2), parse_word(dm.group(1)))
+                        raise ParseError(f"bad def expression {defn!r}", lineno)
+                    d = make_curve(dm.group(2), parse_word(dm.group(1), line=lineno))
                 curves.append(CurveData(name, sep == "sep", vec, d))  # type: ignore[arg-type]
                 continue
             m = lant_re.match(line)
@@ -659,7 +661,7 @@ class Registry:
                     LanternInstance(ident, tuple(lhs.split()), tuple(rhs.split()))  # type: ignore[arg-type]
                 )
                 continue
-            raise ValueError(f"line {lineno}: cannot parse registry line {line!r}")
+            raise ParseError(f"cannot parse registry line {line!r}", lineno)
         return Registry(curves, lanterns)
 
 

@@ -138,3 +138,28 @@ def test_registry_file_loads_from_corpus(tmp_path):
     p = tmp_path / "std.reg"
     p.write_text(read_text("standard.reg"))
     assert main(["--registry", str(p), "registry-check"]) == 0
+
+
+@pytest.mark.parametrize("text, status", [
+    ("relator X0 = (B0 B1 c1 c2 c3 c4 c5^2 c4 [c3](c2) c1^3 c5^2)^2", 0),
+    ("relator odd = c1 c2", 1),  # 3n+s = 6: invariants are not integral
+])
+def test_verify_records_print_signature_once(tmp_path, capsys, text, status):
+    p = tmp_path / "r.mcg"
+    p.write_text(text)
+    assert main(["--format", "records", "verify", str(p)]) == status
+    out = capsys.readouterr().out
+    assert out.count(" n=") == 1 and out.count(" s=") == 1
+
+
+def test_replay_rejects_pi1(capsys):
+    assert main(["--pi1", "replay", "z-family", "--builtin"]) == 2
+    assert "applies to verify only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["c1 nonsep h=(1,0,0)", "c1 is a curve"])
+def test_malformed_registry_file(tmp_path, capsys, line):
+    p = tmp_path / "bad.reg"
+    p.write_text(line + "\n")
+    assert main(["--registry", str(p), "registry-check"]) == 2
+    assert "cannot parse registry line" in capsys.readouterr().err

@@ -1,0 +1,89 @@
+"""Every move line parses to its move and prints back as the same line."""
+
+import pytest
+
+from g2mcg.dsl import ParseError, parse_document, parse_word, serialize, serialize_word
+from g2mcg.moves import (
+    Alias,
+    Braid,
+    CentralSlide,
+    Commute,
+    Contract,
+    CyclicShift,
+    Expand,
+    GlobalConjugate,
+    Hurwitz,
+    Lantern,
+    describe,
+)
+from g2mcg.registry import standard_registry
+
+reg = standard_registry()
+
+
+def W(text):
+    return parse_word(text, reg)
+
+
+# (line, parsed move, printed line when it differs from the input): each
+# optional part appears once present and once absent.  Output always spells
+# out= and dir=, and leaves out an empty conj=.
+CASES = [
+    ("~ commute @0", Commute(0), None),
+    ("H @3 left", Hurwitz(3, "left"), None),
+    ("H @1 right", Hurwitz(1, "right"), None),
+    ("B @2 fwd", Braid(2, "fwd"), None),
+    ("B @0 rev1", Braid(0, "rev1"), None),
+    ("B @4 rev2", Braid(4, "rev2"), None),
+    ("L @3 inst=L1 dir=down out=1", Lantern(3, "L1", "down", out=1), None),
+    ("L @3 inst=L2 dir=up out=2 conj=c1 [c3^-1](c2)",
+     Lantern(3, "L2", "up", 2, W("c1 [c3^-1](c2)")), None),
+    ("L @0 inst=L3 dir=down", Lantern(0, "L3", "down"), "L @0 inst=L3 dir=down out=0"),
+    ("L @7 inst=L1 dir=up conj=c5^2", Lantern(7, "L1", "up", conj=W("c5 c5")),
+     "L @7 inst=L1 dir=up out=0 conj=c5^2"),
+    ("shift 4", CyclicShift(4), None),
+    ("shift -2", CyclicShift(-2), None),
+    ("C by=c1^2 [c2](c3)", GlobalConjugate(W("c1 c1 [c2](c3)")), None),
+    ("C by=c4^-1", GlobalConjugate(W("c4^-1")), None),
+    ("expand @5", Expand(5), None),
+    ("contract @2..5", Contract(2, 5), None),
+    ("alias @2 rel=B2def dir=rev", Alias(2, "B2def", "rev"), None),
+    ("alias @6 rel=chain", Alias(6, "chain"), "alias @6 rel=chain dir=fwd"),
+    ("central @8 len=10 to=2", CentralSlide(8, 10, 2), None),
+]
+
+REJECTED = [
+    "expand @-1",
+    "~ commute @-1",
+    "H @0 sideways",
+    "B @0 back",
+    "L @0 inst=L9 dir=down",
+    "L @0 inst=L1 dir=sideways",
+    "L @0 inst=L1 dir=down out=-1",
+    "contract @3",
+    "central @0 len=-1 to=0",
+    "alias @0 rel=chain dir=up",
+    "C by=",
+    "shift",
+    "B @0 fwd junk",
+    "central @0 len=10 to=2 3",
+    "expand @1 @2",
+]
+
+
+def _script(line):
+    return f"script t\nstart: c1 c2\n{line}\nend\n"
+
+
+@pytest.mark.parametrize("line, move, printed", CASES)
+def test_move_line_round_trip(line, move, printed):
+    script = parse_document(_script(line), reg).scripts["t"]
+    assert script.entries == (move,)
+    assert serialize(script).splitlines()[2] == (printed or line)
+    assert describe(move, serialize_word) == (printed or line)
+
+
+@pytest.mark.parametrize("line", REJECTED)
+def test_bad_move_line(line):
+    with pytest.raises(ParseError):
+        parse_document(_script(line), reg)

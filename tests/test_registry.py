@@ -1,7 +1,7 @@
 import pytest
 
 from g2mcg import homology as hom
-from g2mcg.dsl import parse_word
+from g2mcg.dsl import ParseError, parse_word
 from g2mcg.registry import (
     SEPARATING,
     NotATransvection,
@@ -147,3 +147,20 @@ def test_registry_file_fixture_matches_builtin():
     shipped = Registry.parse(read_text("standard.reg"))
     assert shipped.curves == reg.curves
     assert shipped.lanterns == reg.lanterns
+
+
+@pytest.mark.parametrize("text", [
+    "c1 nonsep h=(1,0,0)",
+    "c1 nonsep h=(1,-,0,0)",
+    "c1 nonsep h=(1,0,0,0) def=c2",
+    "c1 is a curve",
+])
+def test_parse_rejects_malformed_lines(text):
+    with pytest.raises(ParseError):
+        Registry.parse(text)
+
+
+def test_lantern_rotations():
+    inst = reg.lanterns["L1"]
+    assert inst.rotations("lhs") == [inst.lhs_word(r) for r in range(4)]
+    assert inst.rotations("rhs") == [inst.rhs_word(r) for r in range(3)]
