@@ -224,7 +224,10 @@ class Registry:
             disjoint_pairs if disjoint_pairs is not None else _std_disjoint(lanterns)
         )
         self.braid_pairs = {frozenset((f"c{i}", f"c{i+1}")) for i in range(1, 5)}
+        # Safe to memoize: a registry is never changed after __init__
+        # (the with_* copies are new registries with empty caches).
         self._letter_matrix_cache: dict[Letter, Mat] = {}
+        self._canonical_curve_cache: dict[Curve, Curve] = {}
         self.central_words: tuple[Word, ...] = (_tau_word(),)
         self.aliases: dict[str, AliasRelation] = {
             a.ident: a for a in self._std_aliases()
@@ -440,6 +443,9 @@ class Registry:
     def canonical_curve(self, curve: Curve) -> Curve:
         if not curve.conj:
             return curve
+        cached = self._canonical_curve_cache.get(curve)
+        if cached is not None:
+            return cached
         letters = self._flat_conjugator(curve.conj)
         n = None
         while n != len(letters):
@@ -447,7 +453,9 @@ class Registry:
             letters = self._trace_reduce(letters)
             letters = self._strip_idle(letters, curve.name)
         letters = self._lex_normal(letters)
-        return Curve(curve.name, tuple(letters))
+        canonical = Curve(curve.name, tuple(letters))
+        self._canonical_curve_cache[curve] = canonical
+        return canonical
 
     def canonical_letter(self, l: Letter) -> Letter:
         return Letter(self.canonical_curve(l.curve), l.exp)

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import g2mcg
 from g2mcg.cli import main
 from g2mcg.fixtures import read_text
 from g2mcg.registry import standard_registry
@@ -163,3 +167,51 @@ def test_malformed_registry_file(tmp_path, capsys, line):
     p.write_text(line + "\n")
     assert main(["--registry", str(p), "registry-check"]) == 2
     assert "cannot parse registry line" in capsys.readouterr().err
+
+
+# Registries whose data disagree, each with a move that breaks the image.
+BROKEN_REPLAYS = {
+    # B2's declared class (0,1,0,1) differs from that of its def=[c3^-1](x),
+    # (1,0,1,0), so the B2def alias move changes the image.
+    "b2": (
+        ("B2 nonsep h=(1,0,1,0)", "B2 nonsep h=(0,1,0,1)"),
+        "start: c1 B2 c2\nalias @1 rel=B2def",
+        "[FAIL]   1 alias @1 rel=B2def dir=fwd  move broke the homology image",
+    ),
+    # A lantern that drops a c1 next to another c1: the words agree on
+    # c1 ... c5 c5, but the shared ends overlap and must not both cancel.
+    "l1": (
+        ("L1: c1 c1 c5 c5 = x c3 d", "L1: c1 c1 c5 c5 = c1 c5 c5"),
+        "start: c1 c1 c5 c5\nL @0 inst=L1 dir=down",
+        "[FAIL]   1 L @0 inst=L1 dir=down out=0  move broke the homology image",
+    ),
+}
+
+
+@pytest.fixture(params=sorted(BROKEN_REPLAYS))
+def broken_replay(tmp_path, request):
+    (old, new), body, failed_step = BROKEN_REPLAYS[request.param]
+    reg = tmp_path / "broken.reg"
+    reg.write_text(read_text("standard.reg").replace(old, new))
+    script = tmp_path / "broken.mcg"
+    script.write_text(f"script broken\n{body}\nend\n")
+    return ["--registry", str(reg), "replay", str(script)], failed_step
+
+
+def test_replay_reports_a_move_that_breaks_the_image(broken_replay, capsys):
+    argv, failed_step = broken_replay
+    assert main(argv) == 1
+    assert failed_step in capsys.readouterr().out
+
+
+def test_image_check_holds_under_python_O(broken_replay):
+    argv, failed_step = broken_replay
+    src = str(Path(g2mcg.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "g2mcg.cli", *argv],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert failed_step in proc.stdout

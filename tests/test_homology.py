@@ -43,6 +43,23 @@ def test_sp_inverse(v):
     assert hom.sp_inverse(m) == hom.transvection_inv(v)
 
 
+def mat_mul_reference(a, b):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
+        for i in range(4)
+    )
+
+
+# Entries far past 2^63: the matrices hold Python ints and must not wrap.
+big_mat_st = st.tuples(*[st.tuples(*[st.integers(-(2**200), 2**200)] * 4)] * 4)
+
+
+@given(big_mat_st, big_mat_st)
+def test_mat_mul_matches_reference(a, b):
+    assert hom.mat_mul(a, b) == mat_mul_reference(a, b)
+    assert hom.mat_mul(a, hom.IDENTITY) == a == hom.mat_mul(hom.IDENTITY, a)
+
+
 def test_transvection_direction_roundtrip():
     for v in [(1, 0, 0, 0), (2, 0, -1, 0), (1, -1, 1, -1)]:
         assert hom.transvection_direction(hom.transvection(v)) in (

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2mcg import homology as hom
 from g2mcg.dsl import parse_word
@@ -166,6 +167,15 @@ def test_central_slide():
         apply_move(reg, w, CentralSlide(1, 10, 0))
 
 
+def checked_step(w, move, out):
+    """Check a step out = apply_move(reg, w, move) on the whole word: the
+    image apply_move compares only over the rewritten span is unchanged,
+    and the inverse move gives w back."""
+    assert reg.image(out) == reg.image(w), move
+    assert apply_move(reg, out, inverse_move(reg, w, move)) == w, move
+    return out
+
+
 def test_every_move_is_invertible_along_the_corpus():
     # replay each script, checking apply(inverse) returns the previous word
     for script in corpus.scripts.values():
@@ -173,10 +183,61 @@ def test_every_move_is_invertible_along_the_corpus():
         for entry in script.entries:
             if isinstance(entry, (Checkpoint, Final)):
                 continue
-            nxt = apply_move(reg, state, entry)
-            inv = inverse_move(reg, state, entry)
-            assert apply_move(reg, nxt, inv) == state, (script.name, entry)
-            state = nxt
+            state = checked_step(state, entry, apply_move(reg, state, entry))
+
+
+RELATORS = sorted(corpus.relators.values(), key=lambda r: r.label)
+
+
+def fiber_sum(data) -> tuple:
+    """A fiber sum of corpus relators with 100 to 250 letters."""
+    target = data.draw(st.integers(100, 250), label="length")
+    parts = []
+    while sum(len(r) for r in parts) < target:
+        parts.append(data.draw(st.sampled_from(RELATORS), label="summand"))
+    if sum(len(r) for r in parts) > 250:
+        parts.pop()  # summands have at most 40 letters: over 210 are left
+    return reg.canonical_word(tuple(l for r in parts for l in r.word))
+
+
+def walk_move(data, w):
+    """A Hurwitz, commute, braid, expand or shift move at a drawn position,
+    drawn among the positions where it applies when there are any."""
+    kind = data.draw(st.sampled_from(["hurwitz", "commute", "braid", "expand", "shift"]))
+    pairs = range(len(w) - 1)
+    if kind == "commute":
+        legal = [p for p in pairs if reg.disjoint(w[p].curve, w[p + 1].curve)]
+        return Commute(data.draw(st.sampled_from(legal or pairs)))
+    if kind == "braid":
+        legal = [
+            p for p in pairs
+            if w[p].exp == w[p + 1].exp == 1
+            and not w[p].curve.conj and not w[p + 1].curve.conj
+            and reg.braid_adjacent(w[p].curve.name, w[p + 1].curve.name)
+        ]
+        form = data.draw(st.sampled_from(["fwd", "rev1", "rev2"]))
+        return Braid(data.draw(st.sampled_from(legal or pairs)), form)
+    if kind == "expand":
+        conj = [p for p, l in enumerate(w) if l.curve.conj]
+        return Expand(data.draw(st.sampled_from(conj or range(len(w)))))
+    if kind == "shift":
+        return CyclicShift(data.draw(st.integers(1, len(w) - 1)))
+    return Hurwitz(data.draw(st.sampled_from(pairs)), data.draw(st.sampled_from(["left", "right"])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_span_check_keeps_the_whole_word_image_on_long_walks(data):
+    w = fiber_sum(data)
+    for _ in range(data.draw(st.integers(1, 8), label="steps")):
+        move = walk_move(data, w)
+        try:
+            out = apply_move(reg, w, move)
+        except IllegalMove as exc:
+            # the standard registry is consistent: only legality clauses fail
+            assert exc.reason != "move broke the homology image", move
+            continue
+        w = checked_step(w, move, out)
 
 
 def test_match_lantern_finds_blocks_in_x0():

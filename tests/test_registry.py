@@ -164,3 +164,42 @@ def test_lantern_rotations():
     inst = reg.lanterns["L1"]
     assert inst.rotations("lhs") == [inst.lhs_word(r) for r in range(4)]
     assert inst.rotations("rhs") == [inst.rhs_word(r) for r in range(3)]
+
+
+def corpus_curves() -> set[Curve]:
+    """The curve of every letter in a corpus word or a state a corpus script
+    passes through."""
+    from g2mcg.fixtures import load_corpus
+    from g2mcg.moves import Checkpoint, Final, apply_move
+
+    corpus = load_corpus(reg)
+    words = [r.word for r in corpus.relators.values()]
+    for script in corpus.scripts.values():
+        state = script.start
+        words.append(state)
+        for entry in script.entries:
+            if isinstance(entry, (Checkpoint, Final)):
+                words.append(entry.word)
+            else:
+                state = apply_move(reg, state, entry)
+                words.append(state)
+    return {l.curve for w in words for l in w}
+
+
+def test_canonical_curve_cache_matches_a_fresh_registry():
+    for c in corpus_curves():
+        first = reg.canonical_curve(c)
+        assert reg.canonical_curve(c) == first == standard_registry().canonical_curve(c)
+        assert reg.canonical_curve(first) == first
+
+
+def test_derived_registries_do_not_share_the_canonical_curve_cache():
+    parent = standard_registry()
+    parent.canonical_curve(letter("c2", conj=(letter("c3"), letter("c1"))).curve)
+    assert parent._canonical_curve_cache
+    for child in (
+        parent.with_homology("x", (1, 0, 1, 0)),
+        parent.with_separating("d", True),
+        parent.without_lantern("L3"),
+    ):
+        assert child._canonical_curve_cache == {}
