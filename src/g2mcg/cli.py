@@ -152,7 +152,7 @@ def cmd_registry_check(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="g2mcg", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--registry", help="registry file (default: built-in standard registry)")
+    parser.add_argument("--registry", help="registry file (default: the packaged corpus/standard.reg)")
     parser.add_argument("--format", choices=("text", "records"), default="text")
     parser.add_argument("--pi1", action="store_true",
                         help="also check the surface-group action (verify only)")

@@ -28,10 +28,6 @@ FILES = (
     "x-seven.mcg",
 )
 
-X_LABELS = tuple(f"X{n}" for n in range(8))
-Z_LABELS = tuple(f"Z{m}" for m in range(5))
-
-
 @dataclass
 class Corpus:
     relators: dict[str, PositiveRelator] = field(default_factory=dict)

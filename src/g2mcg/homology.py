@@ -9,6 +9,7 @@ exact and overflow-free.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Optional
 
 Vec = tuple[int, int, int, int]
@@ -85,26 +86,20 @@ def transvection(v: Vec) -> Mat:
 
 
 def transvection_inv(v: Vec) -> Mat:
-    """Inverse twist: x |-> x - <x, v> v.
+    """Inverse twist: x |-> x - <x, v> v, that is 2I - T for T = transvection(v).
 
-    Not a transvection along any vector: the defining formula is quadratic
-    in v, so negating v gives the same matrix back, not the inverse.
+    T = I + N with N^2 = 0 (<v, v> = 0), so T^-1 = I - N.  Not a transvection
+    along any vector: the defining formula is quadratic in v, so negating v
+    gives the same matrix back, not the inverse.
     """
-    cols = []
-    for j in range(4):
-        e = tuple(1 if i == j else 0 for i in range(4))
-        coef = sform(e, v)
-        cols.append(tuple(e[i] - coef * v[i] for i in range(4)))
-    return tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))  # type: ignore[return-value]
+    t = transvection(v)
+    return tuple(
+        tuple(2 * (i == j) - t[i][j] for j in range(4)) for i in range(4)
+    )  # type: ignore[return-value]
 
 
 def is_primitive(v: Vec) -> bool:
-    from math import gcd
-
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g == 1
+    return gcd(*v) == 1
 
 
 def transvection_direction(m: Mat) -> Optional[Vec]:
@@ -124,11 +119,7 @@ def transvection_direction(m: Mat) -> Optional[Vec]:
             break
     if cand is None:
         return None
-    from math import gcd
-
-    g = 0
-    for x in cand:
-        g = gcd(g, x)
+    g = gcd(*cand)
     v = tuple(x // g for x in cand)
     for x in v:
         if x != 0:

@@ -448,7 +448,6 @@ class StepResult:
     text: str
     ok: bool
     detail: str = ""
-    length: int = 0
     signature: Optional[tuple[int, int]] = None
 
 
@@ -502,7 +501,6 @@ def replay(reg: Registry, script: MoveScript) -> ReplayReport:
                 f"{kind}{label}",
                 ok,
                 "" if ok else f"expected {word_str(expected)!r}, have {word_str(state)!r}",
-                len(state),
                 _signature_of(reg, state),
             )
             report.steps.append(step)
@@ -518,8 +516,7 @@ def replay(reg: Registry, script: MoveScript) -> ReplayReport:
         try:
             state = apply_move(reg, state, entry)
             report.steps.append(
-                StepResult(index, describe(entry), True, "", len(state),
-                           _signature_of(reg, state))
+                StepResult(index, describe(entry), True, "", _signature_of(reg, state))
             )
         except IllegalMove as exc:
             report.steps.append(StepResult(index, describe(entry), False, exc.reason))

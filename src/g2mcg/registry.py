@@ -20,6 +20,11 @@ Y1 and Y2 are the images of B1 and B2 under the handle-swapping
 involution composed with c4^-1 c3^-1 c2^-1 c1^-1, re-verified against the
 conjugated relator.  Tests re-run all of these derivations.
 
+The standard atlas is data, kept in one place: the packaged text file
+corpus/standard.reg, in the format of Registry.serialize and
+Registry.parse.  standard_registry() parses that file; a --registry file
+in the same format replaces it.
+
 The registry also curates the structural tables that the moves engine
 consults: geometric disjointness (commute legality), braid-adjacent
 pairs, central words, and alias relations.  Disjointness is conservative:
@@ -29,9 +34,10 @@ do.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import homology as hom
@@ -42,11 +48,9 @@ from .words import (
     PositiveRelator,
     Word,
     concat,
-    invert,
     letter,
     make_curve,
     power,
-    word_str,
 )
 
 
@@ -86,12 +90,6 @@ class LanternInstance:
         """Every cyclic rotation of one side, "lhs" or "rhs", as a word."""
         names = getattr(self, side)
         return [tuple(letter(n) for n in names[r:] + names[:r]) for r in range(len(names))]
-
-    def lhs_word(self, rotation: int = 0) -> Word:
-        return self.rotations("lhs")[rotation]
-
-    def rhs_word(self, rotation: int = 0) -> Word:
-        return self.rotations("rhs")[rotation]
 
 
 @dataclass(frozen=True)
@@ -147,37 +145,6 @@ def _tau_word() -> Word:
     return tuple(letter(n) for n in TAU_NAMES)
 
 
-def _std_curves() -> list[CurveData]:
-    b2_defn = make_curve("x", (letter("c3", -1),))
-    return [
-        CurveData("c1", False, (1, 0, 0, 0)),
-        CurveData("c2", False, (0, 1, 0, 0)),
-        CurveData("c3", False, (-1, 0, 1, 0)),
-        CurveData("c4", False, (0, 0, 0, 1)),
-        CurveData("c5", False, (0, 0, 1, 0)),
-        CurveData("d", True, (0, 0, 0, 0)),
-        CurveData("x", False, (1, 0, 1, 0)),
-        CurveData("k", False, (-1, 0, 2, 0)),
-        CurveData("h", True, (0, 0, 0, 0)),
-        CurveData("kb", False, (2, 0, -1, 0)),
-        CurveData("hb", True, (0, 0, 0, 0)),
-        CurveData("B0", False, (0, 1, 0, 1)),
-        CurveData("B1", False, (1, -1, 1, -1)),
-        CurveData("B2", False, (1, 0, 1, 0), defn=b2_defn),
-        CurveData("Y1", False, (1, -2, 0, -1)),
-        CurveData("Y2", False, (2, -2, 0, -1)),
-        CurveData("Yc", True, (0, 0, 0, 0)),
-    ]
-
-
-def _std_lanterns() -> list[LanternInstance]:
-    return [
-        LanternInstance("L1", ("c1", "c1", "c5", "c5"), ("x", "c3", "d")),
-        LanternInstance("L2", ("c1", "c1", "c3", "c3"), ("kb", "hb", "c5")),
-        LanternInstance("L3", ("c3", "c3", "c5", "c5"), ("c1", "k", "h")),
-    ]
-
-
 def _std_disjoint(lanterns: Iterable[LanternInstance]) -> set[frozenset[str]]:
     pairs: set[frozenset[str]] = set()
     # Chain curves with index distance >= 2 are disjoint.
@@ -212,20 +179,13 @@ _IOTA: Mat = (
 class Registry:
     """Read-only atlas built once; all methods are pure queries."""
 
-    def __init__(
-        self,
-        curves: Sequence[CurveData],
-        lanterns: Sequence[LanternInstance],
-        disjoint_pairs: Optional[set[frozenset[str]]] = None,
-    ) -> None:
+    def __init__(self, curves: Sequence[CurveData], lanterns: Sequence[LanternInstance]) -> None:
         self.curves: dict[str, CurveData] = {c.name: c for c in curves}
         self.lanterns: dict[str, LanternInstance] = {l.ident: l for l in lanterns}
-        self.disjoint_pairs = (
-            disjoint_pairs if disjoint_pairs is not None else _std_disjoint(lanterns)
-        )
+        self.disjoint_pairs = _std_disjoint(lanterns)
         self.braid_pairs = {frozenset((f"c{i}", f"c{i+1}")) for i in range(1, 5)}
         # Safe to memoize: a registry is never changed after __init__
-        # (the with_* copies are new registries with empty caches).
+        # (replace() builds a new registry with empty caches).
         self._letter_matrix_cache: dict[Letter, Mat] = {}
         self._canonical_curve_cache: dict[Curve, Curve] = {}
         self.central_words: tuple[Word, ...] = (_tau_word(),)
@@ -269,28 +229,21 @@ class Registry:
             "tau": MappingClassSymbol("tau", self.image(tau), tau),
         }
 
-    def with_homology(self, name: str, vec: Vec) -> "Registry":
-        """Copy with one curve's class replaced (for perturbation tests)."""
-        if name not in self.curves:
+    def replace(
+        self, name: Optional[str] = None, *, drop_lantern: Optional[str] = None, **fields
+    ) -> "Registry":
+        """A new registry, with empty caches, in which curve ``name`` takes the
+        given CurveData ``fields`` (homology=, separating=) and lantern
+        ``drop_lantern`` is left out; perturbation tests build broken atlases
+        this way."""
+        if name is not None and name not in self.curves:
             raise UnknownCurve(name)
         curves = [
-            replace(c, homology=vec) if c.name == name else c
+            dataclasses.replace(c, **fields) if c.name == name else c
             for c in self.curves.values()
         ]
-        return Registry(curves, list(self.lanterns.values()), set(self.disjoint_pairs))
-
-    def with_separating(self, name: str, flag: bool) -> "Registry":
-        if name not in self.curves:
-            raise UnknownCurve(name)
-        curves = [
-            replace(c, separating=flag) if c.name == name else c
-            for c in self.curves.values()
-        ]
-        return Registry(curves, list(self.lanterns.values()), set(self.disjoint_pairs))
-
-    def without_lantern(self, ident: str) -> "Registry":
-        rest = [l for l in self.lanterns.values() if l.ident != ident]
-        return Registry(list(self.curves.values()), rest, set(self.disjoint_pairs))
+        lanterns = [l for l in self.lanterns.values() if l.ident != drop_lantern]
+        return Registry(curves, lanterns)
 
     # -- basic queries -------------------------------------------------------
 
@@ -550,7 +503,7 @@ class Registry:
         for inst in self.lanterns.values():
             add(
                 f"lantern:{inst.ident}:image",
-                self.image(inst.lhs_word()) == self.image(inst.rhs_word()),
+                self.image(inst.rotations("lhs")[0]) == self.image(inst.rotations("rhs")[0]),
                 f"{inst.ident} sides have different homology image",
             )
             lhs_flags = [self.data(n).separating for n in inst.lhs]
@@ -675,4 +628,7 @@ class Registry:
 
 @functools.cache
 def standard_registry() -> Registry:
-    return Registry(_std_curves(), _std_lanterns())
+    """The atlas of the packaged corpus/standard.reg, its only copy."""
+    from .fixtures import read_text  # fixtures imports this module
+
+    return Registry.parse(read_text("standard.reg"))

@@ -17,7 +17,7 @@ registry module layers a semantic normal form on top of this.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 
 class NotConjugateForm(ValueError):
@@ -32,9 +32,10 @@ class SpanNotConjugatePattern(ValueError):
 class Curve:
     """A simple closed curve: a plain name, optionally pushed around by a word.
 
-    ``conj`` is the conjugating word; the invariant kept by ``make_curve`` is
-    that the inner curve of a conjugate is always plain, so nesting flattens
-    to a single level.
+    ``conj`` is the conjugating word and the inner curve ``name`` is always
+    plain.  Code that pushes a conjugate curve further (contract_subword,
+    the Hurwitz move, a conjugated lantern side) keeps it that way by
+    concatenating the conjugators: u(v(a)) is built as (u.v)(a).
     """
 
     name: str
@@ -72,12 +73,9 @@ Word = tuple[Letter, ...]
 
 
 def make_curve(name: str, conj: Word = ()) -> Curve:
-    """Build a curve, flattening a conjugate-of-conjugate into one level."""
+    """The curve conj(name), as given: callers that push a conjugate curve
+    further concatenate the conjugators themselves."""
     return Curve(name, tuple(conj))
-
-
-def word(letters: Iterable[Letter]) -> Word:
-    return tuple(letters)
 
 
 def letter(name: str, exp: int = 1, conj: Word = ()) -> Letter:

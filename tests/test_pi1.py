@@ -126,6 +126,13 @@ def test_equal_up_to_inner_never_guesses():
     assert verdict.status == "inconclusive"
 
 
+def test_td5_is_not_equal_to_the_identity():
+    # (c1 c2)^30 = t_d^5 by the chain relation: trivial in homology and in
+    # Z/10, yet not a relator in Mod(S2); the oracle must not call it equal
+    verdict = pi1.equal_up_to_inner(reg, parse_word("(c1 c2)^30"), ())
+    assert verdict.status != "equal"
+
+
 def test_braid_words_act_identically():
     # t1 t2 t1 and t2 t1 t2 are the same mapping class; actions agree exactly
     assert aut_of("c1 c2 c1") == aut_of("c2 c1 c2")

@@ -58,36 +58,37 @@ def test_lantern_solve_for_kb():
 
 
 def test_lantern_solve_detects_inconsistency():
-    bad = reg.with_homology("c3", (1, 1, 1, 0))
+    bad = reg.replace("c3", homology=(1, 1, 1, 0))
     b = [curve("c1"), curve("c1"), curve("c5"), curve("c5")]
     with pytest.raises(NotATransvection):
         bad.lantern_solve(b, [curve("c3"), curve("d")])
 
 
 def test_corrupting_x_breaks_lantern_check():
-    bad = reg.with_homology("x", (1, 1, 1, 0))
+    bad = reg.replace("x", homology=(1, 1, 1, 0))
     report = bad.validate()
     assert not report.ok
     assert any("lantern:L1" in c.name or "primitive" in c.name for c in report.failures())
 
 
 def test_marking_d_nonseparating_fails():
-    bad = reg.with_separating("d", False)
+    bad = reg.replace("d", separating=False)
     report = bad.validate()
     assert any(c.name == "flag:d" for c in report.failures())
 
 
 def test_missing_lantern_fails_coverage():
-    assert not reg.without_lantern("L3").validate().ok
+    assert not reg.replace(drop_lantern="L3").validate().ok
 
 
 def test_lantern_instances_are_homology_consistent():
     for inst in reg.lanterns.values():
-        assert reg.image(inst.lhs_word()) == reg.image(inst.rhs_word())
+        lhs, rhs = inst.rotations("lhs")[0], inst.rotations("rhs")[0]
+        assert reg.image(lhs) == reg.image(rhs)
         # conjugating both sides by any word keeps them equal
         for conj in [parse_word("c2"), parse_word("c4 c1^-1")]:
-            u = conj + inst.lhs_word() + tuple(l.inverse() for l in reversed(conj))
-            v = conj + inst.rhs_word() + tuple(l.inverse() for l in reversed(conj))
+            u = conj + lhs + tuple(l.inverse() for l in reversed(conj))
+            v = conj + rhs + tuple(l.inverse() for l in reversed(conj))
             assert reg.image(u) == reg.image(v)
 
 
@@ -142,11 +143,25 @@ def test_serialization_roundtrip():
 
 
 def test_registry_file_fixture_matches_builtin():
-    from g2mcg.fixtures import read_text
+    # The built-in atlas is the packaged file, and serializes back to it.
+    from importlib import resources
 
-    shipped = Registry.parse(read_text("standard.reg"))
-    assert shipped.curves == reg.curves
-    assert shipped.lanterns == reg.lanterns
+    shipped = resources.files("g2mcg").joinpath("corpus", "standard.reg").read_bytes()
+    assert reg.serialize().encode("utf-8") == shipped
+
+
+def test_replace_changes_one_curve_or_drops_one_lantern():
+    changed = reg.replace("x", homology=(1, 1, 1, 0))
+    assert changed.data("x").homology == (1, 1, 1, 0)
+    assert all(changed.curves[n] == c for n, c in reg.curves.items() if n != "x")
+    assert changed.lanterns == reg.lanterns
+    dropped = reg.replace(drop_lantern="L3")
+    assert set(dropped.lanterns) == {"L1", "L2"} and dropped.curves == reg.curves
+    # the L3-only pairs (c3/c5 against k and h) leave the disjointness table
+    assert frozenset(("c3", "k")) not in dropped.disjoint_pairs
+    assert dropped.disjoint_pairs < reg.disjoint_pairs
+    with pytest.raises(UnknownCurve):
+        reg.replace("zz", separating=True)
 
 
 @pytest.mark.parametrize("text", [
@@ -162,8 +177,9 @@ def test_parse_rejects_malformed_lines(text):
 
 def test_lantern_rotations():
     inst = reg.lanterns["L1"]
-    assert inst.rotations("lhs") == [inst.lhs_word(r) for r in range(4)]
-    assert inst.rotations("rhs") == [inst.rhs_word(r) for r in range(3)]
+    assert inst.rotations("lhs") == [parse_word(t) for t in (
+        "c1 c1 c5 c5", "c1 c5 c5 c1", "c5 c5 c1 c1", "c5 c1 c1 c5")]
+    assert inst.rotations("rhs") == [parse_word(t) for t in ("x c3 d", "c3 d x", "d x c3")]
 
 
 def corpus_curves() -> set[Curve]:
@@ -198,8 +214,8 @@ def test_derived_registries_do_not_share_the_canonical_curve_cache():
     parent.canonical_curve(letter("c2", conj=(letter("c3"), letter("c1"))).curve)
     assert parent._canonical_curve_cache
     for child in (
-        parent.with_homology("x", (1, 0, 1, 0)),
-        parent.with_separating("d", True),
-        parent.without_lantern("L3"),
+        parent.replace("x", homology=(1, 0, 1, 0)),
+        parent.replace("d", separating=True),
+        parent.replace(drop_lantern="L3"),
     ):
         assert child._canonical_curve_cache == {}
