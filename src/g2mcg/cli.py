@@ -18,7 +18,7 @@ from . import pi1
 from . import homology as hom
 from .decompose import admissible_splits
 from .dsl import ParseError, parse_document, parse_relator
-from .fixtures import load_corpus
+from .fixtures import load_corpus, script_text
 from .invariants import (
     FiberSignature,
     SignatureNotIntegral,
@@ -100,16 +100,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     reg = _load_registry(args.registry)
     if args.builtin:
-        corpus = load_corpus(reg)
-        if args.file not in corpus.scripts:
+        text = script_text(args.file)
+        if text is None:
             print(f"no embedded script named {args.file!r}; "
-                  f"available: {', '.join(sorted(corpus.scripts))}", file=sys.stderr)
+                  f"available: {', '.join(sorted(load_corpus(reg).scripts))}", file=sys.stderr)
             return 2
-        scripts = {args.file: corpus.scripts[args.file]}
     else:
         with open(args.file, encoding="utf-8") as fh:
-            doc = parse_document(fh.read(), reg)
-        scripts = doc.scripts
+            text = fh.read()
+    scripts = parse_document(text, reg).scripts
+    if args.builtin:
+        scripts = {args.file: scripts[args.file]}
     if not scripts:
         print("no scripts found", file=sys.stderr)
         return 2
@@ -166,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="replay derivation scripts")
     p.add_argument("file")
     p.add_argument("--builtin", action="store_true",
-                   help="treat the argument as an embedded corpus script name")
+                   help="treat the argument as an embedded corpus script name; "
+                        "only the corpus file that declares it is parsed")
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("decompose", help="enumerate fiber-sum splits")

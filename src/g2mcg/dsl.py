@@ -70,7 +70,10 @@ _UNICODE_MAP = {
     ".": " ",
 }
 
-_TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*|\^-?\d+|[\[\]()])")
+_TOKEN = r"[A-Za-z][A-Za-z0-9]*|\^-?\d+|[\[\]()]"
+_TOKEN_RE = re.compile(rf"\s*({_TOKEN})")
+_TOKENS_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*")
+_CLOSER = {"[": "]", "(": ")"}
 
 
 def _ascii(text: str) -> str:
@@ -79,84 +82,61 @@ def _ascii(text: str) -> str:
     return text
 
 
-def _tokenize(text: str, line: int = 0) -> list[str]:
-    text = _ascii(text)
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"bad character {text[pos:].strip()[0]!r}", line, pos + 1)
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
-
-
-class _WordParser:
-    def __init__(self, tokens: list[str], line: int = 0) -> None:
-        self.tokens = tokens
-        self.i = 0
-        self.line = line
-
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of word", self.line)
-        self.i += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        got = self.take()
-        if got != tok:
-            raise ParseError(f"expected {tok!r}, got {got!r}", self.line)
-
-    def parse(self, closers: tuple[str, ...] = ()) -> Word:
-        letters: list[Letter] = []
-        while True:
-            tok = self.peek()
-            if tok is None or tok in closers:
-                return tuple(letters)
-            letters.extend(self._item())
-
-    def _item(self) -> Word:
-        tok = self.take()
-        if tok == "[":
-            conj = self.parse(closers=("]",))
-            self.expect("]")
-            self.expect("(")
-            name = self.take()
-            if not name[0].isalpha():
-                raise ParseError(f"expected curve name, got {name!r}", self.line)
-            self.expect(")")
-            base: Word = (Letter(make_curve(name, conj)),)
-        elif tok == "(":
-            base = self.parse(closers=(")",))
-            self.expect(")")
-        elif tok[0].isalpha():
-            base = (Letter(Curve(tok)),)
-        else:
-            raise ParseError(f"unexpected token {tok!r}", self.line)
-        exp = 1
-        if self.peek() is not None and self.peek().startswith("^"):
-            exp = int(self.take()[1:])
-        if exp >= 0:
-            out = base * exp
-        else:
-            out = tuple(l.inverse() for l in reversed(base)) * (-exp)
-        return out
-
-
 def parse_word(text: str, registry: Optional[Registry] = None, line: int = 0) -> Word:
-    parser = _WordParser(_tokenize(text, line), line)
-    w = parser.parse()
-    if parser.peek() is not None:
-        raise ParseError(f"trailing token {parser.peek()!r}", line)
-    if registry is not None:
+    text = _ascii(text)
+    end = _TOKENS_RE.match(text).end()
+    if text[end:].strip():
+        raise ParseError(f"bad character {text[end:].strip()[0]!r}", line, end + 1)
+    tokens = _TOKEN_RE.findall(text, 0, end)
+    tokens.append("")  # end of word: no closer, name or exponent matches it
+
+    def expect(i: int, expected: str) -> str:
+        if not tokens[i]:
+            raise ParseError("unexpected end of word", line)
+        if expected and tokens[i] != expected:
+            raise ParseError(f"expected {expected!r}, got {tokens[i]!r}", line)
+        return tokens[i]
+
+    plain: dict[str, Letter] = {}
+    letters: list[Letter] = []
+    stack: list[tuple[str, list[Letter]]] = []  # per open bracket: its closer, the word before it
+    i = 0
+    while tokens[i]:
+        tok = tokens[i]
+        i += 1
+        if tok in _CLOSER:
+            stack.append((_CLOSER[tok], letters))
+            letters = []
+            continue
+        if stack and tok == stack[-1][0]:
+            base, letters = tuple(letters), stack.pop()[1]
+            if tok == "]":
+                expect(i, "(")
+                name = expect(i + 1, "")
+                if not name[0].isalpha():
+                    raise ParseError(f"expected curve name, got {name!r}", line)
+                expect(i + 2, ")")
+                i += 3
+                base = (Letter(make_curve(name, base)),)
+        elif tok[0].isalpha():
+            if tok not in plain:
+                plain[tok] = Letter(Curve(tok))
+            base = (plain[tok],)
+        else:
+            raise ParseError(f"unexpected token {tok!r}", line)
+        exp = 1
+        if tokens[i][:1] == "^":
+            exp = int(tokens[i][1:])
+            i += 1
+        if exp >= 0:
+            letters.extend(base * exp)
+        else:
+            letters.extend(tuple(l.inverse() for l in reversed(base)) * (-exp))
+    if stack:
+        raise ParseError("unexpected end of word", line)
+    w = tuple(letters)
+    # a name under ^0 is not in the word: only the walk tells which unknown name to report
+    if registry is not None and not all(t in registry.curves for t in set(tokens) if t[:1].isalpha()):
         _check_curves(w, registry, line)
     return w
 

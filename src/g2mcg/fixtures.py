@@ -10,11 +10,12 @@ substitution X6 -> X7.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
-from .dsl import Document, parse_document
+from .dsl import Document, ParseError, parse_document
 from .moves import MoveScript
 from .registry import Registry, standard_registry
 from .words import PositiveRelator
@@ -43,6 +44,21 @@ def read_text(name: str) -> str:
     )
 
 
+# A script header line as parse_document reads it: a '#' comment may follow.
+_HEADER_RE = re.compile(r"^[^\S\n]*script[^\S\n]+([\w()+-]+)[^\S\n]*(?:#.*)?$", re.MULTILINE)
+
+
+def script_text(script: str) -> Optional[str]:
+    """The text of the one corpus file that declares ``script``, or None."""
+    texts = [
+        text for text in map(read_text, FILES)
+        if script in _HEADER_RE.findall(text)
+    ]
+    if len(texts) > 1:
+        raise ParseError(f"duplicate script {script}")
+    return texts[0] if texts else None
+
+
 def load_corpus(registry: Optional[Registry] = None) -> Corpus:
     reg = registry if registry is not None else standard_registry()
     corpus = Corpus()
@@ -51,10 +67,10 @@ def load_corpus(registry: Optional[Registry] = None) -> Corpus:
         for label, rel in doc.relators.items():
             existing = corpus.relators.get(label)
             if existing is not None and existing.word != rel.word:
-                raise ValueError(f"conflicting definitions of relator {label}")
+                raise ParseError(f"conflicting definitions of relator {label}")
             corpus.relators[label] = rel
         for sname, script in doc.scripts.items():
             if sname in corpus.scripts:
-                raise ValueError(f"duplicate script {sname}")
+                raise ParseError(f"duplicate script {sname}")
             corpus.scripts[sname] = script
     return corpus

@@ -406,12 +406,15 @@ class Registry:
             letters = self._trace_reduce(letters)
             letters = self._strip_idle(letters, curve.name)
         letters = self._lex_normal(letters)
+        # a normal form maps to itself, so canonical_letter reuses the letters on it
         canonical = Curve(curve.name, tuple(letters))
+        canonical = self._canonical_curve_cache.setdefault(canonical, canonical)
         self._canonical_curve_cache[curve] = canonical
         return canonical
 
     def canonical_letter(self, l: Letter) -> Letter:
-        return Letter(self.canonical_curve(l.curve), l.exp)
+        curve = self.canonical_curve(l.curve)
+        return l if curve is l.curve else Letter(curve, l.exp)
 
     def canonical_word(self, w: Word) -> Word:
         return tuple(self.canonical_letter(l) for l in w)

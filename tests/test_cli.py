@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,8 +7,10 @@ from pathlib import Path
 import pytest
 
 import g2mcg
+from g2mcg import cli, fixtures
 from g2mcg.cli import main
-from g2mcg.fixtures import read_text
+from g2mcg.dsl import ParseError, parse_document
+from g2mcg.fixtures import FILES, load_corpus, read_text, script_text
 from g2mcg.registry import standard_registry
 
 
@@ -90,6 +93,71 @@ def test_replay_file_with_illegal_swap(tmp_path, capsys):
 
 def test_replay_missing_builtin(capsys):
     assert main(["replay", "nope", "--builtin"]) == 2
+    err = capsys.readouterr().err
+    assert "no embedded script named 'nope'; available: blowup-to-thirty, sub-c1c3," in err
+
+
+GOLDEN = Path(__file__).with_name("golden") / "corpus_replay.txt"
+GOLDEN_RENDERS = {
+    chunk.split(":", 1)[0].removeprefix("script "): chunk
+    for chunk in re.split(r"(?m)^(?=script )", GOLDEN.read_text(encoding="utf-8")) if chunk
+}
+
+
+@pytest.mark.parametrize("name", sorted(load_corpus().scripts))
+def test_replay_builtin_prints_the_golden_render(name, monkeypatch, capsys):
+    # the success path parses the declaring file only, never the whole corpus
+    monkeypatch.setattr(cli, "load_corpus", None)
+    assert main(["replay", name, "--builtin"]) == 0
+    assert capsys.readouterr().out == GOLDEN_RENDERS[name]
+
+
+def test_every_corpus_script_is_found_by_its_header():
+    for name, script in load_corpus().scripts.items():
+        declaring = [f for f in FILES if name in fixtures._HEADER_RE.findall(read_text(f))]
+        assert len(declaring) == 1, name
+        assert parse_document(script_text(name), standard_registry()).scripts[name] == script
+
+
+def patch_corpus(monkeypatch, name, extra):
+    """Make fixtures.read_text append ``extra`` to the corpus file ``name``."""
+    monkeypatch.setattr(
+        fixtures, "read_text", lambda f: read_text(f) + (extra if f == name else ""))
+
+
+def test_replay_builtin_ignores_a_defect_in_another_file(monkeypatch, capsys):
+    patch_corpus(monkeypatch, "x-family.mcg", "\nnonsense\n")
+    assert main(["replay", "sub-c1c5", "--builtin"]) == 0
+    assert main(["replay", "x-family", "--builtin"]) == 2
+    assert "unexpected line outside script: 'nonsense'" in capsys.readouterr().err
+
+
+def test_script_declared_twice_exits_2(monkeypatch, capsys):
+    patch_corpus(monkeypatch, "x-seven.mcg", "\nscript sub-c1c5  # again\nstart: c1\nend\n")
+    with pytest.raises(ParseError, match="duplicate script sub-c1c5"):
+        load_corpus()
+    assert main(["replay", "sub-c1c5", "--builtin"]) == 2
+    assert main(["replay", "nope", "--builtin"]) == 2
+    assert capsys.readouterr().err.count("error: duplicate script sub-c1c5") == 2
+
+
+def test_conflicting_relators_raise_a_parse_error(monkeypatch, capsys):
+    patch_corpus(monkeypatch, "x-seven.mcg", "\nrelator Z0 = c1\n")
+    with pytest.raises(ParseError, match="conflicting definitions of relator Z0"):
+        load_corpus()
+    assert main(["replay", "nope", "--builtin"]) == 2
+    assert "error: conflicting definitions of relator Z0" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(g2mcg.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "g2mcg", "registry-check"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "[pass]" in proc.stdout
 
 
 def test_decompose_command(capsys):

@@ -1,8 +1,13 @@
+import re
+from typing import Optional
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2mcg.dsl import (
     Document,
     ParseError,
+    _ascii,
     parse_document,
     parse_relator,
     parse_word,
@@ -13,7 +18,7 @@ from g2mcg.fixtures import FILES, load_corpus, read_text
 from g2mcg.invariants import FiberSignature, fiber_signature
 from g2mcg.moves import Braid, Commute, GlobalConjugate, Hurwitz, Lantern
 from g2mcg.registry import UnknownCurve, standard_registry
-from g2mcg.words import letter
+from g2mcg.words import Curve, Letter, Word, letter, make_curve
 
 reg = standard_registry()
 
@@ -147,3 +152,144 @@ def test_document_relators_survive():
     corpus = load_corpus(reg)
     assert corpus.relator("Z0").label == "Z0"
     assert len(corpus.relator("X7").word) == 23
+
+
+# -- the recursive-descent word parser parse_word replaced, kept as a reference --
+
+_REF_TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*|\^-?\d+|[\[\]()])")
+
+
+def _ref_tokenize(text: str, line: int = 0) -> list[str]:
+    text = _ascii(text)
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                raise ParseError(f"bad character {text[pos:].strip()[0]!r}", line, pos + 1)
+            break
+        tokens.append(m.group(1))
+        pos = m.end()
+    return tokens
+
+
+class _RefWordParser:
+    def __init__(self, tokens: list[str], line: int = 0) -> None:
+        self.tokens = tokens
+        self.i = 0
+        self.line = line
+
+    def peek(self) -> Optional[str]:
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def take(self) -> str:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of word", self.line)
+        self.i += 1
+        return tok
+
+    def expect(self, tok: str) -> None:
+        got = self.take()
+        if got != tok:
+            raise ParseError(f"expected {tok!r}, got {got!r}", self.line)
+
+    def parse(self, closers: tuple[str, ...] = ()) -> Word:
+        letters: list[Letter] = []
+        while True:
+            tok = self.peek()
+            if tok is None or tok in closers:
+                return tuple(letters)
+            letters.extend(self._item())
+
+    def _item(self) -> Word:
+        tok = self.take()
+        if tok == "[":
+            conj = self.parse(closers=("]",))
+            self.expect("]")
+            self.expect("(")
+            name = self.take()
+            if not name[0].isalpha():
+                raise ParseError(f"expected curve name, got {name!r}", self.line)
+            self.expect(")")
+            base: Word = (Letter(make_curve(name, conj)),)
+        elif tok == "(":
+            base = self.parse(closers=(")",))
+            self.expect(")")
+        elif tok[0].isalpha():
+            base = (Letter(Curve(tok)),)
+        else:
+            raise ParseError(f"unexpected token {tok!r}", self.line)
+        exp = 1
+        if self.peek() is not None and self.peek().startswith("^"):
+            exp = int(self.take()[1:])
+        if exp >= 0:
+            out = base * exp
+        else:
+            out = tuple(l.inverse() for l in reversed(base)) * (-exp)
+        return out
+
+
+def _ref_check_curves(w: Word, registry) -> None:
+    for l in w:
+        if l.curve.name not in registry.curves:
+            raise UnknownCurve(l.curve.name)
+        _ref_check_curves(l.curve.conj, registry)
+
+
+def _ref_parse_word(text: str, registry=None, line: int = 0) -> Word:
+    parser = _RefWordParser(_ref_tokenize(text, line), line)
+    w = parser.parse()
+    if parser.peek() is not None:
+        raise ParseError(f"trailing token {parser.peek()!r}", line)
+    if registry is not None:
+        _ref_check_curves(w, registry)
+    return w
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except Exception as exc:  # the type and the message must both agree
+        return type(exc), str(exc)
+
+
+_FRAGMENTS = (
+    "c1", "c2", "c3", "c5", "d", "x", "B0", "kb", "nope", "Zq", "a1b",
+    "^0", "^1", "^2", "^3", "^-0", "^-1", "^-2", "^", "^-",
+    "[", "]", "(", ")", " ", "  ", "\t", "\n", ".", "·", "⋅", "δ", "k̄", "h̄", "k¯",
+    "#", "@", "-", "1", "=", "é", "\u00a0", "_",
+)
+_texts = st.one_of(
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=24).map("".join),
+    st.text(alphabet="c12dx^-[]() .#", max_size=24),
+)
+
+
+@settings(max_examples=400)
+@given(_texts, st.sampled_from([0, 7]))
+def test_parse_word_agrees_with_the_recursive_descent_parser(text, line):
+    for registry in (None, reg):
+        expected = _outcome(_ref_parse_word, text, registry, line)
+        assert _outcome(parse_word, text, registry, line) == expected, text
+
+
+@pytest.mark.parametrize("text, message", [
+    ("c1 )", "unexpected token ')'"),
+    ("(c1 ]", "unexpected token ']'"),
+    ("[c1](c2", "unexpected end of word"),
+    ("[c1] c2", "expected '(', got 'c2'"),
+    ("[c1](^2)", "expected curve name, got '^2'"),
+    ("c1 # c2", "bad character '#', col 3"),
+])
+def test_parse_word_error_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_word(text)
+    assert str(err.value) == message
+
+
+def test_unknown_curve_under_zero_power_is_dropped():
+    assert parse_word("[nope](c1)^0 c2", reg) == (letter("c2"),)
+    with pytest.raises(UnknownCurve, match="nope"):
+        parse_word("c2 [c1](nope)", reg)

@@ -209,6 +209,23 @@ def test_canonical_curve_cache_matches_a_fresh_registry():
         assert reg.canonical_curve(first) == first
 
 
+def test_a_canonical_curve_is_its_own_canonical_form():
+    # canonical_curve caches each normal form as mapping to itself: a registry
+    # with an empty cache must agree
+    for c in corpus_curves():
+        first = reg.canonical_curve(c)
+        assert Registry.parse(reg.serialize()).canonical_curve(first) == first
+
+
+def test_canonical_letter_returns_a_canonical_letter_itself():
+    plain = letter("c1")
+    assert reg.canonical_letter(plain) is plain
+    l = reg.canonical_letter(letter("d", conj=(letter("c3"), letter("c4"))))
+    assert reg.canonical_letter(l) is l
+    word = reg.canonical_word(parse_word("[c3^-1](x) c1 [c1 c2](c3)"))
+    assert all(a is b for a, b in zip(reg.canonical_word(word), word))
+
+
 def test_derived_registries_do_not_share_the_canonical_curve_cache():
     parent = standard_registry()
     parent.canonical_curve(letter("c2", conj=(letter("c3"), letter("c1"))).curve)
