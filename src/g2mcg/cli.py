@@ -84,10 +84,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 lines.append(f"  invariants undefined: {exc}")
         if args.pi1:
             try:
-                good = all(
-                    pi1.conjugate_elements(pi1.apply_word(reg, rel.word, g), g)
-                    for g in pi1.GENS
-                )
+                act = pi1.word_action(reg, rel.word)
+                good = all(pi1.conjugate_elements(act[g], g) for g in pi1.GENS)
                 lines.append(f"  pi1: acts by conjugation on generators: {good}")
                 if not good:
                     status = 1
@@ -189,10 +187,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ParseError, UnknownCurve) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ParseError, UnknownCurve, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,11 +1,11 @@
 """Validated rewrite moves on twist words, and script replay.
 
 Every move application checks a legality clause before rewriting, then
-checks that the homology image is preserved (conjugated, for global
-conjugation and cyclic shifts, which move the basepoint of the relator).
-That check compares the Sp(4,Z) images of the rewritten span only: the
-letters the old and new words share at either end cancel, so a step costs
-O(span), not O(word length).  An illegal move, or one that breaks the
+checks that the homology image is preserved (for global conjugation and
+cyclic shifts, the clause itself: they apply only to relators).  That check
+compares the Sp(4,Z) images of the rewritten span only: the letters the old
+and new words share at either end cancel, so a step costs O(span), not
+O(word length).  An illegal move, or one that breaks the
 image, raises IllegalMove carrying the failed clause; replay never
 silently skips a step.  The moves are the classes in MOVES.
 """
@@ -250,11 +250,11 @@ _LANTERN_SIDES = {"down": ("lhs", "rhs"), "up": ("rhs", "lhs")}
 def apply_move(reg: Registry, w: Word, move: Move) -> Word:
     """Apply one legal move; raises IllegalMove with the failed clause."""
     out = reg.canonical_word(_apply(reg, w, move))
+    if isinstance(move, (CyclicShift, GlobalConjugate)):
+        return out  # _apply checked image(w) is 1, which rotations and conjugates keep
     # Check only the rewritten span: with w = P A S and out = P B S,
     # image(w) == image(out) iff image(A) == image(B), as Sp(4,Z) matrices
-    # are invertible.  Shift and C preserve the image only up to
-    # conjugation, but they apply only to relators, whose image is the
-    # identity, so equality holds too.
+    # are invertible.
     common = min(len(w), len(out))
     lo = 0
     while lo < common and w[lo] == out[lo]:

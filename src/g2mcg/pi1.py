@@ -7,7 +7,9 @@ second; elements are strings, uppercase meaning inverse.  Words in this
 group are compared through Dehn's algorithm: the relator has piece length
 one, so replacing any subword longer than half of a cyclic rotation of the
 relator by the complementary shorter piece, iterated with free reduction,
-shrinks every trivial word to the empty string.
+shrinks every trivial word to the empty string.  A subword of two or more
+letters lies in at most one of the 16 rotations of the relator and its
+inverse, so one table gives each segment's complement.
 
 The twist action table was reconstructed from the planar two-handle
 picture: each chain twist inserts the based twist-curve word into the
@@ -23,6 +25,7 @@ action equal to the homology transvection.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,43 +46,47 @@ def inverse(w: str) -> str:
     return w[::-1].swapcase()
 
 
+_CANCEL = re.compile("aA|Aa|bB|Bb|cC|Cc|dD|Dd")
+
+
 def free_reduce(w: str) -> str:
-    out: list[str] = []
-    for ch in w:
-        if out and out[-1] == ch.swapcase():
-            out.pop()
-        else:
-            out.append(ch)
-    return "".join(out)
+    # Widen each leftmost cancelling pair; the word left of the cut is reduced.
+    m = _CANCEL.search(w)
+    while m:
+        lo, hi = m.span()
+        while lo and hi < len(w) and w[lo - 1] == w[hi].swapcase():
+            lo -= 1
+            hi += 1
+        w = w[:lo] + w[hi:]
+        m = _CANCEL.search(w, lo)
+    return w
 
 
-_ROTATIONS: frozenset[str] = frozenset(
-    rot
-    for r in range(len(RELATOR))
-    for rot in (RELATOR[r:] + RELATOR[:r], inverse(RELATOR[r:] + RELATOR[:r]))
+_ROTATIONS = tuple(
+    rho[r:] + rho[:r] for rho in (RELATOR, inverse(RELATOR)) for r in range(len(RELATOR))
+)
+
+# Segment of length 4..7 of a rotation -> the inverse of the rest of it;
+# one alternation for each length that a rewrite shortens.
+_SEGMENTS: dict[str, str] = {
+    rho[:n]: inverse(rho[n:]) for rho in _ROTATIONS for n in range(4, len(RELATOR))
+}
+_SCAN7, _SCAN6, _SCAN5 = (
+    re.compile("|".join(seg for seg in _SEGMENTS if len(seg) == n)) for n in (7, 6, 5)
 )
 
 
 def dehn_reduce(w: str) -> str:
-    """Shortest representative reachable by free reduction plus replacing
-    any subword longer than half a relator rotation by the complement."""
+    """Dehn's algorithm: while a subword is more than half a relator
+    rotation, replace the leftmost one of the greatest length by the shorter
+    complement, with free reduction throughout.  A segment of length 6 or 7
+    starts with one of length 5, so the longer scans start at its hit."""
     w = free_reduce(w)
-    changed = True
-    while changed:
-        changed = False
-        for length in range(7, 4, -1):
-            hit = False
-            for i in range(len(w) - length + 1):
-                seg = w[i : i + length]
-                for rho in _ROTATIONS:
-                    if rho.startswith(seg):
-                        w = free_reduce(w[:i] + inverse(rho[length:]) + w[i + length :])
-                        changed = hit = True
-                        break
-                if hit:
-                    break
-            if hit:
-                break
+    m = _SCAN5.search(w)
+    while m:
+        m = _SCAN7.search(w, m.start()) or _SCAN6.search(w, m.start()) or m
+        w = free_reduce(w[: m.start()] + _SEGMENTS[m[0]] + w[m.end() :])
+        m = _SCAN5.search(w)
     return w
 
 
@@ -104,41 +111,38 @@ def _cyclic_reduce(w: str) -> tuple[str, str]:
     return w, p
 
 
-def _half_relator_variants(w: str) -> set[str]:
+def _half_relator_variants(w: str) -> list[str]:
     # Subwords of length exactly half the relator admit an equal-length
     # replacement; the closure of these catches the geodesic ambiguity.
-    out = set()
+    out = []
     for i in range(len(w) - 3):
-        seg = w[i : i + 4]
-        for rho in _ROTATIONS:
-            if rho.startswith(seg):
-                cand = free_reduce(w[:i] + inverse(rho[4:]) + w[i + 4 :])
-                if len(cand) == len(w):
-                    out.add(cand)
+        rep = _SEGMENTS.get(w[i : i + 4])
+        if rep is not None:
+            cand = free_reduce(w[:i] + rep + w[i + 4 :])
+            if len(cand) == len(w):
+                out.append(cand)
     return out
 
 
 def cyclic_forms(w: str, cap: int = 4096) -> frozenset[str]:
     """All cyclically reduced rotations of w, closed under half-relator
-    rewrites; two elements are conjugate iff their form sets intersect."""
+    rewrites; two elements are conjugate iff their form sets intersect.
+
+    Built breadth first, a closure that would grow past ``cap`` >= 1 forms
+    is cut to its first ``cap``: it can then miss a conjugacy, never invent one."""
     cyc, _ = _cyclic_reduce(w)
-    seen: set[str] = set()
-    frontier = {cyc}
-    while frontier and len(seen) < cap:
-        nxt: set[str] = set()
-        for u in frontier:
-            for r in range(max(len(u), 1)):
-                rot = dehn_reduce(u[r:] + u[:r])
-                rot, _ = _cyclic_reduce(rot)
-                if rot not in seen:
-                    seen.add(rot)
-                    nxt.add(rot)
-                for v in _half_relator_variants(u[r:] + u[:r]):
-                    v, _ = _cyclic_reduce(dehn_reduce(v))
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.add(v)
-        frontier = nxt
+    seen = {cyc}
+    queue = [cyc]
+    for u in queue:
+        for r in range(max(len(u), 1)):
+            rot = u[r:] + u[:r]
+            for v in (rot, *_half_relator_variants(rot)):
+                v, _ = _cyclic_reduce(v)
+                if v not in seen:
+                    if len(seen) >= cap:
+                        return frozenset(seen)
+                    seen.add(v)
+                    queue.append(v)
     return frozenset(seen)
 
 
@@ -191,8 +195,9 @@ def apply_aut(aut: Aut, w: str) -> str:
 
 
 def compose(outer: Aut, inner: Aut) -> Aut:
-    """(outer . inner)(x) = outer(inner(x))."""
-    return {g: apply_aut(outer, inner[g]) for g in GENS}
+    """(outer . inner)(x) = outer(inner(x)).  Every Aut built here has
+    Dehn-reduced images, so a generator inner fixes maps to outer's image."""
+    return {g: outer[g] if inner[g] == g else apply_aut(outer, inner[g]) for g in GENS}
 
 
 def preserves_relator(aut: Aut) -> bool:

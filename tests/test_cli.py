@@ -64,6 +64,16 @@ def test_verify_pi1_rejects_td5(tmp_path):
     assert main(["--pi1", "verify", str(p)]) != 0
 
 
+@pytest.mark.parametrize("text", ["(c1 c2)^30 (c2 c3)^6", "(c1 c2)^12 (c2 c3)^12"])
+def test_verify_pi1_refutes_torelli_products(tmp_path, capsys, text):
+    # t_d^5 t_d'' and t_d^2 t_d''^2, not relators: their cyclic-form
+    # closures stop at the cap, so verify answers in well under a second
+    p = tmp_path / "torelli.mcg"
+    p.write_text(text)
+    assert main(["--pi1", "verify", str(p)]) == 1
+    assert "  pi1: acts by conjugation on generators: False" in capsys.readouterr().out
+
+
 def test_verify_parse_error(tmp_path):
     p = tmp_path / "bad.mcg"
     p.write_text("c1 c2^-1")  # not positive
@@ -213,6 +223,23 @@ def test_out_flag(tmp_path, x0_file):
 
 def test_missing_file():
     assert main(["verify", "/nonexistent/file.mcg"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{dir}"],
+    ["replay", "{dir}"],
+    ["--registry", "{dir}", "registry-check"],
+    ["verify", "{latin1}"],
+    ["--registry", "{latin1}", "registry-check"],
+])
+def test_unreadable_input_exits_2(tmp_path, capsys, argv):
+    # a directory raises IsADirectoryError, bytes that are not UTF-8 raise
+    # UnicodeDecodeError; both leave through exit 2, not a traceback
+    latin1 = tmp_path / "latin1.mcg"
+    latin1.write_bytes("relator r = c1 # Dehn–Lickorish\n".encode("cp1252"))
+    paths = {"dir": str(tmp_path), "latin1": str(latin1)}
+    assert main([a.format(**paths) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_registry_file_loads_from_corpus(tmp_path):

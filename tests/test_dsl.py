@@ -293,3 +293,31 @@ def test_unknown_curve_under_zero_power_is_dropped():
     assert parse_word("[nope](c1)^0 c2", reg) == (letter("c2"),)
     with pytest.raises(UnknownCurve, match="nope"):
         parse_word("c2 [c1](nope)", reg)
+
+
+# -- parse_document on arbitrary text -------------------------------------------
+
+_CORPUS_LINES = sorted({line for name in FILES for line in read_text(name).splitlines()})
+_DOC_FRAGMENTS = (
+    "relator ", "script ", "start ", "start: ", "start label=s: ", "checkpoint: ",
+    "final label=f: ", "end", "r", "s", " = ", "=", ":", "\n", "\r\n", " ", "#",
+    "c1", "c2 c3", "d", "x", "zz", "^2", "^-1", "^0", "(", ")", "[", "]", "δ",
+    "~ commute @1", "H @0 left", "B @0 rev1", "L @0 inst=L1 dir=down", " out=1",
+    " conj=c2", "L @0 inst=L9 dir=up", "shift -2", "C by=c1^2", "expand @3",
+    "contract @0..3", "alias @1 rel=B2def", " dir=rev", "central @0 len=10 to=2",
+)
+_documents = st.one_of(
+    st.text(max_size=80),
+    st.lists(st.sampled_from(_DOC_FRAGMENTS + tuple(_CORPUS_LINES)), max_size=30).map("".join),
+    st.lists(st.sampled_from(_CORPUS_LINES), max_size=30).map("\n".join),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_documents, st.sampled_from([None, reg]))
+def test_parse_document_raises_only_its_own_errors(text, registry):
+    try:
+        doc = parse_document(text, registry)
+    except (ParseError, UnknownCurve):
+        return
+    assert isinstance(doc, Document)

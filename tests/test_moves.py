@@ -240,6 +240,41 @@ def test_span_check_keeps_the_whole_word_image_on_long_walks(data):
         w = checked_step(w, move, out)
 
 
+CONJUGATOR_LETTERS = [letter(f"c{i}", e) for i in range(1, 6) for e in (1, -1)]
+
+
+def splice_move(data, w):
+    """A lantern, alias or central move at a drawn position of w, and w with
+    the block that move takes spliced in at that position."""
+    pos = data.draw(st.integers(0, len(w)), label="pos")
+    kind = data.draw(st.sampled_from(["lantern", "alias", "central"]))
+    if kind == "lantern":
+        inst = data.draw(st.sampled_from(sorted(reg.lanterns)))
+        direction = data.draw(st.sampled_from(["down", "up"]))
+        sides = reg.lanterns[inst].rotations("lhs" if direction == "down" else "rhs")
+        conj = tuple(data.draw(st.lists(st.sampled_from(CONJUGATOR_LETTERS), max_size=2)))
+        block = tuple(letter(l.curve.name, conj=conj) for l in data.draw(st.sampled_from(sides)))
+        move = Lantern(pos, inst, direction, out=data.draw(st.integers(0, 3)), conj=conj)
+    elif kind == "alias":
+        rel = reg.aliases[data.draw(st.sampled_from(sorted(reg.aliases)))]
+        direction = data.draw(st.sampled_from(["fwd", "rev"]))
+        block = rel.lhs if direction == "fwd" else rel.rhs
+        move = Alias(pos, rel.ident, direction)
+    else:
+        block = data.draw(st.sampled_from(reg.central_words))
+        move = CentralSlide(pos, len(block), data.draw(st.integers(0, len(w))))
+    return reg.canonical_word(w[:pos] + block + w[pos:]), move
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_lantern_alias_and_central_moves_invert_at_any_position(data):
+    w = reg.canonical_word(data.draw(st.sampled_from(RELATORS), label="relator").word)
+    for _ in range(data.draw(st.integers(1, 3), label="steps")):
+        w, move = splice_move(data, w)
+        w = checked_step(w, move, apply_move(reg, w, move))
+
+
 def test_match_lantern_finds_blocks_in_x0():
     hits = match_lantern(reg, corpus.relator("X0").word, "L1")
     lhs_hits = [h for h in hits if h[2] == "lhs"]

@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2mcg import pi1
 from g2mcg.dsl import parse_word
 from g2mcg.fixtures import load_corpus
+from g2mcg.moves import Checkpoint, Final, apply_move
 from g2mcg.registry import standard_registry
-from g2mcg.words import letter
+from g2mcg.words import Curve, Letter, letter
 
 reg = standard_registry()
 corpus = load_corpus(reg)
@@ -136,3 +138,202 @@ def test_td5_is_not_equal_to_the_identity():
 def test_braid_words_act_identically():
     # t1 t2 t1 and t2 t1 t2 are the same mapping class; actions agree exactly
     assert aut_of("c1 c2 c1") == aut_of("c2 c1 c2")
+
+
+# -- the kernel against the code it replaced -----------------------------------
+# Dehn's algorithm with a 16-way startswith scan that restarts after every
+# rewrite, a compose that maps every generator, and the closure of cyclic
+# forms built round by round with the cap checked between rounds.
+
+
+def _ref_free_reduce(w):
+    out = []
+    for ch in w:
+        if out and out[-1] == ch.swapcase():
+            out.pop()
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def _ref_dehn_reduce(w):
+    w = _ref_free_reduce(w)
+    changed = True
+    while changed:
+        changed = False
+        for length in range(7, 4, -1):
+            hit = False
+            for i in range(len(w) - length + 1):
+                seg = w[i : i + length]
+                for rho in pi1._ROTATIONS:
+                    if rho.startswith(seg):
+                        w = _ref_free_reduce(w[:i] + pi1.inverse(rho[length:]) + w[i + length :])
+                        changed = hit = True
+                        break
+                if hit:
+                    break
+            if hit:
+                break
+    return w
+
+
+def _ref_cyclic_reduce(w):
+    w = _ref_dehn_reduce(w)
+    while len(w) >= 2 and w[0] == w[-1].swapcase():
+        w = _ref_dehn_reduce(w[1:-1])
+    return w
+
+
+def _ref_half_relator_variants(w):
+    out = set()
+    for i in range(len(w) - 3):
+        seg = w[i : i + 4]
+        for rho in pi1._ROTATIONS:
+            if rho.startswith(seg):
+                cand = _ref_free_reduce(w[:i] + pi1.inverse(rho[4:]) + w[i + 4 :])
+                if len(cand) == len(w):
+                    out.add(cand)
+    return out
+
+
+def _ref_cyclic_forms(w, cap=4096):
+    cyc = _ref_cyclic_reduce(w)
+    seen = set()
+    frontier = {cyc}
+    while frontier and len(seen) < cap:
+        nxt = set()
+        for u in frontier:
+            for r in range(max(len(u), 1)):
+                rot = _ref_cyclic_reduce(_ref_dehn_reduce(u[r:] + u[:r]))
+                if rot not in seen:
+                    seen.add(rot)
+                    nxt.add(rot)
+                for v in _ref_half_relator_variants(u[r:] + u[:r]):
+                    v = _ref_cyclic_reduce(_ref_dehn_reduce(v))
+                    if v not in seen:
+                        seen.add(v)
+                        nxt.add(v)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def _ref_apply_aut(aut, w):
+    return _ref_dehn_reduce(
+        "".join(aut[ch] if ch.islower() else pi1.inverse(aut[ch.lower()]) for ch in w)
+    )
+
+
+def _ref_compose(outer, inner):
+    return {g: _ref_apply_aut(outer, inner[g]) for g in pi1.GENS}
+
+
+def _ref_word_action(w):
+    out = {g: g for g in pi1.GENS}
+    for l in w:
+        out = _ref_compose(out, _ref_letter_action(l))
+    return out
+
+
+def _ref_letter_action(l):
+    if l.curve.conj:
+        inner = _ref_letter_action(Letter(Curve(l.curve.name), l.exp))
+        u = _ref_word_action(l.curve.conj)
+        uinv = _ref_word_action(tuple(m.inverse() for m in reversed(l.curve.conj)))
+        return _ref_compose(u, _ref_compose(inner, uinv))
+    table = pi1.TWIST_TABLE if l.exp == 1 else pi1.TWIST_TABLE_INV
+    return dict(table[l.curve.name])
+
+
+def _inverse_if(w, flip):
+    return pi1.inverse(w) if flip else w
+
+
+# Random letters with pieces of relator rotations spliced in, so that the
+# segments of every length, and the cancellations around them, occur often.
+_pieces = st.one_of(
+    st.text("abcdABCD", max_size=3),
+    st.builds(
+        lambda rho, n, flip: _inverse_if(rho[:n], flip),
+        st.sampled_from(pi1._ROTATIONS), st.integers(1, 8), st.booleans(),
+    ),
+)
+_group_words = st.lists(_pieces, max_size=8).map("".join)
+
+
+def test_segment_table_holds_one_replacement_per_segment():
+    # piece length one: no segment of length 4..7 lies in two rotations
+    assert len(pi1._SEGMENTS) == len(pi1._ROTATIONS) * 4
+    for seg, rep in pi1._SEGMENTS.items():
+        assert seg + pi1.inverse(rep) in pi1._ROTATIONS
+
+
+@settings(max_examples=500, deadline=None)
+@given(_group_words)
+def test_dehn_reduce_agrees_with_the_startswith_scan(w):
+    assert pi1.free_reduce(w) == _ref_free_reduce(w)
+    assert pi1.dehn_reduce(w) == _ref_dehn_reduce(w)
+
+
+@pytest.mark.parametrize("w", ["cDCbaBAaBAdcDCbabA", "CcdCDabaBAdcdCDabAb", "BAdcDCDabABcdabABcd"])
+def test_dehn_reduce_rewrites_the_longest_segment_first(w):
+    # each word holds a segment of length 7 right of one of length 6, and
+    # the result depends on which is rewritten first
+    assert pi1.dehn_reduce(w) == _ref_dehn_reduce(w)
+
+
+def _script_states():
+    for script in corpus.scripts.values():
+        state = reg.canonical_word(script.start)
+        yield state
+        for entry in script.entries:
+            if not isinstance(entry, (Checkpoint, Final)):
+                state = apply_move(reg, state, entry)
+                yield state
+
+
+def test_word_action_agrees_with_full_compose_on_the_corpus():
+    words = [r.word for r in corpus.relators.values()] + list(_script_states())
+    compared = 0
+    for w in words:
+        try:
+            act = pi1.word_action(reg, w)
+        except pi1.MissingAutomorphism:
+            continue
+        assert act == _ref_word_action(w)
+        compared += 1
+    assert compared >= 38  # Z0, chain30, chain40 and 35 script states
+
+
+def test_twist_table_images_are_dehn_reduced():
+    # compose keeps outer[g] as it stands for a generator inner fixes
+    for table in (pi1.TWIST_TABLE, pi1.TWIST_TABLE_INV):
+        for aut in table.values():
+            assert all(pi1.dehn_reduce(img) == img for img in aut.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_group_words, st.integers(1, 60))
+def test_cyclic_forms_agree_with_the_round_based_closure(w, cap):
+    ref = _ref_cyclic_forms(w, cap)
+    forms = pi1.cyclic_forms(w, cap)
+    if len(ref) < cap:  # the rounds ran out before the cap: ref is the closure
+        assert forms == ref
+    else:  # the first cap forms breadth first lie within the rounds ref ran
+        assert len(forms) == cap and forms <= ref
+
+
+def test_cyclic_forms_agree_on_generator_images():
+    for text in ("(c1 c2 c3 c4 c5)^6", "c1 c2 c3 c4 c5^2 c4 c3 c2 c1", "(c2 c3)^6",
+                 "c1 c2 c3 c4", "c2 c3^-1 c4 c5"):
+        act = aut_of(text)
+        for g in pi1.GENS:
+            assert pi1.cyclic_forms(act[g]) == _ref_cyclic_forms(act[g]), (text, g)
+
+
+def test_a_capped_closure_has_exactly_cap_forms():
+    img = aut_of("(c1 c2)^12 (c2 c3)^12")["a"]
+    forms = pi1.cyclic_forms(img)
+    assert len(forms) == pi1.cyclic_forms.__defaults__[0]
+    small = pi1.cyclic_forms(img, 100)
+    # breadth-first order is fixed, so a smaller cap keeps a prefix
+    assert len(small) == 100 and small < forms
