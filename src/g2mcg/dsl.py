@@ -7,7 +7,8 @@ Word grammar
     atom      :=  NAME | '[' word ']' '(' NAME ')' | '(' word ')'
 
 Letters are separated by whitespace or '.', and '^k' repeats a letter |k|
-times with the sign of k as exponent; '(w)^k' repeats a whole word.  The
+times with the sign of k as exponent; '(w)^k' repeats a whole word.  No
+word or conjugator may expand past MAX_LETTERS letters.  The
 conjugate form [w](a) is the twist along the image of curve a under the
 word w.  Unicode input is accepted for a few names (the Greek delta and
 macron accents map to d, kb, hb); output is always ASCII.
@@ -74,6 +75,7 @@ _TOKEN = r"[A-Za-z][A-Za-z0-9]*|\^-?\d+|[\[\]()]"
 _TOKEN_RE = re.compile(rf"\s*({_TOKEN})")
 _TOKENS_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*")
 _CLOSER = {"[": "]", "(": ")"}
+MAX_LETTERS = 100_000  # per word or conjugator, checked before each power expands
 
 
 def _ascii(text: str) -> str:
@@ -128,6 +130,8 @@ def parse_word(text: str, registry: Optional[Registry] = None, line: int = 0) ->
         if tokens[i][:1] == "^":
             exp = int(tokens[i][1:])
             i += 1
+        if len(letters) + len(base) * abs(exp) > MAX_LETTERS:
+            raise ParseError(f"word expands past {MAX_LETTERS} letters", line)
         if exp >= 0:
             letters.extend(base * exp)
         else:

@@ -33,11 +33,6 @@ J: Mat = (
 )
 
 
-def sform(u: Vec, v: Vec) -> int:
-    """<u, v> = u1 v2 - u2 v1 + u3 v4 - u4 v3."""
-    return u[0] * v[1] - u[1] * v[0] + u[2] * v[3] - u[3] * v[2]
-
-
 def mat_mul(a: Mat, b: Mat) -> Mat:
     # Unrolled over the entries of b (about 5x faster than index loops in
     # CPython): this is the innermost operation of every homology check.
@@ -77,12 +72,9 @@ def sp_inverse(m: Mat) -> Mat:
 
 def transvection(v: Vec) -> Mat:
     """Matrix of x |-> x + <x, v> v; the identity for v = 0."""
-    cols = []
-    for j in range(4):
-        e = tuple(1 if i == j else 0 for i in range(4))
-        coef = sform(e, v)
-        cols.append(tuple(e[i] + coef * v[i] for i in range(4)))
-    return tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))  # type: ignore[return-value]
+    # <u, v> = u1 v2 - u2 v1 + u3 v4 - u4 v3, so <e_j, v> for the basis vectors is:
+    jv = (v[1], -v[0], v[3], -v[2])
+    return tuple(tuple((i == j) + jv[j] * v[i] for j in range(4)) for i in range(4))  # type: ignore[return-value]
 
 
 def transvection_inv(v: Vec) -> Mat:

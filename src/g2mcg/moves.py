@@ -1,19 +1,23 @@
 """Validated rewrite moves on twist words, and script replay.
 
 Every move application checks a legality clause before rewriting, then
-checks that the homology image is preserved (for global conjugation and
-cyclic shifts, the clause itself: they apply only to relators).  That check
-compares the Sp(4,Z) images of the rewritten span only: the letters the old
-and new words share at either end cancel, so a step costs O(span), not
-O(word length).  An illegal move, or one that breaks the
-image, raises IllegalMove carrying the failed clause; replay never
-silently skips a step.  The moves are the classes in MOVES.
+checks that the homology image is preserved.  A move rewrites a span
+w[lo:hi] of a canonical word as rep, and costs O(span), not O(word length):
+only rep is canonicalized, only the span's Sp(4,Z) images are compared, and
+replay updates the (n,s) signature by the span's letters.  Cyclic shifts
+and global conjugation (C) stay O(length): they rewrite the whole word and
+apply only to relators, a clause that is their image check too.  An
+illegal move, or one that breaks the image, raises IllegalMove carrying the
+failed clause; replay never silently skips a step.  The moves are the
+classes in MOVES.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import compress, count
+from operator import is_not
 from typing import Callable, Literal, NewType, Optional, Union
 
 from . import homology as hom
@@ -248,54 +252,40 @@ _LANTERN_SIDES = {"down": ("lhs", "rhs"), "up": ("rhs", "lhs")}
 
 
 def apply_move(reg: Registry, w: Word, move: Move) -> Word:
-    """Apply one legal move; raises IllegalMove with the failed clause."""
-    out = reg.canonical_word(_apply(reg, w, move))
-    if isinstance(move, (CyclicShift, GlobalConjugate)):
-        return out  # _apply checked image(w) is 1, which rotations and conjugates keep
-    # Check only the rewritten span: with w = P A S and out = P B S,
-    # image(w) == image(out) iff image(A) == image(B), as Sp(4,Z) matrices
-    # are invertible.
-    common = min(len(w), len(out))
-    lo = 0
-    while lo < common and w[lo] == out[lo]:
-        lo += 1
-    hi = 0
-    while hi < common - lo and w[-1 - hi] == out[-1 - hi]:
-        hi += 1
-    _need(
-        move,
-        reg.image(w[lo : len(w) - hi]) == reg.image(out[lo : len(out) - hi]),
-        "move broke the homology image",
-    )
-    return out
+    """Apply one legal move to w, which must be canonical (replay states
+    are), and return the canonical result; raises IllegalMove with the
+    failed clause.
+
+    Only the rewritten span costs: rep is canonicalized and checked by
+    image(w[lo:hi]) == image(rep), which is exact, Sp(4,Z) matrices being
+    invertible.  Shift and C rewrite the whole word, O(length), and need no
+    check: their relator clause holds for every rotation and conjugate.
+    """
+    lo, hi, rep = _apply(reg, w, move)
+    rep = reg.canonical_word(rep)
+    if not isinstance(move, (CyclicShift, GlobalConjugate)):
+        _need(move, reg.image(w[lo:hi]) == reg.image(rep), "move broke the homology image")
+    return w[:lo] + rep + w[hi:]
 
 
-def _apply(reg: Registry, w: Word, move: Move) -> Word:
+def _apply(reg: Registry, w: Word, move: Move) -> tuple[int, int, Word]:
+    """(lo, hi, rep): the move rewrites w[lo:hi] as rep, not yet canonical."""
     if isinstance(move, Commute):
         a, b = _pair(move, w, move.pos)
-        _need(
-            move,
-            reg.disjoint(a.curve, b.curve),
-            f"curves {a.curve!r} and {b.curve!r} are not declared disjoint",
-        )
+        _need(move, reg.disjoint(a.curve, b.curve),
+              f"curves {a.curve!r} and {b.curve!r} are not declared disjoint")
         ma, mb = reg.letter_matrix(a), reg.letter_matrix(b)
-        _need(
-            move,
-            hom.mat_mul(ma, mb) == hom.mat_mul(mb, ma),
-            "homology images do not commute",
-        )
-        return w[: move.pos] + (b, a) + w[move.pos + 2 :]
+        _need(move, hom.mat_mul(ma, mb) == hom.mat_mul(mb, ma), "homology images do not commute")
+        return move.pos, move.pos + 2, (b, a)
 
     if isinstance(move, Hurwitz):
         a, b = _pair(move, w, move.pos)
         _need(move, move.side in ("left", "right"), f"unknown side {move.side!r}")
         if move.side == "left":
             new = Letter(make_curve(b.curve.name, concat((a,), b.curve.conj)), b.exp)
-            return w[: move.pos] + (new, a) + w[move.pos + 2 :]
-        new = Letter(
-            make_curve(a.curve.name, concat((b.inverse(),), a.curve.conj)), a.exp
-        )
-        return w[: move.pos] + (b, new) + w[move.pos + 2 :]
+            return move.pos, move.pos + 2, (new, a)
+        new = Letter(make_curve(a.curve.name, concat((b.inverse(),), a.curve.conj)), a.exp)
+        return move.pos, move.pos + 2, (b, new)
 
     if isinstance(move, Braid):
         p, q = _pair(move, w, move.pos)
@@ -314,7 +304,7 @@ def _apply(reg: Registry, w: Word, move: Move) -> Word:
                 rep = (Letter(q.curve), Letter(make_curve(q.curve.name, (Letter(p.curve, 1),))))
         else:
             raise IllegalMove(move, f"unknown braid form {move.form!r}")
-        return w[: move.pos] + rep + w[move.pos + 2 :]
+        return move.pos, move.pos + 2, rep
 
     if isinstance(move, Lantern):
         _need(move, move.inst in reg.lanterns, f"unknown lantern instance {move.inst}")
@@ -325,57 +315,50 @@ def _apply(reg: Registry, w: Word, move: Move) -> Word:
         dst_rotations = inst.rotations(dst_side)
         dst = dst_rotations[move.out % len(dst_rotations)]
         r = _match_rotation(reg, w, move.pos, src, move.conj)
-        _need(
-            move,
-            r is not None,
-            f"word at {move.pos} matches no rotation of {move.inst} {src_side}",
-        )
+        _need(move, r is not None, f"word at {move.pos} matches no rotation of {move.inst} {src_side}")
         width = len(src[0])
-        return w[: move.pos] + _conjugated_side(reg, dst, move.conj) + w[move.pos + width :]
+        return move.pos, move.pos + width, _conjugated_side(reg, dst, move.conj)
 
     if isinstance(move, CyclicShift):
         _need(move, reg.image(w) == hom.IDENTITY, "cyclic shift requires a relator")
-        return cyclic_shift(w, move.k)
+        return 0, len(w), cyclic_shift(w, move.k)
 
     if isinstance(move, GlobalConjugate):
         _need(move, reg.image(w) == hom.IDENTITY, "global conjugation requires a relator")
-        return free_reduce(concat(invert(move.by), w, move.by))
+        return 0, len(w), free_reduce(concat(invert(move.by), w, move.by))
 
     if isinstance(move, Expand):
         _need(move, 0 <= move.pos < len(w), f"no letter at {move.pos}")
         l = w[move.pos]
         _need(move, l.curve.is_conjugate, f"{l!r} is not in conjugate form")
-        return w[: move.pos] + expand_letter(l) + w[move.pos + 1 :]
+        return move.pos, move.pos + 1, expand_letter(l)
 
     if isinstance(move, Contract):
         try:
-            return contract_subword(w, move.lo, move.hi)
+            out = contract_subword(w, move.lo, move.hi)
         except ValueError as exc:
             raise IllegalMove(move, str(exc)) from None
+        return move.lo, move.hi, out[move.lo : move.lo + 1]
 
     if isinstance(move, Alias):
         _need(move, move.rel in reg.aliases, f"unknown alias relation {move.rel}")
         rel = reg.aliases[move.rel]
         src, dst = (rel.lhs, rel.rhs) if move.direction == "fwd" else (rel.rhs, rel.lhs)
         span = w[move.pos : move.pos + len(src)]
-        _need(
-            move,
-            len(span) == len(src) and reg.words_equal(span, src),
-            f"word at {move.pos} does not match the {move.direction} side of {move.rel}",
-        )
-        return w[: move.pos] + dst + w[move.pos + len(src) :]
+        _need(move, len(span) == len(src) and reg.words_equal(span, src),
+              f"word at {move.pos} does not match the {move.direction} side of {move.rel}")
+        return move.pos, move.pos + len(src), dst
 
     if isinstance(move, CentralSlide):
         block = w[move.pos : move.pos + move.length]
         _need(move, len(block) == move.length, "block out of range")
-        _need(
-            move,
-            any(reg.words_equal(block, cw) for cw in reg.central_words),
-            "block is not a registered central word",
-        )
-        rest = w[: move.pos] + w[move.pos + move.length :]
-        _need(move, 0 <= move.dest <= len(rest), f"destination {move.dest} out of range")
-        return rest[: move.dest] + block + rest[move.dest :]
+        _need(move, any(reg.words_equal(block, cw) for cw in reg.central_words),
+              "block is not a registered central word")
+        end = move.pos + move.length
+        _need(move, 0 <= move.dest <= len(w) - move.length, f"destination {move.dest} out of range")
+        if move.dest <= move.pos:  # the block moves left over w[dest:pos]
+            return move.dest, end, block + w[move.dest : move.pos]
+        return move.pos, move.dest + move.length, w[end : move.dest + move.length] + block
 
     raise TypeError(f"unknown move {move!r}")
 
@@ -427,7 +410,7 @@ def match_lantern(reg: Registry, w: Word, inst_id: str) -> list[tuple[int, Word,
         sides = inst.rotations(side_name)
         width = len(sides[0])
         for pos in range(len(cw) - width + 1):
-            block = reg.canonical_word(cw[pos : pos + width])
+            block = cw[pos : pos + width]
             conjs = [(), cw[pos].curve.conj] if cw[pos].curve.conj else [()]
             hit = next(
                 ((pos, conj, side_name, r) for conj in conjs for r, side in enumerate(sides)
@@ -472,12 +455,23 @@ class ReplayReport:
         return "\n".join(lines)
 
 
-def _signature_of(reg: Registry, w: Word) -> Optional[tuple[int, int]]:
-    if any(l.exp != 1 for l in w):
-        return None
-    n = sum(1 for l in w if not reg.separating(l.curve))
-    s = len(w) - n
-    return (n, s)
+def _tally(reg: Registry, w: Word) -> tuple[int, int]:
+    """(inverse letters, separating letters) of w: a word with no inverse
+    letter has the signature (n,s) = (len(w) - separating, separating)."""
+    return sum(l.exp != 1 for l in w), sum(reg.separating(l.curve) for l in w)
+
+
+def _rewritten_span(old: Word, new: Word) -> tuple[int, int, int]:
+    """(lo, hi, new_hi) with new == old[:lo] + new[lo:new_hi] + old[hi:].
+
+    apply_move splices its span between the very letter objects of the old
+    word, so an identity scan finds the span, at C speed and without
+    calling a letter's __eq__."""
+    common = min(len(old), len(new))
+    lo = next(compress(count(), map(is_not, old, new)), common)
+    tail = next(compress(count(), map(is_not, reversed(old), reversed(new))), common)
+    tail = min(tail, common - lo)
+    return lo, len(old) - tail, len(new) - tail
 
 
 def replay(reg: Registry, script: MoveScript) -> ReplayReport:
@@ -485,6 +479,12 @@ def replay(reg: Registry, script: MoveScript) -> ReplayReport:
     preservation, and every declared checkpoint; stops at the first failure."""
     report = ReplayReport(script.name)
     state = reg.canonical_word(script.start)
+    # Kept up to date by each move's rewritten span, not recounted.
+    inverse, separating = _tally(reg, state)
+
+    def signature() -> Optional[tuple[int, int]]:
+        return None if inverse else (len(state) - separating, separating)
+
     if script.start_label:
         report.labeled[script.start_label] = state
     index = 0
@@ -501,7 +501,7 @@ def replay(reg: Registry, script: MoveScript) -> ReplayReport:
                 f"{kind}{label}",
                 ok,
                 "" if ok else f"expected {word_str(expected)!r}, have {word_str(state)!r}",
-                _signature_of(reg, state),
+                signature(),
             )
             report.steps.append(step)
             if not ok:
@@ -514,10 +514,13 @@ def replay(reg: Registry, script: MoveScript) -> ReplayReport:
                 saw_final = True
             continue
         try:
-            state = apply_move(reg, state, entry)
-            report.steps.append(
-                StepResult(index, describe(entry), True, "", _signature_of(reg, state))
-            )
+            new = apply_move(reg, state, entry)
+            lo, hi, new_hi = _rewritten_span(state, new)
+            (inv0, sep0), (inv1, sep1) = _tally(reg, state[lo:hi]), _tally(reg, new[lo:new_hi])
+            inverse += inv1 - inv0
+            separating += sep1 - sep0
+            state = new
+            report.steps.append(StepResult(index, describe(entry), True, "", signature()))
         except IllegalMove as exc:
             report.steps.append(StepResult(index, describe(entry), False, exc.reason))
             report.ok = False

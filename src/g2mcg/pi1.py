@@ -124,7 +124,10 @@ def _half_relator_variants(w: str) -> list[str]:
     return out
 
 
-def cyclic_forms(w: str, cap: int = 4096) -> frozenset[str]:
+CAP = 4096  # forms per closure
+
+
+def cyclic_forms(w: str, cap: int = CAP) -> frozenset[str]:
     """All cyclically reduced rotations of w, closed under half-relator
     rewrites; two elements are conjugate iff their form sets intersect.
 
@@ -146,8 +149,13 @@ def cyclic_forms(w: str, cap: int = 4096) -> frozenset[str]:
     return frozenset(seen)
 
 
-def conjugate_elements(u: str, v: str) -> bool:
-    return bool(cyclic_forms(u) & cyclic_forms(v))
+def conjugate_elements(u: str, v: str) -> Optional[bool]:
+    """True if u and v are conjugate, False if not, None (inconclusive) if
+    their form sets miss each other but one was cut at its cap."""
+    fu, fv = cyclic_forms(u), cyclic_forms(v)
+    if fu & fv:
+        return True
+    return None if max(len(fu), len(fv)) >= CAP else False
 
 
 # -- twist automorphisms -----------------------------------------------------------

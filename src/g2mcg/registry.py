@@ -192,7 +192,6 @@ class Registry:
         self.aliases: dict[str, AliasRelation] = {
             a.ident: a for a in self._std_aliases()
         }
-        self.symbols: dict[str, MappingClassSymbol] = self._std_symbols()
 
     # -- construction helpers ------------------------------------------------
 
@@ -215,7 +214,9 @@ class Registry:
             out.append(AliasRelation("matconj", mat, conj))
         return out
 
-    def _std_symbols(self) -> dict[str, MappingClassSymbol]:
+    @functools.cached_property
+    def symbols(self) -> dict[str, MappingClassSymbol]:
+        """The named mapping classes; built on first use, as only validate reads them."""
         if not all(n in self.curves for n in BASE_NAMES):
             return {}
         phi_word = tuple(letter(n, -1) for n in ("c4", "c3", "c2", "c1"))
@@ -334,45 +335,35 @@ class Registry:
         return out
 
     def _trace_reduce(self, letters: list[Letter]) -> list[Letter]:
-        # Cancel inverse pairs separated only by letters disjoint from them.
-        changed = True
-        while changed:
-            changed = False
-            n = len(letters)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if letters[i].curve == letters[j].curve and letters[i].exp == -letters[j].exp:
-                        between = letters[i + 1 : j]
-                        if all(
-                            self._names_disjoint(letters[i].curve.name, m.curve.name)
-                            for m in between
-                        ):
-                            del letters[j]
-                            del letters[i]
-                            changed = True
-                            break
-                if changed:
-                    break
-        return letters
+        # Cancel inverse pairs separated only by letters disjoint from them,
+        # the first pair (by i, then j) at a time.
+        disjoint = self._names_disjoint
+        while True:
+            pair = next(
+                ((i, j) for i, a in enumerate(letters) for j in range(i + 1, len(letters))
+                 if letters[j].curve == a.curve and letters[j].exp == -a.exp
+                 and all(disjoint(a.curve.name, m.curve.name) for m in letters[i + 1 : j])),
+                None,
+            )
+            if pair is None:
+                return letters
+            del letters[pair[1]], letters[pair[0]]
 
     def _strip_idle(self, letters: list[Letter], inner: str) -> list[Letter]:
         # Drop any conjugator letter that commutes past everything to its
-        # right and fixes the inner curve: it contributes nothing.
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(letters) - 1, -1, -1):
-                l = letters[i]
-                if not self._names_disjoint(l.curve.name, inner):
-                    continue
-                if all(
-                    self._names_disjoint(l.curve.name, m.curve.name)
-                    for m in letters[i + 1 :]
-                ):
-                    del letters[i]
-                    changed = True
-                    break
-        return letters
+        # right and fixes the inner curve, the rightmost first: it contributes
+        # nothing.
+        disjoint = self._names_disjoint
+        while True:
+            i = next(
+                (i for i in range(len(letters) - 1, -1, -1)
+                 if disjoint(letters[i].curve.name, inner)
+                 and all(disjoint(letters[i].curve.name, m.curve.name) for m in letters[i + 1 :])),
+                None,
+            )
+            if i is None:
+                return letters
+            del letters[i]
 
     def _lex_normal(self, letters: list[Letter]) -> list[Letter]:
         # Lexicographically least representative of the trace class: greedily
@@ -380,17 +371,12 @@ class Registry:
         remaining = list(letters)
         out: list[Letter] = []
         while remaining:
-            best = None
-            for i, l in enumerate(remaining):
-                if all(
-                    self._names_disjoint(l.curve.name, m.curve.name)
-                    for m in remaining[:i]
-                ):
-                    key = (l.curve.name, l.exp)
-                    if best is None or key < best[0]:
-                        best = (key, i)
-            assert best is not None
-            out.append(remaining.pop(best[1]))
+            free = [
+                i for i, l in enumerate(remaining)
+                if all(self._names_disjoint(l.curve.name, m.curve.name) for m in remaining[:i])
+            ]
+            i = min(free, key=lambda i: (remaining[i].curve.name, remaining[i].exp))
+            out.append(remaining.pop(i))
         return out
 
     def canonical_curve(self, curve: Curve) -> Curve:

@@ -17,6 +17,7 @@ registry module layers a semantic normal form on top of this.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 
@@ -40,6 +41,12 @@ class Curve:
 
     name: str
     conj: "Word" = ()
+
+    def __post_init__(self) -> None:  # hashed once, not on every cache lookup
+        object.__setattr__(self, "_hash", hash((self.name, self.conj)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_conjugate(self) -> bool:
@@ -108,10 +115,7 @@ def conjugate(w: Word, by: Word) -> Word:
 
 
 def concat(*ws: Word) -> Word:
-    out: list[Letter] = []
-    for w in ws:
-        out.extend(w)
-    return tuple(out)
+    return tuple(chain.from_iterable(ws))
 
 
 def power(w: Word, k: int) -> Word:

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -67,11 +68,30 @@ def test_verify_pi1_rejects_td5(tmp_path):
 @pytest.mark.parametrize("text", ["(c1 c2)^30 (c2 c3)^6", "(c1 c2)^12 (c2 c3)^12"])
 def test_verify_pi1_refutes_torelli_products(tmp_path, capsys, text):
     # t_d^5 t_d'' and t_d^2 t_d''^2, not relators: their cyclic-form
-    # closures stop at the cap, so verify answers in well under a second
+    # closures stop at the cap, so verify answers in well under a second,
+    # and as the cap, not a decision, ended the check, it cannot say False
     p = tmp_path / "torelli.mcg"
     p.write_text(text)
     assert main(["--pi1", "verify", str(p)]) == 1
+    assert "  pi1: acts by conjugation on generators: inconclusive" in capsys.readouterr().out
+
+
+def test_verify_pi1_refutes_an_uncapped_torelli_product(tmp_path, capsys):
+    # t_d t_d'': both closures of the first generator not conjugate stay under the cap
+    p = tmp_path / "torelli.mcg"
+    p.write_text("(c1 c2)^6 (c2 c3)^6")
+    assert main(["--pi1", "verify", str(p)]) == 1
     assert "  pi1: acts by conjugation on generators: False" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ["relator r = c1^3000000", "relator r = ((c1)^1000)^1000"])
+def test_verify_rejects_a_word_past_the_power_bound_at_once(tmp_path, capsys, text):
+    p = tmp_path / "huge.mcg"
+    p.write_text(text)
+    start = time.perf_counter()
+    assert main(["verify", str(p)]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert "expands past 100000 letters" in capsys.readouterr().err
 
 
 def test_verify_parse_error(tmp_path):

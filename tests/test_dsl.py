@@ -70,6 +70,18 @@ def test_parse_errors():
         parse_word("nope", reg)
 
 
+@pytest.mark.parametrize("text", [
+    "c1^3000000", "c1^-3000000", "((c1)^1000)^1000", "[(c1 c2)^50001](c3)", "c2 (c1)^99999 c2",
+])
+def test_parse_word_stops_before_a_power_expands_too_far(text):
+    with pytest.raises(ParseError, match="expands past 100000 letters"):
+        parse_word(text, reg)
+
+
+def test_parse_word_expands_up_to_the_bound():
+    assert len(parse_word("c2 (c1)^99998 c2", reg)) == 100_000
+
+
 def test_word_roundtrip_examples():
     for text in [
         "(c1 c2 c3 c4 c5^2 c4 c3 c2 c1)^2",

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2mcg import homology as hom
+from g2mcg import homology as hom, moves
 from g2mcg.dsl import parse_word
 from g2mcg.fixtures import load_corpus
 from g2mcg.moves import (
@@ -320,3 +320,96 @@ def test_corpus_scripts_all_replay():
     for name, script in corpus.scripts.items():
         report = replay(reg, script)
         assert report.ok, f"{name}: {report.failure}"
+
+
+# -- replay against the whole-word engine ------------------------------------------
+#
+# The reference below is how a step was computed before moves cost O(span):
+# canonicalize the whole result, compare the images of the middles left after
+# stripping the letters the old and new words share at either end, and
+# recount (n,s) over the whole word.
+
+
+def reference_apply(w, move):
+    lo, hi, rep = moves._apply(reg, w, move)
+    out = reg.canonical_word(w[:lo] + rep + w[hi:])
+    if isinstance(move, (CyclicShift, GlobalConjugate)):
+        return out
+    common = min(len(w), len(out))
+    head = 0
+    while head < common and w[head] == out[head]:
+        head += 1
+    tail = 0
+    while tail < common - head and w[-1 - tail] == out[-1 - tail]:
+        tail += 1
+    if reg.image(w[head : len(w) - tail]) != reg.image(out[head : len(out) - tail]):
+        raise IllegalMove(move, "move broke the homology image")
+    return out
+
+
+def reference_signature(w):
+    if any(l.exp != 1 for l in w):
+        return None
+    n = sum(1 for l in w if not reg.separating(l.curve))
+    return (n, len(w) - n)
+
+
+def reference_replay(script):
+    """(signature of each step, labeled words, final word or None on a failure)."""
+    state = reg.canonical_word(script.start)
+    labeled = {script.start_label: state} if script.start_label else {}
+    signatures = []
+    for entry in script.entries:
+        if isinstance(entry, (Checkpoint, Final)):
+            if state != reg.canonical_word(entry.word):
+                return signatures + [reference_signature(state)], labeled, None
+            if entry.label:
+                labeled[entry.label] = state
+        else:
+            try:
+                state = reference_apply(state, entry)
+            except IllegalMove:
+                return signatures + [None], labeled, None
+        signatures.append(reference_signature(state))
+    return signatures, labeled, state
+
+
+def assert_replay_matches_reference(script):
+    report = replay(reg, script)
+    signatures, labeled, final = reference_replay(script)
+    steps = [s for s in report.steps if s.text != "final (undeclared)"]
+    assert [s.signature for s in steps] == signatures, script.name
+    assert report.labeled == labeled, script.name
+    assert report.ok == (final is not None)
+    if report.ok:
+        assert report.final_word == final
+
+
+@pytest.mark.parametrize("name", sorted(corpus.scripts))
+def test_corpus_replay_matches_the_whole_word_engine(name):
+    assert_replay_matches_reference(corpus.scripts[name])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_walk_replay_matches_the_whole_word_engine(data):
+    # Walks through inverse letters as well: expand and C put them in, the
+    # inverse of an expand takes them out again.
+    start = state = fiber_sum(data)
+    entries = []
+    for _ in range(data.draw(st.integers(1, 10), label="steps")):
+        kind = data.draw(st.sampled_from(["walk", "conjugate", "undo"]), label="kind")
+        if kind == "conjugate":
+            move = GlobalConjugate((data.draw(st.sampled_from(CONJUGATOR_LETTERS)),))
+        elif kind == "undo" and entries:
+            move = inverse_move(reg, previous, entries[-1])
+        else:
+            move = walk_move(data, state)
+        entries.append(move)
+        try:
+            previous, state = state, reference_apply(state, move)
+        except IllegalMove:
+            break
+    if data.draw(st.booleans(), label="checkpoint"):
+        entries.append(Checkpoint(state, "end"))
+    assert_replay_matches_reference(MoveScript("walk", start, tuple(entries)))

@@ -337,3 +337,13 @@ def test_a_capped_closure_has_exactly_cap_forms():
     small = pi1.cyclic_forms(img, 100)
     # breadth-first order is fixed, so a smaller cap keeps a prefix
     assert len(small) == 100 and small < forms
+
+
+def test_conjugate_elements_is_inconclusive_only_past_the_cap():
+    # the image of a under t_d^2 t_d''^2 has a capped closure sharing no form with a
+    img = aut_of("(c1 c2)^12 (c2 c3)^12")["a"]
+    assert len(pi1.cyclic_forms(img)) == pi1.CAP
+    assert pi1.conjugate_elements(img, "a") is None
+    assert pi1.conjugate_elements(img, img) is True  # a shared form proves it, capped or not
+    assert pi1.conjugate_elements("ab", "ba") is True
+    assert pi1.conjugate_elements("ab", "a") is False

@@ -13,7 +13,9 @@ from types import FunctionType
 
 import pytest
 
-from g2mcg import pi1
+from g2mcg import moves, pi1
+from g2mcg.fixtures import load_corpus
+from g2mcg.registry import standard_registry
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -41,3 +43,22 @@ def test_cyclic_forms_keeps_cap_as_its_first_default():
     params = list(inspect.signature(pi1.cyclic_forms).parameters.values())
     assert params[1].name == "cap"
     assert pi1.cyclic_forms.__defaults__[0] == params[1].default
+
+
+
+def test_replay_calls_apply_move_once_per_move(monkeypatch):
+    # the bench's moves.apply_move layer counts moves only while this holds
+    reg = standard_registry()
+    calls = []
+    apply_move = moves.apply_move
+
+    def counted(reg, w, move):
+        calls.append(move)
+        return apply_move(reg, w, move)
+
+    monkeypatch.setattr(moves, "apply_move", counted)
+    for script in load_corpus(reg).scripts.values():
+        calls.clear()
+        assert moves.replay(reg, script).ok, script.name
+        expected = [e for e in script.entries if isinstance(e, moves.MOVES)]
+        assert calls == expected, script.name

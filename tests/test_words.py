@@ -134,3 +134,19 @@ def test_curve_flattening():
     c = make_curve("x", lw("c3"))
     assert not make_curve("x").is_conjugate
     assert c.is_conjugate and c.name == "x"
+
+
+@given(st.sampled_from(NAMES), words_st)
+def test_curve_hash_is_the_hash_of_its_fields(name, conj):
+    c = make_curve(name, conj)
+    assert hash(c) == hash((c.name, c.conj))
+    twin = make_curve(name, tuple(letter(l.curve.name, l.exp) for l in conj))
+    assert twin == c and twin is not c and hash(twin) == hash(c)
+
+
+def test_nested_curves_hash_by_value():
+    inner = make_curve("x", lw("c3'"))
+    outer = make_curve("c1", (letter("c2"), letter("x", conj=inner.conj)))
+    same = make_curve("c1", (letter("c2"), letter("x", conj=lw("c3'"))))
+    assert outer == same and hash(outer) == hash(same)
+    assert len({outer, same, inner}) == 2
