@@ -153,11 +153,11 @@ def _check_curves(w: Word, registry: Registry, line: int) -> None:
 
 
 def parse_relator(
-    text: str, registry: Optional[Registry] = None, label: str = ""
+    text: str, registry: Optional[Registry] = None, label: str = "", line: int = 0
 ) -> PositiveRelator:
-    w = parse_word(text, registry)
+    w = parse_word(text, registry, line)
     if any(l.exp != 1 for l in w):
-        raise ParseError("relator contains inverse letters")
+        raise ParseError("relator contains inverse letters", line)
     return PositiveRelator(w, label)
 
 
@@ -305,7 +305,7 @@ def parse_document(text: str, registry: Optional[Registry] = None) -> Document:
                 if not m:
                     raise ParseError("bad relator definition", lineno)
                 name, body = m.groups()
-                rel = parse_relator(body, registry, label=name)
+                rel = parse_relator(body, registry, label=name, line=lineno)
                 doc.relators[name] = rel
                 continue
             m = re.match(r"^script\s+([\w()+-]+)$", line)

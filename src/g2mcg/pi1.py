@@ -11,6 +11,14 @@ shrinks every trivial word to the empty string.  A subword of two or more
 letters lies in at most one of the 16 rotations of the relator and its
 inverse, so one table gives each segment's complement.
 
+A twist word is a relator in Mod(S2) exactly when its action on the surface
+group is inner (Dehn-Nielsen-Baer; Farb-Margalit, Primer, ch. 8), and
+``inner_conjugator`` decides that exactly.  The relator's pieces have length
+one, so the presentation is C'(1/7) and a cyclically Dehn-reduced conjugate
+of a generator is the generator itself (Lyndon-Schupp, ch. V); the
+centralizer of a generator is the cyclic group it generates, which leaves
+one power to find before the last two generators decide.
+
 The twist action table was reconstructed from the planar two-handle
 picture: each chain twist inserts the based twist-curve word into the
 generators crossing it once, and the middle chain curve, whose based
@@ -109,6 +117,18 @@ def _cyclic_reduce(w: str) -> tuple[str, str]:
         p += w[0]
         w = dehn_reduce(w[1:-1])
     return w, p
+
+
+def _cyclic_dehn_reduce(w: str) -> tuple[str, str]:
+    """(cyclic form, conjugator p) with w = p . cyc . p^-1, where cyc is
+    cyclically reduced and holds no relator segment of 5 or more letters,
+    not even one across its seam: rotate such a segment inside and reduce."""
+    cyc, p = _cyclic_reduce(w)
+    while m := _SCAN5.search(cyc + cyc[:4]):  # cyc is Dehn-reduced: a hit crosses the seam
+        head = cyc[: m.start()]
+        cyc, q = _cyclic_reduce(cyc[m.start() :] + head)
+        p += head + q
+    return cyc, p
 
 
 def _half_relator_variants(w: str) -> list[str]:
@@ -255,7 +275,7 @@ def ab_matrix(aut: Aut) -> Mat:
 
 @dataclass(frozen=True)
 class Verdict:
-    status: str  # "equal" | "distinguished" | "inconclusive"
+    status: str  # "equal" | "distinguished"
     conjugator: Optional[str] = None
 
     @property
@@ -263,55 +283,31 @@ class Verdict:
         return self.status == "equal"
 
 
-def _auts_equal(a1: Aut, a2: Aut) -> bool:
-    return all(elements_equal(a1[g], a2[g]) for g in GENS)
+def inner_conjugator(phi: Aut) -> Optional[str]:
+    """The z with phi(g) = z g z^-1 for every generator g, or None when phi
+    is not inner.
 
-
-def _check_conjugator(z: str, phi: Aut, psi: Aut) -> bool:
-    return all(elements_equal(dehn_reduce(z + psi[g] + inverse(z)), phi[g]) for g in GENS)
-
-
-def equal_up_to_inner(
-    reg: Registry, u: Word, v: Word, bound: int = 12
-) -> Verdict:
-    """Do u and v induce the same outer automorphism?
-
-    Distinguished when the abelianized actions already differ.  Equal with
-    a witness when a single conjugator works for all four generators; the
-    witness search enumerates short reduced candidates and conjugators
-    extracted from cyclic-form matching up to the length bound, and gives
-    up honestly (Inconclusive) beyond that.
+    phi(a) must have the cyclic Dehn form a, reached through a conjugator p.
+    Then z = p a^k, and a^k b a^-k = p^-1 phi(b) p has at most one solution;
+    as a^k b a^-k is a geodesic of 2|k|+1 letters, |k| is below the length of
+    the reduced right side.  The c- and d-equations decide.
     """
-    phi = word_action(reg, u)
-    psi = word_action(reg, v)
-    if ab_matrix(phi) != ab_matrix(psi):
-        return Verdict("distinguished")
-    if _auts_equal(phi, psi):
-        return Verdict("equal", "")
+    cyc, p = _cyclic_dehn_reduce(phi["a"])
+    if cyc != "a":
+        return None
+    y = dehn_reduce(inverse(p) + phi["b"] + p)
+    for k in range(-len(y) - 1, len(y) + 2):
+        ak = "a" * k if k >= 0 else "A" * -k
+        if elements_equal(ak + "b" + inverse(ak), y):
+            z = dehn_reduce(p + ak)
+            return z if all(elements_equal(z + g + inverse(z), phi[g]) for g in "cd") else None
+    return None
 
-    letters = "abcdABCD"
-    frontier = [""]
-    for _ in range(min(bound, 4)):
-        frontier = [
-            z + ch
-            for z in frontier
-            for ch in letters
-            if not (z and z[-1] == ch.swapcase())
-        ]
-        for z in frontier:
-            if _check_conjugator(z, phi, psi):
-                return Verdict("equal", z)
 
-    x0 = next(g for g in GENS if not elements_equal(phi[g], psi[g]))
-    c_phi, p_phi = _cyclic_reduce(phi[x0])
-    c_psi, p_psi = _cyclic_reduce(psi[x0])
-    if len(c_phi) == len(c_psi):
-        for r in range(max(len(c_psi), 1)):
-            if c_psi[r:] + c_psi[:r] != c_phi:
-                continue
-            z0 = dehn_reduce(p_phi + inverse(c_psi[:r]) + inverse(p_psi))
-            for k in range(-2, 3):
-                z = dehn_reduce(z0 + (psi[x0] * abs(k) if k >= 0 else inverse(psi[x0]) * abs(k)))
-                if len(z) <= bound and _check_conjugator(z, phi, psi):
-                    return Verdict("equal", z)
-    return Verdict("inconclusive")
+def equal_up_to_inner(reg: Registry, u: Word, v: Word) -> Verdict:
+    """Do u and v induce the same outer automorphism, that is, are they the
+    same mapping class?  Equal, with the conjugator z of u = z v z^-1 on
+    every generator, exactly when the action of u v^-1 is inner."""
+    vinv = tuple(l.inverse() for l in reversed(v))
+    z = inner_conjugator(word_action(reg, u + vinv))
+    return Verdict("distinguished") if z is None else Verdict("equal", z)

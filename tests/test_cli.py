@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import re
 import subprocess
@@ -13,6 +14,8 @@ from g2mcg.cli import main
 from g2mcg.dsl import ParseError, parse_document
 from g2mcg.fixtures import FILES, load_corpus, read_text, script_text
 from g2mcg.registry import standard_registry
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 @pytest.fixture()
@@ -56,9 +59,6 @@ def test_verify_pi1_flag(tmp_path, capsys):
     assert "pi1" in capsys.readouterr().out
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "verify --pi1 checks each generator's image for conjugacy on its own, which is "
-    "weaker than one inner conjugator for all four; t_d^5 passes (ROADMAP defect)"))
 def test_verify_pi1_rejects_td5(tmp_path):
     p = tmp_path / "td5.mcg"
     p.write_text("(c1 c2)^30")  # t_d^5, nontrivial in Mod(S2)
@@ -67,13 +67,45 @@ def test_verify_pi1_rejects_td5(tmp_path):
 
 @pytest.mark.parametrize("text", ["(c1 c2)^30 (c2 c3)^6", "(c1 c2)^12 (c2 c3)^12"])
 def test_verify_pi1_refutes_torelli_products(tmp_path, capsys, text):
-    # t_d^5 t_d'' and t_d^2 t_d''^2, not relators: their cyclic-form
-    # closures stop at the cap, so verify answers in well under a second,
-    # and as the cap, not a decision, ended the check, it cannot say False
+    # t_d^5 t_d'' and t_d^2 t_d''^2, not relators: the action is decided not
+    # inner, where a capped closure of cyclic forms could only give up
     p = tmp_path / "torelli.mcg"
     p.write_text(text)
     assert main(["--pi1", "verify", str(p)]) == 1
-    assert "  pi1: acts by conjugation on generators: inconclusive" in capsys.readouterr().out
+    assert "  pi1: acts by conjugation on generators: False" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, status, verdict", [
+    ("relator r = (c1 c2 c3 c4 c5)^6", 0, "True"),
+    ("relator r = (c1 c2)^30", 1, "False"),
+    ("relator M = (B0 B1 B2 d)^2", 0, "skipped"),
+])
+def test_verify_pi1_records_carry_the_verdict(tmp_path, capsys, text, status, verdict):
+    p = tmp_path / "r.mcg"
+    p.write_text(text)
+    assert main(["--format", "records", "--pi1", "verify", str(p)]) == status
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.startswith("relator=")
+    assert out.rstrip("\n").endswith(f" pi1={verdict}")
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verify_pi1_agrees_with_every_bench_answer(tmp_path):
+    # the benchmark's pi1-verify inputs of one seed, each with the answer it
+    # checks; a wrong exit code there lowers the benchmark's agreed share
+    reg_path = tmp_path / "standard.reg"
+    reg_path.write_text(read_text("standard.reg"))
+    ops = load_workloads().build("pi1-verify", 1, tmp_path / "work", str(reg_path))
+    distinct = {tuple(op["argv"]): op for op in ops}
+    assert len(distinct) > 100
+    wrong = [op["id"] for argv, op in distinct.items() if main(list(argv)) != op["expect"]["exit"]]
+    assert wrong == []
 
 
 def test_verify_pi1_refutes_an_uncapped_torelli_product(tmp_path, capsys):

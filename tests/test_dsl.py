@@ -155,6 +155,17 @@ def test_script_errors():
         parse_document("script x\nstart: c1\nL @0 inst=L9 dir=down\nend", reg)
 
 
+@pytest.mark.parametrize("body, message", [
+    ("c1 zz^ c2", "bad character '^'"),
+    ("c1 c2^-1", "relator contains inverse letters"),
+])
+def test_relator_body_errors_name_their_line(body, message):
+    with pytest.raises(ParseError) as err:
+        parse_document(f"relator ok = c1\nrelator r = {body}\n", reg)
+    assert str(err.value).startswith(f"{message} at line 2")
+    assert err.value.line == 2
+
+
 def test_serialize_rejects_unknown():
     with pytest.raises(TypeError):
         serialize(42)

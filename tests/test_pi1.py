@@ -120,12 +120,12 @@ def test_equal_up_to_inner_distinguishes_conjugated_twist():
 
 
 def test_equal_up_to_inner_never_guesses():
-    # two separating twists along non-isotopic curves have equal (trivial)
-    # homology image; the oracle reports inconclusive rather than equal
+    # two separating twists with equal (trivial) homology image: t_d and
+    # t_c3(d), distinct since c3 meets d, so their actions differ by more than inner
     u = parse_word("(c1 c2)^6")
     v = parse_word("c3 (c1 c2)^6 c3^-1")
     verdict = pi1.equal_up_to_inner(reg, u, v)
-    assert verdict.status == "inconclusive"
+    assert verdict.status == "distinguished"
 
 
 def test_td5_is_not_equal_to_the_identity():
@@ -347,3 +347,49 @@ def test_conjugate_elements_is_inconclusive_only_past_the_cap():
     assert pi1.conjugate_elements(img, img) is True  # a shared form proves it, capped or not
     assert pi1.conjugate_elements("ab", "ba") is True
     assert pi1.conjugate_elements("ab", "a") is False
+
+
+# -- inner automorphisms -----------------------------------------------------------
+
+
+def _power_of_a(k):
+    return "a" * k if k >= 0 else "A" * -k
+
+
+def _inner(z):
+    return {g: pi1.dehn_reduce(z + g + pi1.inverse(z)) for g in pi1.GENS}
+
+
+# t_d t_d^-1 through the two chains d bounds: the identity mapping class,
+# acting as the inner automorphism of the relator's half abAB
+TD_OVER_TD = aut_of("(c1 c2)^6 (c5 c4)^-6")
+
+# Random conjugators with relator pieces and long powers of a spliced in:
+# the pieces make seams to rotate away, the powers the k to find.
+_conjugators = st.lists(
+    st.one_of(_pieces, st.integers(-40, 40).map(_power_of_a)), max_size=8
+).map(lambda parts: pi1.dehn_reduce("".join(parts)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_conjugators, st.booleans(), st.sampled_from(BASE), st.booleans())
+def test_inner_conjugator_finds_every_conjugator(z, composed, twist, left):
+    phi, expected = _inner(z), z
+    if composed:
+        phi, expected = pi1.compose(phi, TD_OVER_TD), z + "abAB"
+    found = pi1.inner_conjugator(phi)
+    assert found is not None and pi1.elements_equal(found, expected)
+    # one twist more is a nontrivial mapping class: never inner
+    table = pi1.TWIST_TABLE_INV if left else pi1.TWIST_TABLE
+    assert pi1.inner_conjugator(pi1.compose(_inner(z), table[twist])) is None
+
+
+@pytest.mark.parametrize("k", [1, -1, 2, -2, 5])
+def test_powers_of_a_separating_twist_are_not_inner(k):
+    # t_d^k = (c1 c2)^(6k) is trivial in homology, not in Mod(S2)
+    assert pi1.inner_conjugator(aut_of(f"(c1 c2)^{6 * k}")) is None
+
+
+def test_two_chains_give_the_same_separating_twist():
+    verdict = pi1.equal_up_to_inner(reg, parse_word("(c1 c2)^6"), parse_word("(c4 c5)^6"))
+    assert verdict.equal and pi1.elements_equal(verdict.conjugator, "abAB")
