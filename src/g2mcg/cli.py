@@ -62,8 +62,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     status = 0
     for name, rel in relators.items():
         identity = reg.image(rel.word) == hom.IDENTITY
-        ab = reg.ab_class(rel)
         sig = fiber_signature(reg, rel)
+        ab = sig.mod_ten
         ok = identity and ab == 0
         if args.pi1:
             try:
@@ -144,7 +144,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_registry_check(args: argparse.Namespace) -> int:
     reg = _load_registry(args.registry)
     report = reg.validate()
-    _emit(report.render(), args.out)
+    _emit(report.render() if args.format == "text" else report.records(), args.out)
     return 0 if report.ok else 1
 
 

@@ -84,11 +84,14 @@ def _ascii(text: str) -> str:
     return text
 
 
-def parse_word(text: str, registry: Optional[Registry] = None, line: int = 0) -> Word:
+def parse_word(text: str, registry: Optional[Registry] = None, line: int = 0, col: int = 0) -> Word:
+    """Parse one word.  ``col`` is the offset of ``text`` in its line, so a bad
+    character's column counts from the start of the line; inside the word a
+    Unicode name counts as its padded ASCII form (δ as " d ")."""
     text = _ascii(text)
     end = _TOKENS_RE.match(text).end()
     if text[end:].strip():
-        raise ParseError(f"bad character {text[end:].strip()[0]!r}", line, end + 1)
+        raise ParseError(f"bad character {text[end:].strip()[0]!r}", line, col + end + 1)
     tokens = _TOKEN_RE.findall(text, 0, end)
     tokens.append("")  # end of word: no closer, name or exponent matches it
 
@@ -153,9 +156,9 @@ def _check_curves(w: Word, registry: Registry, line: int) -> None:
 
 
 def parse_relator(
-    text: str, registry: Optional[Registry] = None, label: str = "", line: int = 0
+    text: str, registry: Optional[Registry] = None, label: str = "", line: int = 0, col: int = 0
 ) -> PositiveRelator:
-    w = parse_word(text, registry, line)
+    w = parse_word(text, registry, line, col)
     if any(l.exp != 1 for l in w):
         raise ParseError("relator contains inverse letters", line)
     return PositiveRelator(w, label)
@@ -242,9 +245,9 @@ _START_REF_RE = re.compile(r"^start\s+([\w()+-]+)$")
 _SLOT_PATTERNS = {Word: ".+", Nat: r"\d+", int: r"-?\d+", str: r"\w+"}
 
 
-def _slot_value(kind, text: str, registry: Optional[Registry], lineno: int):
+def _slot_value(kind, text: str, registry: Optional[Registry], lineno: int, col: int):
     if kind == Word:
-        return parse_word(text, registry, lineno)
+        return parse_word(text, registry, lineno, col)
     return int(text) if kind in (int, Nat) else text
 
 
@@ -272,7 +275,7 @@ def _compile_move(cls: type) -> tuple[type, dict, re.Pattern]:
 _MOVE_SYNTAX = [_compile_move(cls) for cls in MOVES]
 
 
-def _parse_move(line: str, lineno: int, registry: Optional[Registry]) -> Optional[Move]:
+def _parse_move(line: str, lineno: int, registry: Optional[Registry], indent: int) -> Optional[Move]:
     for cls, kinds, pattern in _MOVE_SYNTAX:
         m = pattern.fullmatch(line)
         if m is None:
@@ -280,7 +283,7 @@ def _parse_move(line: str, lineno: int, registry: Optional[Registry]) -> Optiona
         if cls is Lantern and registry is not None and m["inst"] not in registry.lanterns:
             raise ParseError(f"unknown lantern instance {m['inst']!r}", lineno)
         return cls(**{
-            name: _slot_value(kinds[name], text, registry, lineno)
+            name: _slot_value(kinds[name], text, registry, lineno, indent + m.start(name))
             for name, text in m.groupdict().items()
             if text is not None
         })
@@ -298,6 +301,7 @@ def parse_document(text: str, registry: Optional[Registry] = None) -> Document:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        indent = len(raw) - len(raw.lstrip())  # word offsets count from the raw line
 
         if script_name is None:
             if line.startswith("relator "):
@@ -305,7 +309,7 @@ def parse_document(text: str, registry: Optional[Registry] = None) -> Document:
                 if not m:
                     raise ParseError("bad relator definition", lineno)
                 name, body = m.groups()
-                rel = parse_relator(body, registry, label=name, line=lineno)
+                rel = parse_relator(body, registry, label=name, line=lineno, col=indent + m.start(2))
                 doc.relators[name] = rel
                 continue
             m = re.match(r"^script\s+([\w()+-]+)$", line)
@@ -335,16 +339,16 @@ def parse_document(text: str, registry: Optional[Registry] = None) -> Document:
         m = _START_RE.match(line)
         if m:
             start_label = m.group(1) or ""
-            start = parse_word(m.group(2), registry, lineno)
+            start = parse_word(m.group(2), registry, lineno, indent + m.start(2))
             continue
         m = _CHECK_RE.match(line)
         if m:
             kind, label, body = m.groups()
-            w = parse_word(body, registry, lineno)
+            w = parse_word(body, registry, lineno, indent + m.start(3))
             entry = Final(w, label or "") if kind == "final" else Checkpoint(w, label or "")
             entries.append(entry)
             continue
-        move = _parse_move(line, lineno, registry)
+        move = _parse_move(line, lineno, registry, indent)
         if move is not None:
             entries.append(move)
             continue

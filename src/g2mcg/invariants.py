@@ -53,6 +53,9 @@ class FiberSignature:
 
     @property
     def mod_ten(self) -> int:
+        """Image of a positive word with this signature in the abelianization
+        Z/10: nonseparating twists weigh 1, separating twists 2 (the chain
+        relation writes a separating twist as twelve chain twists)."""
         return (self.n + 2 * self.s) % 10
 
 

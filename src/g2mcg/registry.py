@@ -20,6 +20,10 @@ Y1 and Y2 are the images of B1 and B2 under the handle-swapping
 involution composed with c4^-1 c3^-1 c2^-1 c1^-1, re-verified against the
 conjugated relator.  Tests re-run all of these derivations.
 
+validate() evaluates each identity once: disjoint:ci,cj, central:0 and
+alias:chain also cover chain curves two or more apart commuting, tau
+commuting with c1..c5, and d = (c1 c2)^6.
+
 The standard atlas is data, kept in one place: the packaged text file
 corpus/standard.reg, in the format of Registry.serialize and
 Registry.parse.  standard_registry() parses that file; a --registry file
@@ -45,7 +49,6 @@ from .homology import Mat, Vec
 from .words import (
     Curve,
     Letter,
-    PositiveRelator,
     Word,
     concat,
     letter,
@@ -93,13 +96,6 @@ class LanternInstance:
 
 
 @dataclass(frozen=True)
-class MappingClassSymbol:
-    ident: str
-    matrix: Mat
-    expansion: Optional[Word] = None
-
-
-@dataclass(frozen=True)
 class AliasRelation:
     """Two words with equal homology image that may replace one another."""
 
@@ -133,6 +129,9 @@ class ValidationReport:
             suffix = f"  ({c.detail})" if c.detail and not c.ok else ""
             lines.append(f"[{mark}] {c.name}{suffix}")
         return "\n".join(lines)
+
+    def records(self) -> str:
+        return "\n".join(f"check={c.name} ok={c.ok}" for c in self.checks)
 
 
 BASE_NAMES = ("c1", "c2", "c3", "c4", "c5")
@@ -214,22 +213,6 @@ class Registry:
             out.append(AliasRelation("matconj", mat, conj))
         return out
 
-    @functools.cached_property
-    def symbols(self) -> dict[str, MappingClassSymbol]:
-        """The named mapping classes; built on first use, as only validate reads them."""
-        if not all(n in self.curves for n in BASE_NAMES):
-            return {}
-        phi_word = tuple(letter(n, -1) for n in ("c4", "c3", "c2", "c1"))
-        phi = self.image(phi_word)
-        lam = hom.mat_mul(_IOTA, phi)
-        tau = _tau_word()
-        return {
-            "iota": MappingClassSymbol("iota", _IOTA),
-            "phi": MappingClassSymbol("phi", phi, phi_word),
-            "lambda": MappingClassSymbol("lambda", lam),
-            "tau": MappingClassSymbol("tau", self.image(tau), tau),
-        }
-
     def replace(
         self, name: Optional[str] = None, *, drop_lantern: Optional[str] = None, **fields
     ) -> "Registry":
@@ -278,18 +261,6 @@ class Registry:
         for l in w:
             m = hom.mat_mul(m, self.letter_matrix(l))
         return m
-
-    def ab_class(self, w: Word | PositiveRelator) -> int:
-        """Image in the abelianization Z/10: nonseparating letters weigh 1,
-        separating letters weigh 2 (the chain relation writes a separating
-        twist as twelve chain twists, and 12 = 2 mod 10)."""
-        if isinstance(w, PositiveRelator):
-            w = w.word
-        total = 0
-        for l in w:
-            weight = 2 if self.separating(l.curve) else 1
-            total += weight * l.exp
-        return total % 10
 
     def braid_adjacent(self, a: str, b: str) -> bool:
         return frozenset((a, b)) in self.braid_pairs
@@ -436,6 +407,10 @@ class Registry:
     # -- validation -------------------------------------------------------------
 
     def validate(self) -> ValidationReport:
+        """Check the atlas in Sp(4,Z), each identity once: disjoint:ci,cj covers
+        chain curves two or more apart commuting, central:0 tau commuting with
+        c1..c5, and alias:chain d = (c1 c2)^6.  Images are products of
+        transvections, so always symplectic, and no check asks for that."""
         checks: list[CheckResult] = []
 
         def add(name: str, ok: bool, detail: str = "") -> None:
@@ -464,10 +439,6 @@ class Registry:
 
         if all(n in self.curves for n in BASE_NAMES):
             t = {n: self.image((letter(n),)) for n in BASE_NAMES}
-            for i in range(1, 6):
-                for j in range(i + 2, 6):
-                    a, b = t[f"c{i}"], t[f"c{j}"]
-                    add(f"eq01:c{i},c{j}", hom.mat_mul(a, b) == hom.mat_mul(b, a))
             for i in range(1, 5):
                 a, b = t[f"c{i}"], t[f"c{i+1}"]
                 add(
@@ -479,15 +450,6 @@ class Registry:
             add("eq03:tau=-I", tau == hom.mat_neg(hom.IDENTITY))
             chain5 = tuple(letter(n) for n in BASE_NAMES)
             add("eq04:(c1..c5)^6", self.image(power(chain5, 6)) == hom.IDENTITY)
-            for i in range(1, 6):
-                m = t[f"c{i}"]
-                add(f"eq05:tau,c{i}", hom.mat_mul(tau, m) == hom.mat_mul(m, tau))
-            if "d" in self.curves:
-                add(
-                    "chain:d=(c1c2)^6",
-                    self.image(power((letter("c1"), letter("c2")), 6))
-                    == self.image((letter("d"),)),
-                )
 
         for inst in self.lanterns.values():
             add(
@@ -513,21 +475,12 @@ class Registry:
             )
             add("relator:matsumoto-conj", self.image(conj) == hom.IDENTITY)
 
-        if "lambda" in self.symbols and "B0" in self.curves:
-            lam = self.symbols["lambda"].matrix
-            img = hom.mat_vec(lam, self.data("B0").homology)
+        if all(n in self.curves for n in (*BASE_NAMES, "B0")):
+            # lambda = iota . phi, phi the image of c4^-1 c3^-1 c2^-1 c1^-1
+            phi = self.image(tuple(letter(n, -1) for n in ("c4", "c3", "c2", "c1")))
+            img = hom.mat_vec(hom.mat_mul(_IOTA, phi), self.data("B0").homology)
             c1v = self.data("c1").homology
-            add(
-                "symbol:lambda(B0)=c1",
-                img == c1v or img == tuple(-x for x in c1v),
-            )
-        for sym in self.symbols.values():
-            if sym.expansion is not None:
-                add(
-                    f"symbol:{sym.ident}:expansion",
-                    self.image(sym.expansion) == sym.matrix,
-                )
-            add(f"symbol:{sym.ident}:symplectic", hom.is_symplectic(sym.matrix))
+            add("symbol:lambda(B0)=c1", img == c1v or img == tuple(-x for x in c1v))
 
         for pair in sorted(self.disjoint_pairs, key=sorted):
             a, b = sorted(pair)

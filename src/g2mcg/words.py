@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional
 
 
 class NotConjugateForm(ValueError):
@@ -132,11 +131,10 @@ def expand_letter(l: Letter) -> Word:
     return concat(u, (Letter(Curve(l.curve.name), l.exp),), invert(u))
 
 
-def contract_subword(w: Word, lo: int, hi: int, expect: Optional[Curve] = None) -> Word:
+def contract_subword(w: Word, lo: int, hi: int) -> Word:
     """Replace the span w[lo:hi], which must read u . t_a^e . u^-1, by t_{u(a)}^e.
 
-    The span length must be odd; with ``expect`` given, the contracted curve
-    must additionally equal it structurally (after flattening).
+    The span length must be odd.
     """
     span = w[lo:hi]
     if not 0 <= lo < hi <= len(w) or len(span) % 2 == 0:
@@ -149,8 +147,6 @@ def contract_subword(w: Word, lo: int, hi: int, expect: Optional[Curve] = None) 
         )
     # Flatten u(v(a)) to (u.v)(a) so the inner curve stays plain.
     new = Letter(make_curve(mid.curve.name, concat(u, mid.curve.conj)), mid.exp)
-    if expect is not None and new.curve != expect:
-        raise SpanNotConjugatePattern(f"span contracts to {new.curve!r}, not {expect!r}")
     return w[:lo] + (new,) + w[hi:]
 
 

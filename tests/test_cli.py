@@ -257,6 +257,29 @@ def test_registry_check_corrupted(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_registry_check_records(tmp_path, capsys):
+    assert main(["--format", "records", "registry-check"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 72
+    assert all(re.fullmatch(r"check=\S+ ok=True", l) for l in lines)
+    p = tmp_path / "bad.reg"
+    p.write_text(read_text("standard.reg").replace("d sep h=(0,0,0,0)", "d nonsep h=(0,0,0,0)"))
+    assert main(["--registry", str(p), "--format", "records", "registry-check"]) == 1
+    assert "check=flag:d ok=False" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{x0}"],
+    ["replay", "--builtin", "z-family"],
+    ["decompose", "18", "6"],
+    ["registry-check"],
+])
+def test_every_subcommand_honours_the_records_format(x0_file, capsys, argv):
+    main(["--format", "records", *(a.format(x0=x0_file) for a in argv)])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(re.match(r"^\w+=", l) for l in lines), lines
+
+
 def test_registry_check_missing_lantern(tmp_path):
     reg = standard_registry()
     lines = [
@@ -358,6 +381,16 @@ def test_replay_reports_a_move_that_breaks_the_image(broken_replay, capsys):
     argv, failed_step = broken_replay
     assert main(argv) == 1
     assert failed_step in capsys.readouterr().out
+
+
+def test_commute_of_declared_disjoint_curves_with_meeting_classes_fails(tmp_path, capsys):
+    # c1 and c3 are declared disjoint, but this class of c3 meets c1's
+    reg = tmp_path / "broken.reg"
+    reg.write_text(read_text("standard.reg").replace("c3 nonsep h=(-1,0,1,0)", "c3 nonsep h=(0,1,1,0)"))
+    script = tmp_path / "swap.mcg"
+    script.write_text("script swap\nstart: c1 c3\n~ commute @0\nend\n")
+    assert main(["--registry", str(reg), "replay", str(script)]) == 1
+    assert "[FAIL]   1 ~ commute @0  move broke the homology image" in capsys.readouterr().out
 
 
 def test_image_check_holds_under_python_O(broken_replay):

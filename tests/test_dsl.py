@@ -166,6 +166,17 @@ def test_relator_body_errors_name_their_line(body, message):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("text, where", [
+    ("relator ok = c1\nrelator r = c1 zz^ c2\n", (2, 18)),
+    ("script s\nstart: c1\n  checkpoint: c1 zz^\nend\n", (3, 20)),
+])
+def test_a_bad_character_gives_its_column_in_the_raw_line(text, where):
+    with pytest.raises(ParseError) as err:
+        parse_document(text, reg)
+    assert (err.value.line, err.value.col) == where
+    assert str(err.value) == f"bad character '^' at line {where[0]}, col {where[1]}"
+
+
 def test_serialize_rejects_unknown():
     with pytest.raises(TypeError):
         serialize(42)

@@ -1,4 +1,7 @@
+import re
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from g2mcg import homology as hom
 from g2mcg.dsl import ParseError, parse_word
@@ -236,3 +239,42 @@ def test_derived_registries_do_not_share_the_canonical_curve_cache():
         parent.replace(drop_lantern="L3"),
     ):
         assert child._canonical_curve_cache == {}
+
+
+def test_standard_report_evaluates_each_identity_once():
+    names = [c.name for c in reg.validate().checks]
+    assert len(names) == len(set(names)) == 72
+    assert "symbol:lambda(B0)=c1" in names
+    assert not [
+        n for n in names
+        if n.startswith(("eq01:", "eq05:", "chain:"))
+        or re.fullmatch(r"symbol:\w+:(symplectic|expansion)", n)
+    ]
+
+
+def _commute(a, b):
+    return hom.mat_mul(a, b) == hom.mat_mul(b, a)
+
+
+@given(
+    st.sampled_from(sorted(reg.curves)),
+    st.one_of(st.none(), st.tuples(*[st.integers(-2, 2)] * 4)),
+)
+@example("c3", (0, 1, 1, 0))  # meets c1 and c5, and tau is no longer -I
+@example("d", (1, 0, 0, 0))  # d no longer equals (c1 c2)^6
+def test_identities_checked_once_still_fail_through_their_twin(name, cls):
+    # no cls flips the curve's separating flag; else cls becomes its class
+    fields = {"separating": not reg.data(name).separating} if cls is None else {"homology": cls}
+    bad = reg.replace(name, **fields)
+    report = bad.validate()
+    failed = {c.name for c in report.failures()}
+    t = {i: bad.image((letter(f"c{i}"),)) for i in range(1, 6)}
+    tau = bad.image(parse_word("c1 c2 c3 c4 c5^2 c4 c3 c2 c1"))
+    for i in range(1, 6):
+        for j in range(i + 2, 6):
+            if not _commute(t[i], t[j]):
+                assert not report.ok and f"disjoint:c{i},c{j}" in failed
+        if not _commute(tau, t[i]):
+            assert not report.ok and "central:0" in failed
+    if bad.image(parse_word("d")) != bad.image(parse_word("(c1 c2)^6")):
+        assert not report.ok and "alias:chain" in failed
