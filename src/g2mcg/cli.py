@@ -117,19 +117,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
     chunks = []
     for name, script in scripts.items():
         report = replay(reg, script)
-        chunks.append(report.render() if args.format == "text" else _report_records(report))
+        chunks.append(report.render() if args.format == "text" else report.records())
         if not report.ok:
             status = 1
     _emit("\n".join(chunks), args.out)
     return status
-
-
-def _report_records(report) -> str:
-    lines = [f"script={report.script} ok={report.ok}"]
-    for s in report.steps:
-        sig = f" n={s.signature[0]} s={s.signature[1]}" if s.signature else ""
-        lines.append(f"step={s.index} ok={s.ok} move={s.text!r}{sig}")
-    return "\n".join(lines)
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:

@@ -60,39 +60,26 @@ class ParseError(ValueError):
         self.col = col
 
 
-_UNICODE_MAP = {
-    "δ": " d ",          # delta
-    "k̄": " kb ",        # k with combining macron
-    "h̄": " hb ",
-    "k¯": " kb ",
-    "h¯": " hb ",
-    "·": " ",            # middle dot separator
-    "⋅": " ",
-    ".": " ",
-}
-
-_TOKEN = r"[A-Za-z][A-Za-z0-9]*|\^-?\d+|[\[\]()]"
-_TOKEN_RE = re.compile(rf"\s*({_TOKEN})")
-_TOKENS_RE = re.compile(rf"(?:\s*(?:{_TOKEN}))*")
+_UNICODE_NAMES = {"δ": "d", "k\u0304": "kb", "h\u0304": "hb", "k\u00af": "kb", "h\u00af": "hb"}
+_BLANK = r"\s.\u00b7\u22c5"  # whitespace, '.' and the middle dots separate letters
+# a name ends before a k or h that carries a macron (k̄ and k¯ spell kb)
+_TOKEN = r"δ|[kh][\u0304\u00af]|[A-Za-z](?:(?![kh][\u0304\u00af])[A-Za-z0-9])*|\^-?\d+|[\[\]()]"
+# one findall tokenizes a word; at a bad character it yields an empty token
+_TOKEN_RE = re.compile(rf"[{_BLANK}]*({_TOKEN}|(?=[^{_BLANK}]))")
+_GOOD_PREFIX_RE = re.compile(rf"(?:[{_BLANK}]*(?:{_TOKEN}))*[{_BLANK}]*")
 _CLOSER = {"[": "]", "(": ")"}
 MAX_LETTERS = 100_000  # per word or conjugator, checked before each power expands
 
 
-def _ascii(text: str) -> str:
-    for k, v in _UNICODE_MAP.items():
-        text = text.replace(k, v)
-    return text
-
-
 def parse_word(text: str, registry: Optional[Registry] = None, line: int = 0, col: int = 0) -> Word:
     """Parse one word.  ``col`` is the offset of ``text`` in its line, so a bad
-    character's column counts from the start of the line; inside the word a
-    Unicode name counts as its padded ASCII form (δ as " d ")."""
-    text = _ascii(text)
-    end = _TOKENS_RE.match(text).end()
-    if text[end:].strip():
-        raise ParseError(f"bad character {text[end:].strip()[0]!r}", line, col + end + 1)
-    tokens = _TOKEN_RE.findall(text, 0, end)
+    character's column counts from the start of the line."""
+    tokens = _TOKEN_RE.findall(text)
+    if "" in tokens:
+        bad = _GOOD_PREFIX_RE.match(text).end()
+        raise ParseError(f"bad character {text[bad]!r}", line, col + bad + 1)
+    if not text.isascii():
+        tokens = [_UNICODE_NAMES.get(t, t) for t in tokens]
     tokens.append("")  # end of word: no closer, name or exponent matches it
 
     def expect(i: int, expected: str) -> str:

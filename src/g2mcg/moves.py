@@ -452,6 +452,13 @@ class ReplayReport:
             lines.append(f"  first failure: {self.failure}")
         return "\n".join(lines)
 
+    def records(self) -> str:
+        lines = [f"script={self.script} ok={self.ok}"]
+        for s in self.steps:
+            sig = f" n={s.signature[0]} s={s.signature[1]}" if s.signature else ""
+            lines.append(f"step={s.index} ok={s.ok} move={s.text!r}{sig}")
+        return "\n".join(lines)
+
 
 def _tally(reg: Registry, w: Word) -> tuple[int, int]:
     """(inverse letters, separating letters) of w: a word with no inverse

@@ -34,6 +34,11 @@ consults: geometric disjointness (commute legality), braid-adjacent
 pairs, central words, and alias relations.  Disjointness is conservative:
 a pair absent from the table never commutes, even if the homology images
 do.
+
+canonical_curve gives a conjugate curve w(a) its normal form, in which
+moves compare words: w flattened to plain letters and reduced as a trace
+over the disjointness table, the idle letters at its right end (missing a
+and every letter kept after them) dropped, written lexicographically least.
 """
 
 from __future__ import annotations
@@ -136,12 +141,16 @@ class ValidationReport:
 
 BASE_NAMES = ("c1", "c2", "c3", "c4", "c5")
 
+
+def _word(names: str) -> Word:
+    return tuple(letter(n) for n in names.split())
+
+
 # tau = t1 t2 t3 t4 t5^2 t4 t3 t2 t1, the hyperelliptic involution word.
-TAU_NAMES = ("c1", "c2", "c3", "c4", "c5", "c5", "c4", "c3", "c2", "c1")
-
-
-def _tau_word() -> Word:
-    return tuple(letter(n) for n in TAU_NAMES)
+TAU: Word = _word("c1 c2 c3 c4 c5 c5 c4 c3 c2 c1")
+# The Matsumoto relator (B0 B1 B2 d)^2 and its conjugated form c1^2 (Y1 Y2 Yc)^2.
+MATSUMOTO: Word = power(_word("B0 B1 B2 d"), 2)
+MATSUMOTO_CONJ: Word = concat(_word("c1 c1"), power(_word("Y1 Y2 Yc"), 2))
 
 
 def _std_disjoint(lanterns: Iterable[LanternInstance]) -> set[frozenset[str]]:
@@ -187,30 +196,22 @@ class Registry:
         # (replace() builds a new registry with empty caches).
         self._letter_matrix_cache: dict[Letter, Mat] = {}
         self._canonical_curve_cache: dict[Curve, Curve] = {}
-        self.central_words: tuple[Word, ...] = (_tau_word(),)
+        # declare a central word or an alias only when the registry has every curve it names
+        self.central_words: tuple[Word, ...] = tuple(w for w in (TAU,) if self._names_known(w))
         self.aliases: dict[str, AliasRelation] = {
-            a.ident: a for a in self._std_aliases()
+            a.ident: a for a in self._std_aliases() if self._names_known(a.lhs + a.rhs)
         }
 
     # -- construction helpers ------------------------------------------------
 
+    def _names_known(self, w: Word) -> bool:
+        return all(l.curve.name in self.curves for l in self._flat_conjugator(w))
+
     def _std_aliases(self) -> list[AliasRelation]:
-        out = []
-        if "d" in self.curves:
-            out.append(
-                AliasRelation("chain", (letter("d"),), power(tuple(letter(n) for n in ("c1", "c2")), 6))
-            )
+        out = [AliasRelation("chain", _word("d"), power(_word("c1 c2"), 6))]
         if "B2" in self.curves and self.curves["B2"].defn is not None:
-            out.append(
-                AliasRelation("B2def", (letter("B2"),), (Letter(self.curves["B2"].defn),))
-            )
-        if all(n in self.curves for n in ("B0", "B1", "B2", "Y1", "Y2", "Yc")):
-            mat = power(tuple(letter(n) for n in ("B0", "B1", "B2", "d")), 2)
-            conj = concat(
-                (letter("c1"), letter("c1")),
-                power(tuple(letter(n) for n in ("Y1", "Y2", "Yc")), 2),
-            )
-            out.append(AliasRelation("matconj", mat, conj))
+            out.append(AliasRelation("B2def", _word("B2"), (Letter(self.curves["B2"].defn),)))
+        out.append(AliasRelation("matconj", MATSUMOTO, MATSUMOTO_CONJ))
         return out
 
     def replace(
@@ -270,26 +271,22 @@ class Registry:
     def _names_disjoint(self, a: str, b: str) -> bool:
         return frozenset((a, b)) in self.disjoint_pairs
 
-    def _support(self, curve: Curve) -> set[str]:
-        names = {curve.name}
-        for l in curve.conj:
-            names |= self._support(l.curve)
-        return names
-
     def disjoint(self, a: Curve, b: Curve) -> bool:
         """Conservative geometric disjointness.
 
         Equal conjugators peel off (a homeomorphism preserves disjointness);
         otherwise every curve supporting one side must be disjoint from every
-        curve supporting the other.
+        curve supporting the other.  A canonical conjugator is over plain
+        curves, so a curve's support is its name and its conjugator's names.
         """
         a, b = self.canonical_curve(a), self.canonical_curve(b)
         if a.conj and a.conj == b.conj:
             return self._names_disjoint(a.name, b.name)
+        support_b = {b.name, *(l.curve.name for l in b.conj)}
         return all(
             self._names_disjoint(x, y)
-            for x in self._support(a)
-            for y in self._support(b)
+            for x in {a.name, *(l.curve.name for l in a.conj)}
+            for y in support_b
         )
 
     def _flat_conjugator(self, w: Word) -> list[Letter]:
@@ -304,37 +301,6 @@ class Registry:
             else:
                 out.append(l)
         return out
-
-    def _trace_reduce(self, letters: list[Letter]) -> list[Letter]:
-        # Cancel inverse pairs separated only by letters disjoint from them,
-        # the first pair (by i, then j) at a time.
-        disjoint = self._names_disjoint
-        while True:
-            pair = next(
-                ((i, j) for i, a in enumerate(letters) for j in range(i + 1, len(letters))
-                 if letters[j].curve == a.curve and letters[j].exp == -a.exp
-                 and all(disjoint(a.curve.name, m.curve.name) for m in letters[i + 1 : j])),
-                None,
-            )
-            if pair is None:
-                return letters
-            del letters[pair[1]], letters[pair[0]]
-
-    def _strip_idle(self, letters: list[Letter], inner: str) -> list[Letter]:
-        # Drop any conjugator letter that commutes past everything to its
-        # right and fixes the inner curve, the rightmost first: it contributes
-        # nothing.
-        disjoint = self._names_disjoint
-        while True:
-            i = next(
-                (i for i in range(len(letters) - 1, -1, -1)
-                 if disjoint(letters[i].curve.name, inner)
-                 and all(disjoint(letters[i].curve.name, m.curve.name) for m in letters[i + 1 :])),
-                None,
-            )
-            if i is None:
-                return letters
-            del letters[i]
 
     def _lex_normal(self, letters: list[Letter]) -> list[Letter]:
         # Lexicographically least representative of the trace class: greedily
@@ -351,18 +317,31 @@ class Registry:
         return out
 
     def canonical_curve(self, curve: Curve) -> Curve:
+        """w(a) with w reduced as a trace, its idle right-end letters dropped and
+        written lexicographically least; one pass of each step suffices, as a
+        reduced trace is unique and dropping a last letter leaves it reduced."""
         if not curve.conj:
             return curve
         cached = self._canonical_curve_cache.get(curve)
         if cached is not None:
             return cached
-        letters = self._flat_conjugator(curve.conj)
-        n = None
-        while n != len(letters):
-            n = len(letters)
-            letters = self._trace_reduce(letters)
-            letters = self._strip_idle(letters, curve.name)
-        letters = self._lex_normal(letters)
+        disjoint = self._names_disjoint
+        reduced: list[Letter] = []
+        for l in self._flat_conjugator(curve.conj):
+            # the first letter l cannot commute back past cancels l if it is l's inverse
+            i = len(reduced) - 1
+            while i >= 0 and disjoint(l.curve.name, reduced[i].curve.name):
+                i -= 1
+            if i >= 0 and reduced[i].curve.name == l.curve.name and reduced[i].exp == -l.exp:
+                del reduced[i]
+            else:
+                reduced.append(l)
+        kept: list[Letter] = []
+        for l in reversed(reduced):
+            if not (disjoint(l.curve.name, curve.name)
+                    and all(disjoint(l.curve.name, m.curve.name) for m in kept)):
+                kept.append(l)
+        letters = self._lex_normal(kept[::-1])
         # a normal form maps to itself, so canonical_letter reuses the letters on it
         canonical = Curve(curve.name, tuple(letters))
         canonical = self._canonical_curve_cache.setdefault(canonical, canonical)
@@ -445,7 +424,7 @@ class Registry:
                     f"eq02:c{i},c{i+1}",
                     hom.mat_mul(hom.mat_mul(a, b), a) == hom.mat_mul(hom.mat_mul(b, a), b),
                 )
-            tau = self.image(_tau_word())
+            tau = self.image(TAU)
             add("eq03:tau^2", hom.mat_mul(tau, tau) == hom.IDENTITY)
             add("eq03:tau=-I", tau == hom.mat_neg(hom.IDENTITY))
             chain5 = tuple(letter(n) for n in BASE_NAMES)
@@ -466,14 +445,9 @@ class Registry:
             )
 
         if all(n in self.curves for n in ("B0", "B1", "B2", "d")):
-            mat = power(tuple(letter(n) for n in ("B0", "B1", "B2", "d")), 2)
-            add("relator:matsumoto", self.image(mat) == hom.IDENTITY)
+            add("relator:matsumoto", self.image(MATSUMOTO) == hom.IDENTITY)
         if all(n in self.curves for n in ("Y1", "Y2", "Yc", "c1")):
-            conj = concat(
-                (letter("c1"), letter("c1")),
-                power(tuple(letter(n) for n in ("Y1", "Y2", "Yc")), 2),
-            )
-            add("relator:matsumoto-conj", self.image(conj) == hom.IDENTITY)
+            add("relator:matsumoto-conj", self.image(MATSUMOTO_CONJ) == hom.IDENTITY)
 
         if all(n in self.curves for n in (*BASE_NAMES, "B0")):
             # lambda = iota . phi, phi the image of c4^-1 c3^-1 c2^-1 c1^-1
@@ -551,10 +525,12 @@ class Registry:
                 vec = tuple(int(x) for x in h.split(","))
                 d = None
                 if defn:
-                    dm = re.match(r"^\[(.+)\]\((\w+)\)$", defn.strip())
+                    dm = re.match(r"^\s*\[(.+)\]\((\w+)\)$", defn)
                     if not dm:
                         raise ParseError(f"bad def expression {defn!r}", lineno)
-                    d = make_curve(dm.group(2), parse_word(dm.group(1), line=lineno))
+                    # parse_word counts columns from the start of the raw line
+                    col = len(raw) - len(raw.lstrip()) + m.start(4) + dm.start(1)
+                    d = make_curve(dm.group(2), parse_word(dm.group(1), line=lineno, col=col))
                 curves.append(CurveData(name, sep == "sep", vec, d))  # type: ignore[arg-type]
                 continue
             m = lant_re.match(line)

@@ -290,6 +290,23 @@ def test_registry_check_missing_lantern(tmp_path):
     assert main(["--registry", str(p), "registry-check"]) == 1
 
 
+@pytest.mark.parametrize("name", ["d", "c1", "c2"])
+def test_registry_check_runs_on_a_registry_without_a_curve_an_alias_names(tmp_path, capsys, name):
+    # the curve's line is gone and the lanterns name h in its place; the
+    # aliases and the central word that name it are left undeclared
+    lines = [
+        re.sub(rf"\b{name}\b", "h", l) if re.match(r"L\d:", l) else l
+        for l in read_text("standard.reg").splitlines()
+        if not l.startswith(f"{name} ")
+    ]
+    p = tmp_path / "partial.reg"
+    p.write_text("\n".join(lines))
+    assert main(["--registry", str(p), "registry-check"]) in (0, 1)
+    out = capsys.readouterr().out.splitlines()
+    assert out and all(re.match(r"\[(pass|FAIL)\] \S+", l) for l in out)
+    assert out[-1] == "[pass] coverage:lanterns"
+
+
 def test_out_flag(tmp_path, x0_file):
     dest = tmp_path / "report.txt"
     assert main(["--out", str(dest), "verify", x0_file]) == 0

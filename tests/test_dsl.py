@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from g2mcg.dsl import (
     Document,
     ParseError,
-    _ascii,
     parse_document,
     parse_relator,
     parse_word,
@@ -191,17 +190,35 @@ def test_document_relators_survive():
 # -- the recursive-descent word parser parse_word replaced, kept as a reference --
 
 _REF_TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9]*|\^-?\d+|[\[\]()])")
+_REF_UNICODE = {
+    "δ": " d ", "k\u0304": " kb ", "h\u0304": " hb ", "k\u00af": " kb ", "h\u00af": " hb ",
+    "\u00b7": " ", "\u22c5": " ", ".": " ",
+}
+
+
+def _ref_ascii(text: str) -> tuple[str, list[int]]:
+    """text with each Unicode name and separator padded in ASCII, and the
+    index in text of each character of the result."""
+    out, where, i = [], [], 0
+    while i < len(text):
+        key = next((k for k in _REF_UNICODE if text.startswith(k, i)), text[i])
+        out.append(_REF_UNICODE.get(key, key))
+        where += [i] * len(out[-1])
+        i += len(key)
+    return "".join(out), where
 
 
 def _ref_tokenize(text: str, line: int = 0) -> list[str]:
-    text = _ascii(text)
+    text, where = _ref_ascii(text)
     tokens = []
     pos = 0
     while pos < len(text):
         m = _REF_TOKEN_RE.match(text, pos)
         if not m:
-            if text[pos:].strip():
-                raise ParseError(f"bad character {text[pos:].strip()[0]!r}", line, pos + 1)
+            rest = text[pos:].strip()
+            if rest:
+                bad = len(text) - len(text[pos:].lstrip())
+                raise ParseError(f"bad character {rest[0]!r}", line, where[bad] + 1)
             break
         tokens.append(m.group(1))
         pos = m.end()
@@ -315,7 +332,7 @@ def test_parse_word_agrees_with_the_recursive_descent_parser(text, line):
     ("[c1](c2", "unexpected end of word"),
     ("[c1] c2", "expected '(', got 'c2'"),
     ("[c1](^2)", "expected curve name, got '^2'"),
-    ("c1 # c2", "bad character '#', col 3"),
+    ("c1 # c2", "bad character '#', col 4"),
 ])
 def test_parse_word_error_messages(text, message):
     with pytest.raises(ParseError) as err:

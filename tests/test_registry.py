@@ -1,10 +1,10 @@
 import re
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from g2mcg import homology as hom
-from g2mcg.dsl import ParseError, parse_word
+from g2mcg.dsl import ParseError, parse_document, parse_word
 from g2mcg.registry import (
     SEPARATING,
     NotATransvection,
@@ -12,7 +12,7 @@ from g2mcg.registry import (
     UnknownCurve,
     standard_registry,
 )
-from g2mcg.words import Curve, letter
+from g2mcg.words import Curve, Letter, letter
 
 reg = standard_registry()
 
@@ -137,6 +137,122 @@ def test_canonicalization_orders_commuting_conjugators():
     assert reg.canonical_letter(a) == reg.canonical_letter(b)
 
 
+# -- the fixed-point normal form canonical_curve replaced, kept as a reference --
+
+
+def _ref_flat(w):
+    out = []
+    for l in w:
+        if l.curve.is_conjugate:
+            u = _ref_flat(l.curve.conj)
+            out += u + [Letter(Curve(l.curve.name), l.exp)]
+            out += [Letter(m.curve, -m.exp) for m in reversed(u)]
+        else:
+            out.append(l)
+    return out
+
+
+def _ref_canonical_curve(registry, curve):
+    if not curve.conj:
+        return curve
+
+    def disjoint(a, b):
+        return frozenset((a, b)) in registry.disjoint_pairs
+
+    def trace_reduce(letters):
+        while True:
+            pair = next(
+                ((i, j) for i, a in enumerate(letters) for j in range(i + 1, len(letters))
+                 if letters[j].curve == a.curve and letters[j].exp == -a.exp
+                 and all(disjoint(a.curve.name, m.curve.name) for m in letters[i + 1 : j])),
+                None,
+            )
+            if pair is None:
+                return letters
+            del letters[pair[1]], letters[pair[0]]
+
+    def strip_idle(letters):
+        while True:
+            i = next(
+                (i for i in range(len(letters) - 1, -1, -1)
+                 if disjoint(letters[i].curve.name, curve.name)
+                 and all(disjoint(letters[i].curve.name, m.curve.name) for m in letters[i + 1 :])),
+                None,
+            )
+            if i is None:
+                return letters
+            del letters[i]
+
+    def lex_normal(remaining):
+        out = []
+        while remaining:
+            free = [
+                i for i, l in enumerate(remaining)
+                if all(disjoint(l.curve.name, m.curve.name) for m in remaining[:i])
+            ]
+            i = min(free, key=lambda i: (remaining[i].curve.name, remaining[i].exp))
+            out.append(remaining.pop(i))
+        return out
+
+    letters = _ref_flat(curve.conj)
+    n = None
+    while n != len(letters):
+        n = len(letters)
+        letters = strip_idle(trace_reduce(letters))
+    return Curve(curve.name, tuple(lex_normal(letters)))
+
+
+_NAMES = sorted(reg.curves)
+_PLAIN = [letter(n, e) for n in _NAMES for e in (1, -1)]
+
+
+def _conjugate_letters(inner):
+    return st.builds(
+        lambda name, conj, exp: letter(name, exp, conj=tuple(conj)),
+        st.sampled_from(_NAMES), st.lists(inner, max_size=3), st.sampled_from([1, -1]),
+    )
+
+
+_letters = st.sampled_from(_PLAIN)
+for _ in range(2):
+    _letters = st.one_of(st.sampled_from(_PLAIN), _conjugate_letters(_letters))
+
+
+@st.composite
+def _nested_conjugates(draw):
+    """A conjugate curve whose conjugator hides inserted x x^-1 pairs, swaps of
+    disjoint plain neighbours and idle letters at its right end."""
+    inner = draw(st.sampled_from(_NAMES))
+    conj = draw(st.lists(_letters, max_size=5))
+    rnd = draw(st.randoms(use_true_random=False))
+    for _ in range(rnd.randint(0, 3)):
+        x = rnd.choice(conj + _PLAIN)
+        i = rnd.randint(0, len(conj))
+        conj[i:i] = rnd.choice([[x, x.inverse()], [x.inverse(), x]])
+    for _ in range(rnd.randint(0, 4) if len(conj) > 1 else 0):
+        i = rnd.randrange(len(conj) - 1)
+        a, b = conj[i], conj[i + 1]
+        if not a.curve.conj and not b.curve.conj and reg.disjoint(a.curve, b.curve):
+            conj[i : i + 2] = [b, a]
+    idle = [l for l in _PLAIN if frozenset((l.curve.name, inner)) in reg.disjoint_pairs]
+    conj += [rnd.choice(idle) for _ in range(rnd.randint(0, 3) if idle else 0)]
+    return Curve(inner, tuple(conj))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_nested_conjugates())
+def test_canonical_curve_agrees_with_the_fixed_point_reference(c):
+    first = reg.canonical_curve(c)
+    assert first == _ref_canonical_curve(reg, c)
+    assert reg.canonical_curve(first) == first
+    assert Registry.parse(reg.serialize()).canonical_curve(c) == first
+
+
+def test_canonical_curve_agrees_with_the_reference_on_the_corpus():
+    for c in corpus_curves():
+        assert reg.canonical_curve(c) == _ref_canonical_curve(reg, c), c
+
+
 def test_serialization_roundtrip():
     text = reg.serialize()
     again = Registry.parse(text)
@@ -176,6 +292,27 @@ def test_replace_changes_one_curve_or_drops_one_lantern():
 def test_parse_rejects_malformed_lines(text):
     with pytest.raises(ParseError):
         Registry.parse(text)
+
+
+_BAD_B2 = "B2 nonsep h=(1,0,1,0) def=[c3^-1 @](x)"
+
+
+@pytest.mark.parametrize("slot, text, where", [
+    ("relator", "relator r = δ c1 zz^ c2\n", (1, 20)),
+    ("start", "script s\n  start: k\u0304 c1 @\nend\n", (2, 16)),
+    ("checkpoint", "script s\nstart: c1\ncheckpoint label=m: c1 . c2 ^\nend\n", (3, 29)),
+    ("final", "script s\nstart: c1\nfinal: h\u00af c1 @\nend\n", (3, 14)),
+    ("move", "script s\nstart: c1\nC by=c1 · @\nend\n", (3, 11)),
+    ("def", standard_registry().serialize().replace("B2 nonsep h=(1,0,1,0) def=[c3^-1](x)", _BAD_B2),
+     (15, 34)),
+], ids=["relator", "start", "checkpoint", "final", "move", "def"])
+def test_a_bad_character_gives_its_raw_column_in_every_word_slot(slot, text, where):
+    with pytest.raises(ParseError) as err:
+        Registry.parse(text) if slot == "def" else parse_document(text, reg)
+    line, col = where
+    assert (err.value.line, err.value.col) == where
+    bad = text.splitlines()[line - 1][col - 1]
+    assert str(err.value) == f"bad character {bad!r} at line {line}, col {col}"
 
 
 def test_lantern_rotations():
