@@ -17,9 +17,8 @@ from .decompose import (
     DecompositionReport,
     admissible_splits,
     classify,
-    report_corpus,
 )
-from .fixtures import Corpus, load_corpus
+from .fixtures import load_corpus
 from .invariants import (
     BlowdownDelta,
     FiberSignature,
@@ -29,7 +28,6 @@ from .invariants import (
     fiber_sum,
     homeo_label,
     invariants,
-    kodaira_label,
 )
 from .moves import (
     IllegalMove,
@@ -38,10 +36,9 @@ from .moves import (
     ReplayReport,
     apply_move,
     inverse_move,
-    match_lantern,
     replay,
 )
-from .dsl import ParseError, parse_document, parse_relator, parse_word, serialize
+from .dsl import Document, ParseError, parse_document, parse_relator, parse_word, serialize
 from .registry import (
     LanternInstance,
     Registry,

@@ -201,7 +201,3 @@ def admissible_splits(sig: FiberSignature) -> DecompositionReport:
         key=lambda c: (c.first.signature.s, c.first.signature.n)
     )
     return report
-
-
-def report_corpus(signatures: dict[str, FiberSignature]) -> dict[str, DecompositionReport]:
-    return {label: admissible_splits(sig) for label, sig in signatures.items()}

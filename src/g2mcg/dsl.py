@@ -222,6 +222,9 @@ class Document:
     relators: dict[str, PositiveRelator] = field(default_factory=dict)
     scripts: dict[str, MoveScript] = field(default_factory=dict)
 
+    def relator(self, label: str) -> PositiveRelator:
+        return self.relators[label]
+
 
 _CHECK_RE = re.compile(r"^(checkpoint|final)(?:\s+label=([\w()+-]+))?\s*:\s*(.+)$")
 _START_RE = re.compile(r"^start(?:\s+label=([\w()+-]+))?\s*:\s*(.+)$")

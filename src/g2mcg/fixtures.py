@@ -11,14 +11,11 @@ substitution X6 -> X7.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
 from .dsl import Document, ParseError, parse_document
-from .moves import MoveScript
 from .registry import Registry, standard_registry
-from .words import PositiveRelator
 
 FILES = (
     "relators.mcg",
@@ -28,14 +25,6 @@ FILES = (
     "x-family.mcg",
     "x-seven.mcg",
 )
-
-@dataclass
-class Corpus:
-    relators: dict[str, PositiveRelator] = field(default_factory=dict)
-    scripts: dict[str, MoveScript] = field(default_factory=dict)
-
-    def relator(self, label: str) -> PositiveRelator:
-        return self.relators[label]
 
 
 def read_text(name: str) -> str:
@@ -59,11 +48,12 @@ def script_text(script: str) -> Optional[str]:
     return texts[0] if texts else None
 
 
-def load_corpus(registry: Optional[Registry] = None) -> Corpus:
+def load_corpus(registry: Optional[Registry] = None) -> Document:
+    """Every relator and script of the corpus files, as one document."""
     reg = registry if registry is not None else standard_registry()
-    corpus = Corpus()
+    corpus = Document()
     for name in FILES:
-        doc: Document = parse_document(read_text(name), reg)
+        doc = parse_document(read_text(name), reg)
         for label, rel in doc.relators.items():
             existing = corpus.relators.get(label)
             if existing is not None and existing.word != rel.word:

@@ -121,8 +121,3 @@ def transvection_direction(m: Mat) -> Optional[Vec]:
     if transvection(v) == m or transvection(tuple(-y for y in v)) == m:  # type: ignore[arg-type]
         return v  # type: ignore[return-value]
     return None
-
-
-def mat_str(m: Mat) -> str:
-    width = max(len(str(x)) for row in m for x in row)
-    return "\n".join(" ".join(str(x).rjust(width) for x in row) for row in m)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .registry import Registry
-from .words import Letter, PositiveRelator, Word, make_curve
+from .words import PositiveRelator, Word, push
 
 
 class SignatureNotIntegral(ValueError):
@@ -29,10 +29,6 @@ class SignatureNotIntegral(ValueError):
 
 class NotOddForm(ValueError):
     """Homeomorphism labels need asserted simple connectivity and non-spin."""
-
-
-class InsufficientData(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -123,13 +119,7 @@ def fiber_sum(
     Signatures add, and e(sum) = e(1) + e(2) + 4 since the two discarded
     fiber neighborhoods each carried e = -2.
     """
-    if twist:
-        tail = tuple(
-            Letter(make_curve(l.curve.name, twist + l.curve.conj), l.exp)
-            for l in r2.word
-        )
-    else:
-        tail = r2.word
+    tail = tuple(push(l, twist) for l in r2.word) if twist else r2.word
     label = f"{r1.label}+{r2.label}" if r1.label and r2.label else ""
     return PositiveRelator(r1.word + tail, label)
 
@@ -161,27 +151,6 @@ def non_spin_from_signature(sig: FiberSignature) -> bool:
     return sig.s >= 1
 
 
-def kodaira_label(c1sq: int, minimal: bool, k_omega_sign: int) -> str:
-    """Symplectic Kodaira dimension from minimal-model data.
-
-    ``c1sq`` is c1^2 of the minimal model, ``k_omega_sign`` the sign of
-    K.omega; both come from the caller, they are not computable here.
-    """
-    if not minimal:
-        raise InsufficientData("Kodaira dimension needs the minimal model")
-    if c1sq < 0 or k_omega_sign < 0:
-        return "-inf"
-    if k_omega_sign == 0 and c1sq == 0:
-        return "0"
-    if k_omega_sign > 0 and c1sq == 0:
-        return "1"
-    if k_omega_sign > 0 and c1sq > 0:
-        return "2"
-    raise InsufficientData(
-        f"no Kodaira class for K.omega sign {k_omega_sign} with c1^2 = {c1sq}"
-    )
-
-
 # -- reports -------------------------------------------------------------------
 
 
@@ -192,18 +161,3 @@ def invariant_records(sig: FiberSignature, inv: InvariantSet) -> str:
         parts += [f"b2plus={inv.b2plus}", f"b2minus={inv.b2minus}"]
     return " ".join(parts)
 
-
-def invariant_table(rows: list[tuple[str, FiberSignature, InvariantSet]]) -> str:
-    header = ("name", "n", "s", "e", "sigma", "c1^2", "chi_h")
-    data = [header] + [
-        (name, str(sig.n), str(sig.s), str(inv.e), str(inv.sigma),
-         str(inv.c1sq), str(inv.chi_h))
-        for name, sig, inv in rows
-    ]
-    widths = [max(len(r[i]) for r in data) for i in range(len(header))]
-    lines = []
-    for i, row in enumerate(data):
-        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)

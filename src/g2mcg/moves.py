@@ -26,13 +26,13 @@ from .words import (
     Curve,
     Letter,
     Word,
-    concat,
+    conjugate,
     contract_subword,
     cyclic_shift,
     expand_letter,
-    free_reduce,
     invert,
     make_curve,
+    push,
     word_str,
 )
 
@@ -225,13 +225,7 @@ def _pair(move: Move, w: Word, pos: int) -> tuple[Letter, Letter]:
 
 
 def _conjugated_side(reg: Registry, side: Word, conj: Word) -> Word:
-    if not conj:
-        return reg.canonical_word(side)
-    wrapped = tuple(
-        Letter(make_curve(l.curve.name, concat(conj, l.curve.conj)), l.exp)
-        for l in side
-    )
-    return reg.canonical_word(wrapped)
+    return reg.canonical_word(tuple(push(l, conj) for l in side) if conj else side)
 
 
 def _match_rotation(
@@ -280,10 +274,8 @@ def _apply(reg: Registry, w: Word, move: Move) -> tuple[int, int, Word]:
         a, b = _pair(move, w, move.pos)
         _need(move, move.side in ("left", "right"), f"unknown side {move.side!r}")
         if move.side == "left":
-            new = Letter(make_curve(b.curve.name, concat((a,), b.curve.conj)), b.exp)
-            return move.pos, move.pos + 2, (new, a)
-        new = Letter(make_curve(a.curve.name, concat((b.inverse(),), a.curve.conj)), a.exp)
-        return move.pos, move.pos + 2, (b, new)
+            return move.pos, move.pos + 2, (push(b, (a,)), a)
+        return move.pos, move.pos + 2, (b, push(a, (b.inverse(),)))
 
     if isinstance(move, Braid):
         p, q = _pair(move, w, move.pos)
@@ -323,7 +315,7 @@ def _apply(reg: Registry, w: Word, move: Move) -> tuple[int, int, Word]:
 
     if isinstance(move, GlobalConjugate):
         _need(move, reg.image(w) == hom.IDENTITY, "global conjugation requires a relator")
-        return 0, len(w), free_reduce(concat(invert(move.by), w, move.by))
+        return 0, len(w), conjugate(w, invert(move.by))
 
     if isinstance(move, Expand):
         _need(move, 0 <= move.pos < len(w), f"no letter at {move.pos}")
@@ -393,31 +385,6 @@ def inverse_move(reg: Registry, w: Word, move: Move) -> Move:
     if isinstance(move, CentralSlide):
         return CentralSlide(move.dest, move.length, move.pos)
     raise TypeError(move)
-
-
-def match_lantern(reg: Registry, w: Word, inst_id: str) -> list[tuple[int, Word, str, int]]:
-    """All (pos, conjugator, side, rotation) where a side of the instance occurs.
-
-    Conjugated occurrences are found when the common conjugator survives on
-    the first letter of the block (conservative, like the rest of the engine).
-    """
-    inst = reg.lanterns[inst_id]
-    cw = reg.canonical_word(w)
-    hits: list[tuple[int, Word, str, int]] = []
-    for side_name in ("lhs", "rhs"):
-        sides = inst.rotations(side_name)
-        width = len(sides[0])
-        for pos in range(len(cw) - width + 1):
-            block = cw[pos : pos + width]
-            conjs = [(), cw[pos].curve.conj] if cw[pos].curve.conj else [()]
-            hit = next(
-                ((pos, conj, side_name, r) for conj in conjs for r, side in enumerate(sides)
-                 if block == _conjugated_side(reg, side, conj)),
-                None,
-            )
-            if hit:
-                hits.append(hit)
-    return hits
 
 
 # -- replay ---------------------------------------------------------------------

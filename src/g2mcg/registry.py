@@ -18,7 +18,12 @@ maps to the identity and the cycle span has rank 2, which pins
 (b1 + b2, a1 - b1 + a2 - b2) uniquely up to the handle-swap symmetry;
 Y1 and Y2 are the images of B1 and B2 under the handle-swapping
 involution composed with c4^-1 c3^-1 c2^-1 c1^-1, re-verified against the
-conjugated relator.  Tests re-run all of these derivations.
+conjugated relator.  Tests re-run lantern_solve for x and kb, and for
+L1's separating interior curve; they do not re-run the search for B0 and
+B1 or the derivation of Y1 and Y2.  What certifies those classes is
+validate(): relator:matsumoto and relator:matsumoto-conj check that both
+Matsumoto words map to the identity, and symbol:lambda(B0)=c1 checks the
+involution against B0.
 
 validate() evaluates each identity once: disjoint:ci,cj, central:0 and
 alias:chain also cover chain curves two or more apart commuting, tau
@@ -197,15 +202,19 @@ class Registry:
         self._letter_matrix_cache: dict[Letter, Mat] = {}
         self._canonical_curve_cache: dict[Curve, Curve] = {}
         # declare a central word or an alias only when the registry has every curve it names
-        self.central_words: tuple[Word, ...] = tuple(w for w in (TAU,) if self._names_known(w))
+        self.central_words: tuple[Word, ...] = tuple(w for w in (TAU,) if not self._unknown_name(w))
         self.aliases: dict[str, AliasRelation] = {
-            a.ident: a for a in self._std_aliases() if self._names_known(a.lhs + a.rhs)
+            a.ident: a for a in self._std_aliases() if not self._unknown_name(a.lhs + a.rhs)
         }
 
     # -- construction helpers ------------------------------------------------
 
-    def _names_known(self, w: Word) -> bool:
-        return all(l.curve.name in self.curves for l in self._flat_conjugator(w))
+    def _unknown_name(self, w: Word) -> Optional[str]:
+        """The first curve w names, in its conjugators too, that the registry lacks."""
+        return next(
+            (l.curve.name for l in self._flat_conjugator(w) if l.curve.name not in self.curves),
+            None,
+        )
 
     def _std_aliases(self) -> list[AliasRelation]:
         out = [AliasRelation("chain", _word("d"), power(_word("c1 c2"), 6))]
@@ -389,7 +398,8 @@ class Registry:
         """Check the atlas in Sp(4,Z), each identity once: disjoint:ci,cj covers
         chain curves two or more apart commuting, central:0 tau commuting with
         c1..c5, and alias:chain d = (c1 c2)^6.  Images are products of
-        transvections, so always symplectic, and no check asks for that."""
+        transvections, so always symplectic, and no check asks for that.
+        A defn: or lantern: check whose words name a missing curve fails."""
         checks: list[CheckResult] = []
 
         def add(name: str, ok: bool, detail: str = "") -> None:
@@ -409,11 +419,14 @@ class Registry:
                     f"{c.name} class {c.homology} is not primitive",
                 )
             if c.defn is not None:
+                unknown = self._unknown_name((Letter(c.defn),))
                 add(
                     f"defn:{c.name}",
-                    self.homology_class(c.defn) == c.homology
+                    not unknown
+                    and self.homology_class(c.defn) == c.homology
                     and self.separating(c.defn) == c.separating,
-                    f"definition of {c.name} disagrees with stored data",
+                    f"definition of {c.name} names unknown curve {unknown}" if unknown
+                    else f"definition of {c.name} disagrees with stored data",
                 )
 
         if all(n in self.curves for n in BASE_NAMES):
@@ -431,9 +444,16 @@ class Registry:
             add("eq04:(c1..c5)^6", self.image(power(chain5, 6)) == hom.IDENTITY)
 
         for inst in self.lanterns.values():
+            lhs, rhs = inst.rotations("lhs")[0], inst.rotations("rhs")[0]
+            unknown = self._unknown_name(lhs + rhs)
+            if unknown:
+                detail = f"{inst.ident} names unknown curve {unknown}"
+                add(f"lantern:{inst.ident}:image", False, detail)
+                add(f"lantern:{inst.ident}:flags", False, detail)
+                continue
             add(
                 f"lantern:{inst.ident}:image",
-                self.image(inst.rotations("lhs")[0]) == self.image(inst.rotations("rhs")[0]),
+                self.image(lhs) == self.image(rhs),
                 f"{inst.ident} sides have different homology image",
             )
             lhs_flags = [self.data(n).separating for n in inst.lhs]
@@ -509,8 +529,8 @@ class Registry:
         """Read the text of serialize(); a malformed line raises ParseError."""
         from .dsl import ParseError, parse_word
 
-        curves: list[CurveData] = []
-        lanterns: list[LanternInstance] = []
+        curves: dict[str, CurveData] = {}
+        lanterns: dict[str, LanternInstance] = {}
         curve_re = re.compile(
             r"^(\w+)\s+(sep|nonsep)\s+h=\(((?:\s*-?\d+\s*,){3}\s*-?\d+\s*)\)(?:\s+def=(.+))?$"
         )
@@ -531,17 +551,21 @@ class Registry:
                     # parse_word counts columns from the start of the raw line
                     col = len(raw) - len(raw.lstrip()) + m.start(4) + dm.start(1)
                     d = make_curve(dm.group(2), parse_word(dm.group(1), line=lineno, col=col))
-                curves.append(CurveData(name, sep == "sep", vec, d))  # type: ignore[arg-type]
+                if name in curves:
+                    raise ParseError(f"duplicate curve {name}", lineno)
+                curves[name] = CurveData(name, sep == "sep", vec, d)  # type: ignore[arg-type]
                 continue
             m = lant_re.match(line)
             if m:
                 ident, lhs, rhs = m.groups()
-                lanterns.append(
-                    LanternInstance(ident, tuple(lhs.split()), tuple(rhs.split()))  # type: ignore[arg-type]
+                if ident in lanterns:
+                    raise ParseError(f"duplicate lantern {ident}", lineno)
+                lanterns[ident] = LanternInstance(
+                    ident, tuple(lhs.split()), tuple(rhs.split())  # type: ignore[arg-type]
                 )
                 continue
             raise ParseError(f"cannot parse registry line {line!r}", lineno)
-        return Registry(curves, lanterns)
+        return Registry(list(curves.values()), list(lanterns.values()))
 
 
 @functools.cache

@@ -34,8 +34,8 @@ class Curve:
 
     ``conj`` is the conjugating word and the inner curve ``name`` is always
     plain.  Code that pushes a conjugate curve further (contract_subword,
-    the Hurwitz move, a conjugated lantern side) keeps it that way by
-    concatenating the conjugators: u(v(a)) is built as (u.v)(a).
+    the Hurwitz move, a conjugated lantern side, a twisted fiber sum) calls
+    push, which keeps it that way by building u(v(a)) as (u.v)(a).
     """
 
     name: str
@@ -79,13 +79,17 @@ Word = tuple[Letter, ...]
 
 
 def make_curve(name: str, conj: Word = ()) -> Curve:
-    """The curve conj(name), as given: callers that push a conjugate curve
-    further concatenate the conjugators themselves."""
+    """The curve conj(name), as given: push pushes a conjugate curve further."""
     return Curve(name, tuple(conj))
 
 
 def letter(name: str, exp: int = 1, conj: Word = ()) -> Letter:
     return Letter(make_curve(name, conj), exp)
+
+
+def push(l: Letter, by: Word) -> Letter:
+    """The letter l with its curve pushed by the word ``by``: u(v(a)) is (u.v)(a)."""
+    return Letter(Curve(l.curve.name, concat(by, l.curve.conj)), l.exp)
 
 
 def word_str(w: Word) -> str:
@@ -145,9 +149,7 @@ def contract_subword(w: Word, lo: int, hi: int) -> Word:
         raise SpanNotConjugatePattern(
             f"span [{lo}:{hi}] tail is not the inverse of its head"
         )
-    # Flatten u(v(a)) to (u.v)(a) so the inner curve stays plain.
-    new = Letter(make_curve(mid.curve.name, concat(u, mid.curve.conj)), mid.exp)
-    return w[:lo] + (new,) + w[hi:]
+    return w[:lo] + (push(mid, u),) + w[hi:]
 
 
 def cyclic_shift(w: Word, k: int) -> Word:
@@ -155,13 +157,6 @@ def cyclic_shift(w: Word, k: int) -> Word:
         return w
     k %= len(w)
     return w[k:] + w[:k]
-
-
-def cyclically_equal(u: Word, v: Word) -> bool:
-    """Equality of the underlying cyclic words (structural letters)."""
-    if len(u) != len(v):
-        return False
-    return any(cyclic_shift(u, k) == v for k in range(max(len(u), 1)))
 
 
 @dataclass(frozen=True)

@@ -307,6 +307,36 @@ def test_registry_check_runs_on_a_registry_without_a_curve_an_alias_names(tmp_pa
     assert out[-1] == "[pass] coverage:lanterns"
 
 
+@pytest.mark.parametrize("edits, failed", [
+    # B2 is defined as [c3^-1](x), and L1 names k in x's place
+    ((("\nx nonsep h=(1,0,1,0)\n", "\n"), ("= x c3 d", "= k c3 d")),
+     {"defn:B2": "definition of B2 names unknown curve x"}),
+    ((("L1: c1 c1 c5 c5", "L1: c1 c1 c5 zz"),),
+     {"lantern:L1:image": "L1 names unknown curve zz",
+      "lantern:L1:flags": "L1 names unknown curve zz"}),
+])
+def test_registry_check_fails_a_check_that_names_a_missing_curve(tmp_path, capsys, edits, failed):
+    text = read_text("standard.reg")
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    p = tmp_path / "partial.reg"
+    p.write_text(text)
+    assert main(["--registry", str(p), "registry-check"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out and all(re.match(r"\[(pass|FAIL)\] \S+", l) for l in out)
+    assert out[-1] == "[pass] coverage:lanterns"
+    for name, detail in failed.items():
+        assert f"[FAIL] {name}  ({detail})" in out
+
+
+def test_registry_check_rejects_a_second_line_for_a_lantern(tmp_path, capsys):
+    p = tmp_path / "dup.reg"
+    p.write_text(read_text("standard.reg") + "L1: c1 c1 c3 c3 = kb hb c5\n")
+    assert main(["--registry", str(p), "registry-check"]) == 2
+    assert capsys.readouterr().err == "error: duplicate lantern L1 at line 22\n"
+
+
 def test_out_flag(tmp_path, x0_file):
     dest = tmp_path / "report.txt"
     assert main(["--out", str(dest), "verify", x0_file]) == 0

@@ -3,7 +3,6 @@ from g2mcg.decompose import (
     RULES,
     admissible_splits,
     classify,
-    report_corpus,
 )
 from g2mcg.fixtures import load_corpus
 from g2mcg.invariants import FiberSignature, fiber_signature
@@ -95,11 +94,10 @@ def test_classification_lookups():
 
 
 def test_corpus_case_analyses():
-    sigs = {
-        label: fiber_signature(reg, corpus.relator(label))
+    reports = {
+        label: admissible_splits(fiber_signature(reg, corpus.relator(label)))
         for label in ["X0", "X1", "X2", "X3", "X4", "X5", "X6", "Z0", "Z1", "Z2", "Z3", "Z4"]
     }
-    reports = report_corpus(sigs)
 
     def pairs(label):
         return {frozenset(c.signatures) for c in reports[label].admissible}

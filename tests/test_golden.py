@@ -1,10 +1,13 @@
-"""Replay reports and serializations of the embedded corpus do not drift.
+"""Replay reports, serializations and registry verdicts do not drift.
 
-The golden file holds the rendered replay report of every corpus script.
-After a deliberate change to the report, rewrite it with
-``PYTHONPATH=src python tests/test_golden.py``.
+One golden file holds the rendered replay report of every corpus script,
+the other the registry-check verdicts of the packaged registry and of the
+perturbed registries the tests build.  After a deliberate change, rewrite
+both with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import hashlib
+import re
 from pathlib import Path
 
 import pytest
@@ -12,9 +15,10 @@ import pytest
 from g2mcg.dsl import parse_document, serialize
 from g2mcg.fixtures import FILES, load_corpus, read_text
 from g2mcg.moves import replay
-from g2mcg.registry import standard_registry
+from g2mcg.registry import Registry, standard_registry
 
 GOLDEN = Path(__file__).with_name("golden") / "corpus_replay.txt"
+GOLDEN_VERDICTS = GOLDEN.with_name("registry_verdicts.txt")
 
 reg = standard_registry()
 
@@ -34,5 +38,55 @@ def test_serialize_is_a_fixed_point(name):
     assert serialize(parse_document(once, reg)) == once
 
 
+# Text edits of standard.reg made by the CLI tests, and classes that the
+# hypothesis test of test_registry.py draws, its two examples included.
+EDITS = (
+    ("d sep h=(0,0,0,0)", "d nonsep h=(0,0,0,0)"),
+    ("B2 nonsep h=(1,0,1,0)", "B2 nonsep h=(0,1,0,1)"),
+    ("L1: c1 c1 c5 c5 = x c3 d", "L1: c1 c1 c5 c5 = c1 c5 c5"),
+    ("c3 nonsep h=(-1,0,1,0)", "c3 nonsep h=(0,1,1,0)"),
+)
+CLASSES = ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 1, 0), (1, 1, 1, 0), (1, 0, 1, 0), (-2, 1, 0, 2))
+
+
+def _without(name: str) -> Registry:
+    """standard.reg without the curve's line, the lanterns naming h in its place."""
+    lines = [
+        re.sub(rf"\b{name}\b", "h", l) if re.match(r"L\d:", l) else l
+        for l in read_text("standard.reg").splitlines()
+        if not l.startswith(f"{name} ")
+    ]
+    return Registry.parse("\n".join(lines))
+
+
+def perturbed_registries() -> dict[str, Registry]:
+    text = read_text("standard.reg")
+    out = {"standard": reg, "drop L3": reg.replace(drop_lantern="L3")}
+    out.update({f"{old!r} -> {new!r}": Registry.parse(text.replace(old, new)) for old, new in EDITS})
+    out.update({f"without {name}": _without(name) for name in ("d", "c1", "c2")})
+    for name in sorted(reg.curves):
+        out[f"{name} flag flipped"] = reg.replace(name, separating=not reg.data(name).separating)
+        out.update({f"{name} h={cls}": reg.replace(name, homology=cls) for cls in CLASSES})
+    return out
+
+
+def registry_verdicts() -> str:
+    """Per registry: the check count, a digest of its (check, verdict) list
+    and the failed checks."""
+    lines = []
+    for label, registry in perturbed_registries().items():
+        report = registry.validate()
+        pairs = "\n".join(f"{c.name} {c.ok}" for c in report.checks).encode()
+        failed = ",".join(c.name for c in report.failures()) or "-"
+        digest = hashlib.sha1(pairs).hexdigest()[:12]
+        lines.append(f"{label}: {len(report.checks)} checks {digest} failed={failed}")
+    return "\n".join(lines) + "\n"
+
+
+def test_registry_verdicts_match_golden():
+    assert registry_verdicts() == GOLDEN_VERDICTS.read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(corpus_renders(), encoding="utf-8")
+    GOLDEN_VERDICTS.write_text(registry_verdicts(), encoding="utf-8")

@@ -114,8 +114,3 @@ def test_ab_class_examples():
     assert ab("(B0 B1 B2 d)^2 (c1 c2 c3 c4 c5^2 c4 c3 c2 c1)^2") == 0
     assert ab("c1") == 1
     assert ab("d") == 2
-
-
-def test_matrix_rendering():
-    text = hom.mat_str(hom.IDENTITY)
-    assert len(text.splitlines()) == 4

@@ -5,7 +5,6 @@ from g2mcg.dsl import parse_word
 from g2mcg.fixtures import load_corpus
 from g2mcg.invariants import (
     FiberSignature,
-    InsufficientData,
     NotOddForm,
     SignatureNotIntegral,
     blowdown_delta,
@@ -14,9 +13,7 @@ from g2mcg.invariants import (
     format_homeo,
     homeo_label,
     invariant_records,
-    invariant_table,
     invariants,
-    kodaira_label,
     non_spin_from_signature,
 )
 from g2mcg.registry import standard_registry
@@ -142,21 +139,8 @@ def test_non_spin_helper():
     assert not non_spin_from_signature(FiberSignature(30, 0))
 
 
-def test_kodaira_labels():
-    assert kodaira_label(0, True, 1) == "1"
-    assert kodaira_label(3, True, 1) == "2"
-    assert kodaira_label(0, True, 0) == "0"
-    assert kodaira_label(-1, True, 1) == "-inf"
-    with pytest.raises(InsufficientData):
-        kodaira_label(-1, False, 1)
-    with pytest.raises(InsufficientData):
-        kodaira_label(2, True, 0)
-
-
 def test_reports_render():
     s = FiberSignature(26, 2)
     inv = invariants(s, simply_connected=True)
     rec = invariant_records(s, inv)
     assert "e=24" in rec and "b2plus=3" in rec
-    table = invariant_table([("X2", s, inv)])
-    assert "X2" in table and "sigma" in table

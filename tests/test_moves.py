@@ -20,7 +20,6 @@ from g2mcg.moves import (
     MoveScript,
     apply_move,
     inverse_move,
-    match_lantern,
     replay,
 )
 from g2mcg.registry import standard_registry
@@ -275,21 +274,33 @@ def test_lantern_alias_and_central_moves_invert_at_any_position(data):
         w = checked_step(w, move, apply_move(reg, w, move))
 
 
+def lantern_sites(w, inst, direction="down", conj=()):
+    """Positions of the canonical form of w where the lantern move applies."""
+    w = reg.canonical_word(w)
+    sites = []
+    for pos in range(len(w)):
+        try:
+            apply_move(reg, w, Lantern(pos, inst, direction, conj=conj))
+        except IllegalMove:
+            continue
+        sites.append(pos)
+    return sites
+
+
 def test_match_lantern_finds_blocks_in_x0():
-    hits = match_lantern(reg, corpus.relator("X0").word, "L1")
-    lhs_hits = [h for h in hits if h[2] == "lhs"]
-    assert {h[0] for h in lhs_hits} == {11, 26}
+    assert lantern_sites(corpus.relator("X0").word, "L1") == [11, 26]
 
 
 def test_match_lantern_empty_on_plain_word():
-    assert match_lantern(reg, parse_word("c2 c4 c2 c4"), "L1") == []
+    for direction in ("down", "up"):
+        assert lantern_sites(parse_word("c2 c4 c2 c4"), "L1", direction) == []
 
 
 def test_match_lantern_conjugated_occurrence():
     block = tuple(letter(n, conj=(letter("c2"),)) for n in ("c1", "c1", "c5", "c5"))
     w = parse_word("c3") + block + parse_word("c3")
-    hits = match_lantern(reg, w, "L1")
-    assert any(pos == 1 and side == "lhs" and conj for pos, conj, side, _ in hits)
+    assert lantern_sites(w, "L1", conj=(letter("c2"),)) == [1]
+    assert lantern_sites(w, "L1") == []
 
 
 def test_replay_empty_script():

@@ -288,6 +288,9 @@ def test_replace_changes_one_curve_or_drops_one_lantern():
     "c1 nonsep h=(1,-,0,0)",
     "c1 nonsep h=(1,0,0,0) def=c2",
     "c1 is a curve",
+    # a second line for a curve or a lantern would silently replace the first
+    pytest.param(reg.serialize() + "x nonsep h=(1,0,1,0)\n", id="duplicate curve"),
+    pytest.param(reg.serialize() + "L1: c1 c1 c3 c3 = kb hb c5\n", id="duplicate lantern"),
 ])
 def test_parse_rejects_malformed_lines(text):
     with pytest.raises(ParseError):

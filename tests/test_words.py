@@ -8,8 +8,6 @@ from g2mcg.words import (
     concat,
     conjugate,
     contract_subword,
-    cyclic_shift,
-    cyclically_equal,
     expand_letter,
     free_reduce,
     invert,
@@ -120,14 +118,6 @@ def test_contract_flattens_nested_conjugates():
 def test_positive_relator_rejects_inverses():
     with pytest.raises(ValueError):
         PositiveRelator(lw("c1", "c2'"))
-
-
-def test_cyclic_equality():
-    w = lw("c1", "c2", "c3")
-    assert cyclically_equal(w, cyclic_shift(w, 1))
-    assert cyclically_equal(w, w)
-    assert not cyclically_equal(w, lw("c1", "c3", "c2"))
-    assert not cyclically_equal(w, lw("c1", "c2"))
 
 
 def test_curve_flattening():
