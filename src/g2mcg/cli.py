@@ -74,21 +74,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 inner, shown = "skipped", f"skipped (no action table for curve {exc})"
         if not ok:
             status = 1
+        try:
+            inv, undefined = invariants(sig), None
+        except SignatureNotIntegral as exc:
+            inv, undefined = None, exc
         if args.format == "records":
-            rec = f"relator={name} identity={identity} ab={ab}"
-            try:
-                rec += " " + invariant_records(sig, invariants(sig))
-            except SignatureNotIntegral:
-                rec += f" n={sig.n} s={sig.s} invariants=non-integral"
-            lines.append(rec + (f" pi1={inner}" if args.pi1 else ""))
+            rec = (invariant_records(sig, inv) if inv is not None
+                   else f"n={sig.n} s={sig.s} invariants=non-integral")
+            lines.append(f"relator={name} identity={identity} ab={ab} {rec}"
+                         + (f" pi1={inner}" if args.pi1 else ""))
         else:
             lines.append(f"{name}: image {'=' if identity else '!='} identity, "
                          f"ab class {ab}, (n,s) = ({sig.n},{sig.s})")
-            try:
-                inv = invariants(sig)
-                lines.append(f"  e={inv.e} sigma={inv.sigma} c1^2={inv.c1sq} chi_h={inv.chi_h}")
-            except SignatureNotIntegral as exc:
-                lines.append(f"  invariants undefined: {exc}")
+            lines.append(f"  e={inv.e} sigma={inv.sigma} c1^2={inv.c1sq} chi_h={inv.chi_h}"
+                         if inv is not None else f"  invariants undefined: {undefined}")
             if args.pi1:
                 lines.append(f"  pi1: {shown}")
     _emit("\n".join(lines), args.out)

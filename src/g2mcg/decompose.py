@@ -20,7 +20,8 @@ decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import groupby
+from typing import Callable, Optional
 
 from .invariants import FiberSignature, format_homeo
 
@@ -28,28 +29,16 @@ from .invariants import FiberSignature, format_homeo
 @dataclass(frozen=True)
 class ConstraintRule:
     ident: str
-    kind: str  # ModTen | ExcludedPair | MinFiberCount | NoAllReducible
-    payload: tuple
+    rejects: Callable[[FiberSignature], bool]
     citation: str
-
-    def rejects(self, sig: FiberSignature) -> bool:
-        if self.kind == "ModTen":
-            return sig.mod_ten != 0
-        if self.kind == "ExcludedPair":
-            return (sig.n, sig.s) == self.payload
-        if self.kind == "MinFiberCount":
-            return sig.total < self.payload[0]
-        if self.kind == "NoAllReducible":
-            return sig.n == 0 and sig.s > 0
-        raise ValueError(f"unknown rule kind {self.kind}")
 
 
 RULES: tuple[ConstraintRule, ...] = (
-    ConstraintRule("mod10", "ModTen", (), "abelianization of the genus-2 mapping class group is Z/10"),
-    ConstraintRule("no-10-0", "ExcludedPair", (10, 0), "Sato, remark 5.1: (10,0) cannot occur"),
-    ConstraintRule("no-8-1", "ExcludedPair", (8, 1), "Sato, remark 5.1: (8,1) cannot occur"),
-    ConstraintRule("min-fibers", "MinFiberCount", (7,), "Ozbagci-Stipsicz: at least 7 singular fibers"),
-    ConstraintRule("no-all-reducible", "NoAllReducible", (), "Ozbagci-Stipsicz: no hyperelliptic fibration with only reducible fibers"),
+    ConstraintRule("mod10", lambda sig: sig.mod_ten != 0, "abelianization of the genus-2 mapping class group is Z/10"),
+    ConstraintRule("no-10-0", lambda sig: (sig.n, sig.s) == (10, 0), "Sato, remark 5.1: (10,0) cannot occur"),
+    ConstraintRule("no-8-1", lambda sig: (sig.n, sig.s) == (8, 1), "Sato, remark 5.1: (8,1) cannot occur"),
+    ConstraintRule("min-fibers", lambda sig: sig.total < 7, "Ozbagci-Stipsicz: at least 7 singular fibers"),
+    ConstraintRule("no-all-reducible", lambda sig: sig.n == 0 and sig.s > 0, "Ozbagci-Stipsicz: no hyperelliptic fibration with only reducible fibers"),
 )
 
 
@@ -128,11 +117,10 @@ class DecompositionReport:
             f"fiber sum decompositions of (n,s) = ({sig.n},{sig.s})",
             "assuming both summands are relatively minimal genus-2 fibrations",
         ]
-        by_s: dict[tuple[int, int], list[CandidateSplit]] = {}
-        for c in self.candidates:
-            key = (c.first.signature.s, c.second.signature.s)
-            by_s.setdefault(key, []).append(c)
-        for (s1, s2), group in sorted(by_s.items()):
+        # candidates come in canonical order, so one reducible split is one run
+        for (s1, s2), group in groupby(
+            self.candidates, lambda c: (c.first.signature.s, c.second.signature.s)
+        ):
             lines.append(f"  reducible fibers split {s1}+{s2}:")
             for c in group:
                 (n1, _), (n2, _) = c.signatures
@@ -175,29 +163,20 @@ def _verdict(sig: FiberSignature) -> SummandVerdict:
 
 
 def admissible_splits(sig: FiberSignature) -> DecompositionReport:
-    """All unordered nontrivial splits with both sides obeying the mod-10 law.
+    """All unordered nontrivial splits with both sides obeying the mod-10 law,
+    each built once, in canonical order (the smaller summand first).
 
     The complementary summand of a mod-10 summand of a mod-10 total obeys
     the law automatically; both are still checked.
     """
     report = DecompositionReport(sig)
-    seen: set[tuple[tuple[int, int], tuple[int, int]]] = set()
-    for s1 in range(sig.s + 1):
+    for s1 in range(sig.s // 2 + 1):
         for n1 in range(sig.n + 1):
             a = FiberSignature(n1, s1)
             b = FiberSignature(sig.n - n1, sig.s - s1)
-            if a.total == 0 or b.total == 0:
+            if a.total == 0 or b.total == 0 or (b.s, b.n) < (a.s, a.n):
                 continue
             if a.mod_ten != 0 or b.mod_ten != 0:
                 continue
-            if (b.s, b.n) < (a.s, a.n):
-                a, b = b, a
-            key = ((a.n, a.s), (b.n, b.s))
-            if key in seen:
-                continue
-            seen.add(key)
             report.candidates.append(CandidateSplit(_verdict(a), _verdict(b)))
-    report.candidates.sort(
-        key=lambda c: (c.first.signature.s, c.first.signature.n)
-    )
     return report

@@ -128,18 +128,37 @@ def parse_word(text: str, registry: Optional[Registry] = None, line: int = 0, co
             letters.extend(tuple(l.inverse() for l in reversed(base)) * (-exp))
     if stack:
         raise ParseError("unexpected end of word", line)
-    w = tuple(letters)
-    # a name under ^0 is not in the word: only the walk tells which unknown name to report
     if registry is not None and not all(t in registry.curves for t in set(tokens) if t[:1].isalpha()):
-        _check_curves(w, registry, line)
-    return w
+        _check_curves(text, registry, line, col)
+    return tuple(letters)
 
 
-def _check_curves(w: Word, registry: Registry, line: int) -> None:
-    for l in w:
-        if l.curve.name not in registry.curves:
-            raise UnknownCurve(l.curve.name)
-        _check_curves(l.curve.conj, registry, line)
+def _check_curves(text: str, registry: Registry, line: int, col: int) -> None:
+    """Raise UnknownCurve at the first name of a well-formed word that the
+    registry lacks.  A name under ^0 is not in the word and does not count."""
+    tokens = [(_UNICODE_NAMES.get(m[1], m[1]), m.start(1)) for m in _TOKEN_RE.finditer(text)]
+    tokens.append(("", 0))
+    names: list[tuple[str, int]] = []  # (name, offset) of each name read, less those under ^0
+    opened: list[int] = []  # per open bracket: how many names came before it
+    i = 0
+    while tokens[i][0]:
+        tok, i = tokens[i][0], i + 1
+        if tok in _CLOSER:
+            opened.append(len(names))
+            continue
+        start = opened.pop() if tok in ("]", ")") else len(names)
+        if tok == "]":  # [w](a) is one item: w's names, then a
+            names.append(tokens[i + 1])
+            i += 3
+        elif tok != ")":
+            names.append(tokens[i - 1])
+        if tokens[i][0][:1] == "^":
+            if int(tokens[i][0][1:]) == 0:
+                del names[start:]
+            i += 1
+    for name, at in names:
+        if name not in registry.curves:
+            raise UnknownCurve(name, line, col + at + 1)
 
 
 def parse_relator(

@@ -10,7 +10,6 @@ exact and overflow-free.
 from __future__ import annotations
 
 from math import gcd
-from typing import Optional
 
 Vec = tuple[int, int, int, int]
 Mat = tuple[Vec, Vec, Vec, Vec]
@@ -93,31 +92,3 @@ def transvection_inv(v: Vec) -> Mat:
 def is_primitive(v: Vec) -> bool:
     return gcd(*v) == 1
 
-
-def transvection_direction(m: Mat) -> Optional[Vec]:
-    """Recover +-v from a matrix of the form x |-> x + <x, v> v, else None.
-
-    M - I has all columns proportional to v; the returned representative is
-    primitive with sign fixed by its first nonzero entry.
-    """
-    diff = tuple(
-        tuple(m[i][j] - (1 if i == j else 0) for j in range(4)) for i in range(4)
-    )
-    cand: Optional[Vec] = None
-    for j in range(4):
-        col = tuple(diff[i][j] for i in range(4))
-        if col != ZERO:
-            cand = col  # type: ignore[assignment]
-            break
-    if cand is None:
-        return None
-    g = gcd(*cand)
-    v = tuple(x // g for x in cand)
-    for x in v:
-        if x != 0:
-            if x < 0:
-                v = tuple(-y for y in v)
-            break
-    if transvection(v) == m or transvection(tuple(-y for y in v)) == m:  # type: ignore[arg-type]
-        return v  # type: ignore[return-value]
-    return None

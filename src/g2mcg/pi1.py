@@ -184,35 +184,29 @@ Aut = dict[str, str]
 
 _IDENTITY: Aut = {g: g for g in GENS}
 
-# Based twist-curve word of the middle chain curve.
-_GAMMA = "bABc"
-
-TWIST_TABLE: dict[str, Aut] = {
-    "c1": {**_IDENTITY, "b": "bA"},
-    "c2": {**_IDENTITY, "a": "ab"},
-    "c3": {
-        **_IDENTITY,
-        "b": free_reduce(_GAMMA + "b"),
-        "c": free_reduce(_GAMMA + "c" + inverse(_GAMMA)),
-        "d": free_reduce("d" + inverse(_GAMMA)),
-    },
-    "c4": {**_IDENTITY, "c": "cd"},
-    "c5": {**_IDENTITY, "d": "dC"},
+# Per chain curve: the based curve word g its twist inserts, and the
+# generators it moves, as templates in g and its inverse G.  The left-handed
+# twist inserts the reversed curve: g and G trade places.
+_TWIST_SPEC: dict[str, tuple[str, dict[str, str]]] = {
+    "c1": ("A", {"b": "b{g}"}),
+    "c2": ("b", {"a": "a{g}"}),
+    "c3": ("bABc", {"b": "{g}b", "c": "{g}c{G}", "d": "d{G}"}),
+    "c4": ("d", {"c": "c{g}"}),
+    "c5": ("C", {"d": "d{g}"}),
 }
 
-# The left-handed twists insert the reversed curve.
-TWIST_TABLE_INV: dict[str, Aut] = {
-    "c1": {**_IDENTITY, "b": "ba"},
-    "c2": {**_IDENTITY, "a": "aB"},
-    "c3": {
-        **_IDENTITY,
-        "b": free_reduce(inverse(_GAMMA) + "b"),
-        "c": free_reduce(inverse(_GAMMA) + "c" + _GAMMA),
-        "d": free_reduce("d" + _GAMMA),
-    },
-    "c4": {**_IDENTITY, "c": "cD"},
-    "c5": {**_IDENTITY, "d": "dc"},
-}
+
+def _twist_table(left: bool) -> dict[str, Aut]:
+    table = {}
+    for name, (g, images) in _TWIST_SPEC.items():
+        g, G = (inverse(g), g) if left else (g, inverse(g))
+        moved = {x: free_reduce(image.format(g=g, G=G)) for x, image in images.items()}
+        table[name] = {**_IDENTITY, **moved}
+    return table
+
+
+TWIST_TABLE: dict[str, Aut] = _twist_table(left=False)
+TWIST_TABLE_INV: dict[str, Aut] = _twist_table(left=True)
 
 
 def apply_aut(aut: Aut, w: str) -> str:

@@ -7,32 +7,24 @@ configurations, the Matsumoto fibration curves B0, B1, B2, and the
 conjugated-copy curves Y1, Y2, Yc.  Each curve carries a separating flag
 and an integer homology class in the basis (a1, b1, a2, b2).
 
-Homology classes were fixed as follows.  The chain embedding
-c1 -> a1, c2 -> b1, c3 -> a2 - a1, c4 -> b2, c5 -> a2 is a free choice
-constrained only by the chain intersection pattern; validate() certifies
-it against the full genus-2 presentation.  The lantern interior classes
-(x, k, kb) are solved from the boundary multitwist equations by
-lantern_solve; B0 and B1 come from a bounded exhaustive search over
-primitive vectors with entries in [-2, 2] such that the Matsumoto word
-maps to the identity and the cycle span has rank 2, which pins
-(b1 + b2, a1 - b1 + a2 - b2) uniquely up to the handle-swap symmetry;
-Y1 and Y2 are the images of B1 and B2 under the handle-swapping
-involution composed with c4^-1 c3^-1 c2^-1 c1^-1, re-verified against the
-conjugated relator.  Tests re-run lantern_solve for x and kb, and for
-L1's separating interior curve; they do not re-run the search for B0 and
-B1 or the derivation of Y1 and Y2.  What certifies those classes is
-validate(): relator:matsumoto and relator:matsumoto-conj check that both
-Matsumoto words map to the identity, and symbol:lambda(B0)=c1 checks the
-involution against B0.
-
-validate() evaluates each identity once: disjoint:ci,cj, central:0 and
-alias:chain also cover chain curves two or more apart commuting, tau
-commuting with c1..c5, and d = (c1 c2)^6.
-
 The standard atlas is data, kept in one place: the packaged text file
 corpus/standard.reg, in the format of Registry.serialize and
 Registry.parse.  standard_registry() parses that file; a --registry file
 in the same format replaces it.
+
+validate() certifies every class in the file, each identity once:
+  - the chain c1 -> a1, c2 -> b1, c3 -> a2 - a1, c4 -> b2, c5 -> a2:
+    eq02:*, eq03:*, eq04:* and disjoint:ci,cj, the genus-2 presentation;
+  - the lantern interior curves x, k and kb: lantern:*:image, the two
+    sides of each lantern have one image, and primitive:*;
+  - the separating curves d, h and hb: flag:*, a curve is separating
+    exactly when its class is zero, and lantern:*:flags;
+  - B0, B1, Y1 and Y2: relator:matsumoto and relator:matsumoto-conj, both
+    Matsumoto words map to the identity, and symbol:lambda(B0)=c1, the
+    handle-swapping involution composed with c4^-1 c3^-1 c2^-1 c1^-1
+    takes B0 to c1 up to sign.
+disjoint:ci,cj, central:0 and alias:chain also cover chain curves two or
+more apart commuting, tau commuting with c1..c5, and d = (c1 c2)^6.
 
 The registry also curates the structural tables that the moves engine
 consults: geometric disjointness (commute legality), braid-adjacent
@@ -62,20 +54,21 @@ from .words import (
     Word,
     concat,
     letter,
-    make_curve,
     power,
 )
 
 
 class UnknownCurve(KeyError):
-    pass
+    """A curve name the registry lacks, at ``line`` and ``col`` of its text when known."""
 
+    def __init__(self, name: str, line: int = 0, col: int = 0) -> None:
+        super().__init__(name)
+        self.name, self.line, self.col = name, line, col
 
-class NotATransvection(ValueError):
-    """The lantern residual is neither the identity nor a transvection."""
+    def __str__(self) -> str:  # KeyError would quote the bare name
+        from .dsl import ParseError  # dsl imports this module
 
-
-SEPARATING = "separating"  # sentinel returned by lantern_solve
+        return str(ParseError(f"unknown curve {self.name!r}", self.line, self.col))
 
 
 @dataclass(frozen=True)
@@ -367,31 +360,6 @@ class Registry:
     def words_equal(self, u: Word, v: Word) -> bool:
         return self.canonical_word(u) == self.canonical_word(v)
 
-    # -- lantern arithmetic ----------------------------------------------------
-
-    def lantern_solve(
-        self, boundary: Sequence[Curve], known: Sequence[Curve]
-    ) -> Vec | str:
-        """Solve for the missing interior twist of a lantern configuration.
-
-        ``known`` lists the known interior curves in the cyclic order that
-        follows the unknown one.  Returns the class of the unknown curve (up
-        to sign) or SEPARATING when the residual is the identity.
-        """
-        b = hom.IDENTITY
-        for c in boundary:
-            b = hom.mat_mul(b, hom.transvection(self.homology_class(c)))
-        for c in reversed(known):
-            b = hom.mat_mul(b, hom.transvection_inv(self.homology_class(c)))
-        if b == hom.IDENTITY:
-            return SEPARATING
-        v = hom.transvection_direction(b)
-        if v is None:
-            raise NotATransvection(
-                "residual is neither identity nor a transvection; registry inconsistent"
-            )
-        return v
-
     # -- validation -------------------------------------------------------------
 
     def validate(self) -> ValidationReport:
@@ -545,12 +513,11 @@ class Registry:
                 vec = tuple(int(x) for x in h.split(","))
                 d = None
                 if defn:
-                    dm = re.match(r"^\s*\[(.+)\]\((\w+)\)$", defn)
-                    if not dm:
-                        raise ParseError(f"bad def expression {defn!r}", lineno)
                     # parse_word counts columns from the start of the raw line
-                    col = len(raw) - len(raw.lstrip()) + m.start(4) + dm.start(1)
-                    d = make_curve(dm.group(2), parse_word(dm.group(1), line=lineno, col=col))
+                    w = parse_word(defn, line=lineno, col=len(raw) - len(raw.lstrip()) + m.start(4))
+                    if len(w) != 1 or w[0].exp != 1 or not w[0].curve.conj:
+                        raise ParseError(f"bad def expression {defn!r}", lineno)
+                    d = w[0].curve
                 if name in curves:
                     raise ParseError(f"duplicate curve {name}", lineno)
                 curves[name] = CurveData(name, sep == "sep", vec, d)  # type: ignore[arg-type]

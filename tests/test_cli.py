@@ -138,6 +138,31 @@ def test_verify_unknown_curve(tmp_path):
     assert main(["verify", str(p)]) == 2
 
 
+def test_verify_reports_an_unknown_curve_where_its_name_stands(tmp_path, capsys):
+    p = tmp_path / "bad.mcg"
+    p.write_text("relator r = c1 zz c2\n")
+    assert main(["verify", str(p)]) == 2
+    assert capsys.readouterr().err == "error: unknown curve 'zz' at line 1, col 16\n"
+
+
+def test_replay_reports_a_curve_the_registry_lacks(tmp_path, capsys):
+    # x's line is gone and L1 names k in its place; the script still says x
+    lines = [
+        l.replace(" x ", " k ") if l.startswith("L1:") else l
+        for l in read_text("standard.reg").splitlines()
+        if not l.startswith("x ")
+    ]
+    p = tmp_path / "nox.reg"
+    p.write_text("\n".join(lines))
+    assert main(["--registry", str(p), "replay", "--builtin", "sub-c1c5"]) == 2
+    # the first x of the file that declares the script, comments aside
+    line, col = next(
+        (i, m.start() + 1) for i, l in enumerate(script_text("sub-c1c5").splitlines(), 1)
+        if (m := re.search(r"\bx\b", l.split("#")[0]))
+    )
+    assert capsys.readouterr().err == f"error: unknown curve 'x' at line {line}, col {col}\n"
+
+
 def test_replay_builtin_scripts(capsys):
     assert main(["replay", "z-family", "--builtin"]) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,9 @@
 from g2mcg.decompose import (
     CLASSIFICATION,
     RULES,
+    CandidateSplit,
+    DecompositionReport,
+    _verdict,
     admissible_splits,
     classify,
 )
@@ -75,6 +78,40 @@ def test_brute_force_enumeration_agrees():
             for c in admissible_splits(sig).admissible
         }
         assert got == expected, label
+
+
+def _ref_admissible_splits(sig):
+    """The earlier enumeration: every split, swapped into canonical order,
+    deduplicated, then sorted."""
+    report = DecompositionReport(sig)
+    seen = set()
+    for s1 in range(sig.s + 1):
+        for n1 in range(sig.n + 1):
+            a = FiberSignature(n1, s1)
+            b = FiberSignature(sig.n - n1, sig.s - s1)
+            if a.total == 0 or b.total == 0:
+                continue
+            if a.mod_ten != 0 or b.mod_ten != 0:
+                continue
+            if (b.s, b.n) < (a.s, a.n):
+                a, b = b, a
+            key = ((a.n, a.s), (b.n, b.s))
+            if key in seen:
+                continue
+            seen.add(key)
+            report.candidates.append(CandidateSplit(_verdict(a), _verdict(b)))
+    report.candidates.sort(key=lambda c: (c.first.signature.s, c.first.signature.n))
+    return report
+
+
+def test_enumeration_matches_the_reference_on_a_wide_grid():
+    # wider than the 41 x 21 grid of the decompose-sweep benchmark
+    for n in range(61):
+        for s in range(31):
+            sig = FiberSignature(n, s)
+            new, ref = admissible_splits(sig), _ref_admissible_splits(sig)
+            assert new.render() == ref.render(), (n, s)
+            assert new.records() == ref.records(), (n, s)
 
 
 def test_summand_mod_ten_always_holds():

@@ -208,7 +208,8 @@ def _ref_ascii(text: str) -> tuple[str, list[int]]:
     return "".join(out), where
 
 
-def _ref_tokenize(text: str, line: int = 0) -> list[str]:
+def _ref_tokenize(text: str, line: int = 0) -> list[tuple[str, int]]:
+    """Each token with the index in text of its first character."""
     text, where = _ref_ascii(text)
     tokens = []
     pos = 0
@@ -220,19 +221,24 @@ def _ref_tokenize(text: str, line: int = 0) -> list[str]:
                 bad = len(text) - len(text[pos:].lstrip())
                 raise ParseError(f"bad character {rest[0]!r}", line, where[bad] + 1)
             break
-        tokens.append(m.group(1))
+        tokens.append((m.group(1), where[m.start(1)]))
         pos = m.end()
     return tokens
 
 
 class _RefWordParser:
-    def __init__(self, tokens: list[str], line: int = 0) -> None:
+    def __init__(self, tokens: list[tuple[str, int]], line: int = 0) -> None:
         self.tokens = tokens
         self.i = 0
         self.line = line
+        self.names: list[tuple[str, int]] = []  # each name in the word, with its index
 
     def peek(self) -> Optional[str]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+
+    def take_name(self) -> str:
+        self.names.append(self.tokens[self.i])
+        return self.take()
 
     def take(self) -> str:
         tok = self.peek()
@@ -255,12 +261,14 @@ class _RefWordParser:
             letters.extend(self._item())
 
     def _item(self) -> Word:
-        tok = self.take()
+        mark = len(self.names)
+        tok = self.peek()
+        tok = self.take_name() if tok and tok[0].isalpha() else self.take()
         if tok == "[":
             conj = self.parse(closers=("]",))
             self.expect("]")
             self.expect("(")
-            name = self.take()
+            name = self.take_name()
             if not name[0].isalpha():
                 raise ParseError(f"expected curve name, got {name!r}", self.line)
             self.expect(")")
@@ -275,6 +283,8 @@ class _RefWordParser:
         exp = 1
         if self.peek() is not None and self.peek().startswith("^"):
             exp = int(self.take()[1:])
+        if exp == 0:  # the names under ^0 are not in the word
+            del self.names[mark:]
         if exp >= 0:
             out = base * exp
         else:
@@ -282,20 +292,14 @@ class _RefWordParser:
         return out
 
 
-def _ref_check_curves(w: Word, registry) -> None:
-    for l in w:
-        if l.curve.name not in registry.curves:
-            raise UnknownCurve(l.curve.name)
-        _ref_check_curves(l.curve.conj, registry)
-
-
 def _ref_parse_word(text: str, registry=None, line: int = 0) -> Word:
     parser = _RefWordParser(_ref_tokenize(text, line), line)
     w = parser.parse()
     if parser.peek() is not None:
         raise ParseError(f"trailing token {parser.peek()!r}", line)
-    if registry is not None:
-        _ref_check_curves(w, registry)
+    for name, at in parser.names:
+        if registry is not None and name not in registry.curves:
+            raise UnknownCurve(name, line, at + 1)
     return w
 
 

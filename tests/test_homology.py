@@ -61,15 +61,6 @@ def test_mat_mul_matches_reference(a, b):
     assert hom.mat_mul(a, hom.IDENTITY) == a == hom.mat_mul(hom.IDENTITY, a)
 
 
-def test_transvection_direction_roundtrip():
-    for v in [(1, 0, 0, 0), (2, 0, -1, 0), (1, -1, 1, -1)]:
-        assert hom.transvection_direction(hom.transvection(v)) in (
-            v,
-            tuple(-x for x in v),
-        )
-    assert hom.transvection_direction(hom.IDENTITY) is None
-
-
 def test_image_empty_is_identity():
     assert reg.image(()) == hom.IDENTITY
 

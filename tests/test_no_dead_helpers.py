@@ -1,11 +1,13 @@
-"""Every public top-level function and class of g2mcg is reached.
+"""Every public top-level function and class of g2mcg, and every public
+method of such a class, is reached.
 
 A name counts as reached when some module of the package other than
 ``__init__.py`` refers to it (an ``ast.Name`` or ``ast.Attribute`` outside
 its own definition), or when a file under ``bench/`` mentions it: the
-tracer wraps functions by name.  The files under ``bench/`` are only read.
-A name that nothing reaches is dead code, unless ALLOWED keeps it and says
-why.
+tracer wraps functions by name.  A method is matched by its name alone, as
+an attribute's owner is not known without running the code.  The files
+under ``bench/`` are only read.  A name that nothing reaches is dead code,
+unless ALLOWED keeps it and says why.
 """
 
 import ast
@@ -17,6 +19,7 @@ PACKAGE = ROOT / "src" / "g2mcg"
 
 # Kept on purpose, each with its reason.
 ALLOWED = {
+    "registry.ValidationReport.failures": "tests read a report's failed checks",
     "homology.is_symplectic": "test oracle: every Sp(4,Z) image is symplectic",
     "homology.sp_inverse": "test oracle: a word's inverse maps to the inverse matrix",
     "pi1.ab_matrix": "test oracle: the pi1 action abelianizes to the Sp(4,Z) image",
@@ -30,28 +33,40 @@ ALLOWED = {
 }
 
 
-def _definitions() -> dict[str, ast.AST]:
-    out = {}
+def _public(nodes) -> list[ast.AST]:
+    return [n for n in nodes
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")]
+
+
+def _definitions() -> set[str]:
+    out = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                out[f"{path.stem}.{node.name}"] = node
+        for node in _public(ast.parse(path.read_text(encoding="utf-8")).body):
+            out.add(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                out.update(f"{path.stem}.{node.name}.{m.name}" for m in _public(node.body)
+                           if isinstance(m, ast.FunctionDef))
     return out
+
+
+def _references(node: ast.AST, own: frozenset[str] = frozenset()):
+    """Names referred to under node, outside the definitions that bear them."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        own |= {node.name}
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    if isinstance(node, (ast.Name, ast.Attribute)) and name not in own:
+        yield name
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, own)
 
 
 def _package_references() -> set[str]:
     """Names referred to in the package, __init__.py and self-references aside."""
-    names = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            own = getattr(top, "name", None)
-            for node in ast.walk(top):
-                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-                if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
-                    names.add(name)
-    return names
+    return {
+        name
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
+        for name in _references(ast.parse(path.read_text(encoding="utf-8")))
+    }
 
 
 def _bench_text() -> str:

@@ -5,13 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from g2mcg import homology as hom
 from g2mcg.dsl import ParseError, parse_document, parse_word
-from g2mcg.registry import (
-    SEPARATING,
-    NotATransvection,
-    Registry,
-    UnknownCurve,
-    standard_registry,
-)
+from g2mcg.registry import Registry, UnknownCurve, standard_registry
 from g2mcg.words import Curve, Letter, letter
 
 reg = standard_registry()
@@ -43,35 +37,11 @@ def test_unknown_curve():
         reg.homology_class(curve("zz"))
 
 
-def test_lantern_solve_for_x():
-    b = [curve("c1"), curve("c1"), curve("c5"), curve("c5")]
-    v = reg.lantern_solve(b, [curve("c3"), curve("d")])
-    assert v in [(1, 0, 1, 0), (-1, 0, -1, 0)]
-
-
-def test_lantern_solve_identifies_separating():
-    b = [curve("c1"), curve("c1"), curve("c5"), curve("c5")]
-    assert reg.lantern_solve(b, [curve("x"), curve("c3")]) == SEPARATING
-
-
-def test_lantern_solve_for_kb():
-    b = [curve("c1"), curve("c1"), curve("c3"), curve("c3")]
-    v = reg.lantern_solve(b, [curve("hb"), curve("c5")])
-    assert v in [(2, 0, -1, 0), (-2, 0, 1, 0)]
-
-
-def test_lantern_solve_detects_inconsistency():
-    bad = reg.replace("c3", homology=(1, 1, 1, 0))
-    b = [curve("c1"), curve("c1"), curve("c5"), curve("c5")]
-    with pytest.raises(NotATransvection):
-        bad.lantern_solve(b, [curve("c3"), curve("d")])
-
-
 def test_corrupting_x_breaks_lantern_check():
-    bad = reg.replace("x", homology=(1, 1, 1, 0))
-    report = bad.validate()
-    assert not report.ok
-    assert any("lantern:L1" in c.name or "primitive" in c.name for c in report.failures())
+    # an inconsistent class on either side of L1 is caught by its image check
+    for name in ("x", "c3"):
+        report = reg.replace(name, homology=(1, 1, 1, 0)).validate()
+        assert "lantern:L1:image" in {c.name for c in report.failures()}, name
 
 
 def test_marking_d_nonseparating_fails():
@@ -287,6 +257,9 @@ def test_replace_changes_one_curve_or_drops_one_lantern():
     "c1 nonsep h=(1,0,0)",
     "c1 nonsep h=(1,-,0,0)",
     "c1 nonsep h=(1,0,0,0) def=c2",
+    "c1 nonsep h=(1,0,0,0) def=[](c2)",
+    "c1 nonsep h=(1,0,0,0) def=[c3](c2)^-1",
+    "c1 nonsep h=(1,0,0,0) def=[c3](c2) c4",
     "c1 is a curve",
     # a second line for a curve or a lantern would silently replace the first
     pytest.param(reg.serialize() + "x nonsep h=(1,0,1,0)\n", id="duplicate curve"),
