@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 parse or usage error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import Optional
 
@@ -45,15 +46,20 @@ def _emit(text: str, out: Optional[str]) -> None:
         print(text)
 
 
+_DOCUMENT_LINE = re.compile(r"(relator|script)\b")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     reg = _load_registry(args.registry)
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
-    if "relator" in text or "script" in text:
-        doc = parse_document(text, reg)
-        relators = dict(doc.relators)
+    # A document has a relator or script line; anything else is one bare word.
+    # Comments are stripped per line, as parse_document does.
+    uncommented = [raw.split("#", 1)[0] for raw in text.splitlines()]
+    if any(_DOCUMENT_LINE.match(line.strip()) for line in uncommented):
+        relators = dict(parse_document(text, reg).relators)
     else:
-        relators = {"input": parse_relator(text, reg)}
+        relators = {"input": parse_relator("\n".join(uncommented), reg)}
     if not relators:
         print("no relators found", file=sys.stderr)
         return 2

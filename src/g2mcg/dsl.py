@@ -318,12 +318,16 @@ def parse_document(text: str, registry: Optional[Registry] = None) -> Document:
                 if not m:
                     raise ParseError("bad relator definition", lineno)
                 name, body = m.groups()
+                if name in doc.relators:
+                    raise ParseError(f"duplicate relator {name}", lineno)
                 rel = parse_relator(body, registry, label=name, line=lineno, col=indent + m.start(2))
                 doc.relators[name] = rel
                 continue
             m = re.match(r"^script\s+([\w()+-]+)$", line)
             if m:
                 script_name = m.group(1)
+                if script_name in doc.scripts:
+                    raise ParseError(f"duplicate script {script_name}", lineno)
                 start, start_label, entries = None, "", []
                 continue
             raise ParseError(f"unexpected line outside script: {line!r}", lineno)

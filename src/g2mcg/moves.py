@@ -5,11 +5,12 @@ checks that the homology image is preserved.  A move rewrites a span
 w[lo:hi] of a canonical word as rep, and costs O(span), not O(word length):
 only rep is canonicalized, only the span's Sp(4,Z) images are compared, and
 replay updates the (n,s) signature by the span's letters.  Cyclic shifts
-and global conjugation (C) stay O(length): they rewrite the whole word and
-apply only to relators, a clause that is their image check too.  An
-illegal move, or one that breaks the image, raises IllegalMove carrying the
-failed clause; replay never silently skips a step.  The moves are the
-classes in MOVES.
+and global conjugation (C) rewrite the whole word, O(length), and apply
+only to relators, a clause that is their image check too.  Replay decides
+that clause by a whole-word image once, and again only after a C: every
+other move keeps the image, and a shift conjugates it.  An illegal move, or
+one that breaks the image, raises IllegalMove carrying the failed clause;
+replay never silently skips a step.  The moves are the classes in MOVES.
 """
 
 from __future__ import annotations
@@ -245,25 +246,28 @@ def _match_rotation(
 _LANTERN_SIDES = {"down": ("lhs", "rhs"), "up": ("rhs", "lhs")}
 
 
-def apply_move(reg: Registry, w: Word, move: Move) -> Word:
+def apply_move(reg: Registry, w: Word, move: Move, relator: Optional[bool] = None) -> Word:
     """Apply one legal move to w, which must be canonical (replay states
     are), and return the canonical result; raises IllegalMove with the
     failed clause.
 
     Only the rewritten span costs: rep is canonicalized and checked by
     image(w[lo:hi]) == image(rep), which is exact, Sp(4,Z) matrices being
-    invertible.  Shift and C rewrite the whole word, O(length), and need no
-    check: their relator clause holds for every rotation and conjugate.
+    invertible.  Shift and C rewrite the whole word, O(length), with no
+    span check: their clause is that w is a relator, image(w) == IDENTITY,
+    which ``relator`` answers when the caller knows it and a whole-word
+    image decides otherwise.
     """
-    lo, hi, rep = _apply(reg, w, move)
+    lo, hi, rep = _apply(reg, w, move, relator)
     rep = reg.canonical_word(rep)
     if not isinstance(move, (CyclicShift, GlobalConjugate)):
         _need(move, reg.image(w[lo:hi]) == reg.image(rep), "move broke the homology image")
     return w[:lo] + rep + w[hi:]
 
 
-def _apply(reg: Registry, w: Word, move: Move) -> tuple[int, int, Word]:
-    """(lo, hi, rep): the move rewrites w[lo:hi] as rep, not yet canonical."""
+def _apply(reg: Registry, w: Word, move: Move, relator: Optional[bool] = None) -> tuple[int, int, Word]:
+    """(lo, hi, rep): the move rewrites w[lo:hi] as rep, not yet canonical.
+    ``relator`` is whether image(w) is the identity, None if not known."""
     if isinstance(move, Commute):
         a, b = _pair(move, w, move.pos)
         _need(move, reg.disjoint(a.curve, b.curve),
@@ -309,12 +313,13 @@ def _apply(reg: Registry, w: Word, move: Move) -> tuple[int, int, Word]:
         width = len(src[0])
         return move.pos, move.pos + width, _conjugated_side(reg, dst, move.conj)
 
-    if isinstance(move, CyclicShift):
-        _need(move, reg.image(w) == hom.IDENTITY, "cyclic shift requires a relator")
-        return 0, len(w), cyclic_shift(w, move.k)
-
-    if isinstance(move, GlobalConjugate):
-        _need(move, reg.image(w) == hom.IDENTITY, "global conjugation requires a relator")
+    if isinstance(move, (CyclicShift, GlobalConjugate)):
+        if relator is None:
+            relator = reg.image(w) == hom.IDENTITY
+        if isinstance(move, CyclicShift):
+            _need(move, relator, "cyclic shift requires a relator")
+            return 0, len(w), cyclic_shift(w, move.k)
+        _need(move, relator, "global conjugation requires a relator")
         return 0, len(w), conjugate(w, invert(move.by))
 
     if isinstance(move, Expand):
@@ -457,6 +462,13 @@ def replay(reg: Registry, script: MoveScript) -> ReplayReport:
     def signature() -> Optional[tuple[int, int]]:
         return None if inverse else (len(state) - separating, separating)
 
+    # Whether image(state) is the identity: None while unknown, so that the
+    # next shift or C decides it by a whole-word image, and True once a
+    # shift has passed that clause.  It stays true, as every other move keeps
+    # the image (its span check) and a shift conjugates it.  A C makes it
+    # unknown again: it brings in conjugator letters no span check covers.
+    relator: Optional[bool] = None
+
     if script.start_label:
         report.labeled[script.start_label] = state
     index = 0
@@ -486,7 +498,11 @@ def replay(reg: Registry, script: MoveScript) -> ReplayReport:
                 saw_final = True
             continue
         try:
-            new = apply_move(reg, state, entry)
+            new = apply_move(reg, state, entry, relator=relator)
+            if isinstance(entry, CyclicShift):
+                relator = True
+            elif isinstance(entry, GlobalConjugate):
+                relator = None
             lo, hi, new_hi = _rewritten_span(state, new)
             (inv0, sep0), (inv1, sep1) = _tally(reg, state[lo:hi]), _tally(reg, new[lo:new_hi])
             inverse += inv1 - inv0

@@ -351,6 +351,8 @@ class Registry:
         return canonical
 
     def canonical_letter(self, l: Letter) -> Letter:
+        if not l.curve.conj:
+            return l
         curve = self.canonical_curve(l.curve)
         return l if curve is l.curve else Letter(curve, l.exp)
 

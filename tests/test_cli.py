@@ -132,6 +132,22 @@ def test_verify_parse_error(tmp_path):
     assert main(["verify", str(p)]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    "(c1 c2 c3 c4 c5)^6  # the chain relator\n",
+    "(c1 c2 c3 c4 c5)^6  # the chain\n",
+    "# the chain relator\n\n(c1 c2 c3 c4 c5)^6\n\n",
+])
+def test_verify_reads_a_commented_bare_word_as_the_word_alone(tmp_path, capsys, text):
+    bare = tmp_path / "bare.mcg"
+    bare.write_text("(c1 c2 c3 c4 c5)^6")
+    assert main(["verify", str(bare)]) == 0
+    expected = capsys.readouterr()
+    p = tmp_path / "commented.mcg"
+    p.write_text(text)
+    assert main(["verify", str(p)]) == 0
+    assert capsys.readouterr() == expected
+
+
 def test_verify_unknown_curve(tmp_path):
     p = tmp_path / "bad.mcg"
     p.write_text("zz")

@@ -165,6 +165,17 @@ def test_relator_body_errors_name_their_line(body, message):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("relator r = c1 c2\nrelator r = c1 c2 c3\n", "duplicate relator r at line 2"),
+    ("script s\nstart: c1\nend\n# again\nscript s\nstart: c2\nend\n",
+     "duplicate script s at line 5"),
+])
+def test_a_repeated_name_is_an_error_not_a_replacement(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_document(text, reg)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("text, where", [
     ("relator ok = c1\nrelator r = c1 zz^ c2\n", (2, 18)),
     ("script s\nstart: c1\n  checkpoint: c1 zz^\nend\n", (3, 20)),

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2mcg import homology as hom, moves
-from g2mcg.dsl import parse_word
+from g2mcg.dsl import parse_document, parse_word
 from g2mcg.fixtures import load_corpus
 from g2mcg.moves import (
     Alias,
@@ -22,7 +22,7 @@ from g2mcg.moves import (
     inverse_move,
     replay,
 )
-from g2mcg.registry import standard_registry
+from g2mcg.registry import Registry, standard_registry
 from g2mcg.words import letter
 
 reg = standard_registry()
@@ -341,7 +341,7 @@ def test_corpus_scripts_all_replay():
 # recount (n,s) over the whole word.
 
 
-def reference_apply(w, move):
+def reference_apply(w, move, reg=reg):
     lo, hi, rep = moves._apply(reg, w, move)
     out = reg.canonical_word(w[:lo] + rep + w[hi:])
     if isinstance(move, (CyclicShift, GlobalConjugate)):
@@ -358,14 +358,14 @@ def reference_apply(w, move):
     return out
 
 
-def reference_signature(w):
+def reference_signature(w, reg=reg):
     if any(l.exp != 1 for l in w):
         return None
     n = sum(1 for l in w if not reg.separating(l.curve))
     return (n, len(w) - n)
 
 
-def reference_replay(script):
+def reference_replay(script, reg=reg):
     """(signature of each step, labeled words, final word or None on a failure)."""
     state = reg.canonical_word(script.start)
     labeled = {script.start_label: state} if script.start_label else {}
@@ -373,27 +373,28 @@ def reference_replay(script):
     for entry in script.entries:
         if isinstance(entry, (Checkpoint, Final)):
             if state != reg.canonical_word(entry.word):
-                return signatures + [reference_signature(state)], labeled, None
+                return signatures + [reference_signature(state, reg)], labeled, None
             if entry.label:
                 labeled[entry.label] = state
         else:
             try:
-                state = reference_apply(state, entry)
+                state = reference_apply(state, entry, reg)
             except IllegalMove:
                 return signatures + [None], labeled, None
-        signatures.append(reference_signature(state))
+        signatures.append(reference_signature(state, reg))
     return signatures, labeled, state
 
 
-def assert_replay_matches_reference(script):
+def assert_replay_matches_reference(script, reg=reg):
     report = replay(reg, script)
-    signatures, labeled, final = reference_replay(script)
+    signatures, labeled, final = reference_replay(script, reg)
     steps = [s for s in report.steps if s.text != "final (undeclared)"]
     assert [s.signature for s in steps] == signatures, script.name
     assert report.labeled == labeled, script.name
     assert report.ok == (final is not None)
     if report.ok:
         assert report.final_word == final
+    return report
 
 
 @pytest.mark.parametrize("name", sorted(corpus.scripts))
@@ -401,12 +402,12 @@ def test_corpus_replay_matches_the_whole_word_engine(name):
     assert_replay_matches_reference(corpus.scripts[name])
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_walk_replay_matches_the_whole_word_engine(data):
+def walk_script(data, start):
+    """A script of up to 10 walk, C and undo moves from start, cut after the
+    first move the whole-word engine finds illegal, and maybe a checkpoint."""
     # Walks through inverse letters as well: expand and C put them in, the
     # inverse of an expand takes them out again.
-    start = state = fiber_sum(data)
+    state = start
     entries = []
     for _ in range(data.draw(st.integers(1, 10), label="steps")):
         kind = data.draw(st.sampled_from(["walk", "conjugate", "undo"]), label="kind")
@@ -423,4 +424,67 @@ def test_walk_replay_matches_the_whole_word_engine(data):
             break
     if data.draw(st.booleans(), label="checkpoint"):
         entries.append(Checkpoint(state, "end"))
-    assert_replay_matches_reference(MoveScript("walk", start, tuple(entries)))
+    return MoveScript("walk", start, tuple(entries))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_walk_replay_matches_the_whole_word_engine(data):
+    assert_replay_matches_reference(walk_script(data, fiber_sum(data)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_walk_replay_from_a_non_relator_matches_the_whole_word_engine(data):
+    # A fiber sum less one nonseparating letter is no relator, and no move
+    # makes it one again: every shift and C fails, at the same step as in
+    # the whole-word engine.
+    w = fiber_sum(data)
+    p = data.draw(st.sampled_from([p for p, l in enumerate(w) if not reg.separating(l.curve)]))
+    report = assert_replay_matches_reference(walk_script(data, w[:p] + w[p + 1 :]))
+    assert not any(s.ok and s.text.startswith(("shift", "C ")) for s in report.steps)
+
+
+@pytest.mark.parametrize("start", ["X0", "X0 less its first letter"])
+def test_replay_takes_one_whole_word_image_for_all_its_shifts(monkeypatch, start):
+    # shift and C need image(state) == IDENTITY; replay computes it once and
+    # keeps it, as every move in between keeps the image
+    w = reg.canonical_word(corpus.relator("X0").word)
+    if start != "X0":
+        w = w[1:]
+    entries = (Hurwitz(0, "left"), CyclicShift(3), CyclicShift(5), Hurwitz(4, "right"),
+               CyclicShift(7), GlobalConjugate(parse_word("c1")))
+    whole = []
+    image = Registry.image
+
+    def counted(self, u):
+        if len(u) >= len(w):
+            whole.append(u)
+        return image(self, u)
+
+    monkeypatch.setattr(Registry, "image", counted)
+    report = replay(reg, MoveScript("shifts", w, entries))
+    assert len(whole) == 1
+    assert report.ok == (start == "X0")
+    monkeypatch.undo()
+    assert_replay_matches_reference(MoveScript("shifts", w, entries))
+
+
+# c1 and c3 stay declared disjoint, but their classes now meet: canonical_curve
+# drops a c1 conjugating c3 though it changes the class.
+c3_meets_c1 = reg.replace("c3", homology=(0, 1, 1, 0))
+
+
+@pytest.mark.parametrize("start, entries", [
+    # a relator as written, but not once [c1](c3) is canonical
+    ("[c1](c3) c1 c3^-1 c1^-1", "shift 1"),
+    ("c2 c2^-1", "C by=[c1](c3)\nshift 1\nC by=[c1 c2](c3)\nshift 3\nC by=c3\nshift 1"),
+    ("c1 c3 c1^-1 c3^-1", "C by=[c1](c3)\nshift 1"),
+    ("c2 c5 c2^-1 c5^-1", "shift 1\nC by=[c1](c3)\nshift 2\nC by=c3"),
+])
+def test_shift_and_c_match_the_whole_word_engine_where_disjointness_is_wrong(start, entries):
+    script = parse_document(
+        f"script s\nstart: {start}\n{entries}\nend\n", c3_meets_c1
+    ).scripts["s"]
+    for registry in (reg, c3_meets_c1):
+        assert_replay_matches_reference(script, registry)

@@ -52,9 +52,9 @@ def test_replay_calls_apply_move_once_per_move(monkeypatch):
     calls = []
     apply_move = moves.apply_move
 
-    def counted(reg, w, move):
+    def counted(reg, w, move, **kwargs):
         calls.append(move)
-        return apply_move(reg, w, move)
+        return apply_move(reg, w, move, **kwargs)
 
     monkeypatch.setattr(moves, "apply_move", counted)
     for script in load_corpus(reg).scripts.values():
