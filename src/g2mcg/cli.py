@@ -53,10 +53,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     reg = _load_registry(args.registry)
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
-    # A document has a relator or script line; anything else is one bare word.
-    # Comments are stripped per line, as parse_document does.
+    # A document has a relator or script line, and a file with no word at all
+    # is an empty document; anything else is one bare word, `()` the empty
+    # one.  Comments are stripped per line, as parse_document does.
     uncommented = [raw.split("#", 1)[0] for raw in text.splitlines()]
-    if any(_DOCUMENT_LINE.match(line.strip()) for line in uncommented):
+    if not "".join(uncommented).strip() or any(
+        _DOCUMENT_LINE.match(line.strip()) for line in uncommented
+    ):
         relators = dict(parse_document(text, reg).relators)
     else:
         relators = {"input": parse_relator("\n".join(uncommented), reg)}

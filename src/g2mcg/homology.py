@@ -5,6 +5,11 @@ zero.  A right-handed Dehn twist along a curve of class v acts as the
 transvection x |-> x + <x, v> v; separating curves have v = 0 and act
 trivially.  Matrices are 4x4 tuples of Python ints, so all arithmetic is
 exact and overflow-free.
+
+The transvection is I + v (Jv)^T, a rank-one change of the identity, so
+Registry.image builds a word's image by one rank-one row update per letter
+and never forms a letter's matrix.  The matrix helpers here serve
+Registry.validate's identities and, as oracles, the tests.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ J: Mat = (
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     # Unrolled over the entries of b (about 5x faster than index loops in
-    # CPython): this is the innermost operation of every homology check.
+    # CPython); validate() composes letter images with it.
     (b00, b01, b02, b03), (b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33) = b
     return tuple(
         (
@@ -70,7 +75,7 @@ def sp_inverse(m: Mat) -> Mat:
 
 
 def transvection(v: Vec) -> Mat:
-    """Matrix of x |-> x + <x, v> v; the identity for v = 0."""
+    """Matrix of x |-> x + <x, v> v, that is I + v (Jv)^T; the identity for v = 0."""
     # <u, v> = u1 v2 - u2 v1 + u3 v4 - u4 v3, so <e_j, v> for the basis vectors is:
     jv = (v[1], -v[0], v[3], -v[2])
     return tuple(tuple((i == j) + jv[j] * v[i] for j in range(4)) for i in range(4))  # type: ignore[return-value]

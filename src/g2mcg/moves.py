@@ -500,13 +500,14 @@ def replay(reg: Registry, script: MoveScript) -> ReplayReport:
         try:
             new = apply_move(reg, state, entry, relator=relator)
             if isinstance(entry, CyclicShift):
-                relator = True
-            elif isinstance(entry, GlobalConjugate):
-                relator = None
-            lo, hi, new_hi = _rewritten_span(state, new)
-            (inv0, sep0), (inv1, sep1) = _tally(reg, state[lo:hi]), _tally(reg, new[lo:new_hi])
-            inverse += inv1 - inv0
-            separating += sep1 - sep0
+                relator = True  # a rotation also keeps both counts
+            else:
+                if isinstance(entry, GlobalConjugate):
+                    relator = None
+                lo, hi, new_hi = _rewritten_span(state, new)
+                (inv0, sep0), (inv1, sep1) = _tally(reg, state[lo:hi]), _tally(reg, new[lo:new_hi])
+                inverse += inv1 - inv0
+                separating += sep1 - sep0
             state = new
             report.steps.append(StepResult(index, describe(entry), True, "", signature()))
         except IllegalMove as exc:

@@ -148,6 +148,22 @@ def test_verify_reads_a_commented_bare_word_as_the_word_alone(tmp_path, capsys, 
     assert capsys.readouterr() == expected
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n", "# no word here\n\n  # nor here\n"])
+def test_verify_rejects_a_file_with_no_word(tmp_path, capsys, text):
+    p = tmp_path / "empty.mcg"
+    p.write_text(text)
+    assert main(["verify", str(p)]) == 2
+    assert capsys.readouterr() == ("", "no relators found\n")
+
+
+@pytest.mark.parametrize("text", ["()", "()  # the empty word\n", "# the empty word\n()\n"])
+def test_verify_accepts_the_empty_word_written_out(tmp_path, capsys, text):
+    p = tmp_path / "unit.mcg"
+    p.write_text(text)
+    assert main(["verify", str(p)]) == 0
+    assert capsys.readouterr().out.startswith("input: image = identity, ab class 0, (n,s) = (0,0)\n")
+
+
 def test_verify_unknown_curve(tmp_path):
     p = tmp_path / "bad.mcg"
     p.write_text("zz")

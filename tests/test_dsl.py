@@ -2,7 +2,7 @@ import re
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from g2mcg.dsl import (
     Document,
@@ -248,7 +248,8 @@ class _RefWordParser:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
 
     def take_name(self) -> str:
-        self.names.append(self.tokens[self.i])
+        if self.i < len(self.tokens):
+            self.names.append(self.tokens[self.i])
         return self.take()
 
     def take(self) -> str:
@@ -335,6 +336,8 @@ _texts = st.one_of(
 
 @settings(max_examples=400)
 @given(_texts, st.sampled_from([0, 7]))
+@example("[](", 0)
+@example("[c1](", 7)
 def test_parse_word_agrees_with_the_recursive_descent_parser(text, line):
     for registry in (None, reg):
         expected = _outcome(_ref_parse_word, text, registry, line)

@@ -470,6 +470,28 @@ def test_replay_takes_one_whole_word_image_for_all_its_shifts(monkeypatch, start
     assert_replay_matches_reference(MoveScript("shifts", w, entries))
 
 
+def test_a_shift_step_recounts_no_separating_letter(monkeypatch):
+    # a rotation keeps the inverse and separating counts, so a replay of
+    # shifts asks for as many separating flags as one of no move: the start's
+    w = reg.canonical_word(corpus.relator("X0").word)
+    shifts = (CyclicShift(3), CyclicShift(5), CyclicShift(len(w) - 1))
+    calls = []
+    separating = Registry.separating
+
+    def counted(self, curve):
+        calls.append(curve)
+        return separating(self, curve)
+
+    monkeypatch.setattr(Registry, "separating", counted)
+    replay(reg, MoveScript("none", w, ()))
+    at_start = len(calls)
+    del calls[:]
+    report = replay(reg, MoveScript("shifts", w, shifts))
+    assert report.ok and len(calls) == at_start == len(w)
+    monkeypatch.undo()
+    assert_replay_matches_reference(MoveScript("shifts", w, shifts))
+
+
 # c1 and c3 stay declared disjoint, but their classes now meet: canonical_curve
 # drops a c1 conjugating c3 though it changes the class.
 c3_meets_c1 = reg.replace("c3", homology=(0, 1, 1, 0))

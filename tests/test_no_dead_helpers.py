@@ -22,6 +22,7 @@ ALLOWED = {
     "registry.ValidationReport.failures": "tests read a report's failed checks",
     "homology.is_symplectic": "test oracle: every Sp(4,Z) image is symplectic",
     "homology.sp_inverse": "test oracle: a word's inverse maps to the inverse matrix",
+    "homology.transvection_inv": "test oracle: the matrix each letter's rank-one update must equal",
     "pi1.ab_matrix": "test oracle: the pi1 action abelianizes to the Sp(4,Z) image",
     "pi1.preserves_relator": "test oracle: each twist action fixes the surface relator",
     "pi1.apply_word": "test oracle: the action of a word on one generator",
