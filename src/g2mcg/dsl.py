@@ -48,7 +48,7 @@ from .moves import (
     describe,
 )
 from .registry import Registry, UnknownCurve
-from .words import Curve, Letter, PositiveRelator, Word, make_curve
+from .words import Curve, Letter, PositiveRelator, Word, invert, make_curve
 
 
 class ParseError(ValueError):
@@ -125,7 +125,7 @@ def parse_word(text: str, registry: Optional[Registry] = None, line: int = 0, co
         if exp >= 0:
             letters.extend(base * exp)
         else:
-            letters.extend(tuple(l.inverse() for l in reversed(base)) * (-exp))
+            letters.extend(invert(base) * (-exp))
     if stack:
         raise ParseError("unexpected end of word", line)
     if registry is not None and not all(t in registry.curves for t in set(tokens) if t[:1].isalpha()):

@@ -8,8 +8,9 @@ exact and overflow-free.
 
 The transvection is I + v (Jv)^T, a rank-one change of the identity, so
 Registry.image builds a word's image by one rank-one row update per letter
-and never forms a letter's matrix.  The matrix helpers here serve
-Registry.validate's identities and, as oracles, the tests.
+and never forms a letter's matrix; Registry.validate compares images of
+words.  The matrix helpers here serve the tests, as oracles, and the
+bench's tracer layer.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ J: Mat = (
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     # Unrolled over the entries of b (about 5x faster than index loops in
-    # CPython); validate() composes letter images with it.
+    # CPython); only the test oracles and the bench's tracer layer call it.
     (b00, b01, b02, b03), (b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33) = b
     return tuple(
         (

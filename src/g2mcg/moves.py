@@ -242,8 +242,9 @@ def _match_rotation(
     return None
 
 
-# Lantern direction -> (side matched in the word, side put in its place).
-_LANTERN_SIDES = {"down": ("lhs", "rhs"), "up": ("rhs", "lhs")}
+# Lantern direction -> (side matched in the word, side put in its place, the
+# direction that undoes it).
+_LANTERN_SIDES = {"down": ("lhs", "rhs", "up"), "up": ("rhs", "lhs", "down")}
 
 
 def apply_move(reg: Registry, w: Word, move: Move, relator: Optional[bool] = None) -> Word:
@@ -258,82 +259,92 @@ def apply_move(reg: Registry, w: Word, move: Move, relator: Optional[bool] = Non
     which ``relator`` answers when the caller knows it and a whole-word
     image decides otherwise.
     """
-    lo, hi, rep = _apply(reg, w, move, relator)
+    lo, hi, rep, _ = _apply(reg, w, move, relator)
     rep = reg.canonical_word(rep)
     if not isinstance(move, (CyclicShift, GlobalConjugate)):
         _need(move, reg.image(w[lo:hi]) == reg.image(rep), "move broke the homology image")
     return w[:lo] + rep + w[hi:]
 
 
-def _apply(reg: Registry, w: Word, move: Move, relator: Optional[bool] = None) -> tuple[int, int, Word]:
-    """(lo, hi, rep): the move rewrites w[lo:hi] as rep, not yet canonical.
+def inverse_move(reg: Registry, w: Word, move: Move) -> Move:
+    """The move undoing ``move`` on apply_move(reg, w, move), as the move's
+    own rewrite decides it; raises IllegalMove when ``move`` does not apply."""
+    return _apply(reg, w, move)[3]
+
+
+def _apply(reg: Registry, w: Word, move: Move,
+           relator: Optional[bool] = None) -> tuple[int, int, Word, Move]:
+    """(lo, hi, rep, undo): the move rewrites w[lo:hi] as rep, not yet
+    canonical, and the move ``undo`` takes the result back to w.
     ``relator`` is whether image(w) is the identity, None if not known."""
     if isinstance(move, Commute):
         a, b = _pair(move, w, move.pos)
         _need(move, reg.disjoint(a.curve, b.curve),
               f"curves {a.curve!r} and {b.curve!r} are not declared disjoint")
-        return move.pos, move.pos + 2, (b, a)
+        return move.pos, move.pos + 2, (b, a), move
 
     if isinstance(move, Hurwitz):
         a, b = _pair(move, w, move.pos)
         _need(move, move.side in ("left", "right"), f"unknown side {move.side!r}")
         if move.side == "left":
-            return move.pos, move.pos + 2, (push(b, (a,)), a)
-        return move.pos, move.pos + 2, (b, push(a, (b.inverse(),)))
+            return move.pos, move.pos + 2, (push(b, (a,)), a), Hurwitz(move.pos, "right")
+        return move.pos, move.pos + 2, (b, push(a, (b.inverse(),))), Hurwitz(move.pos, "left")
 
     if isinstance(move, Braid):
         p, q = _pair(move, w, move.pos)
         p, q = reg.canonical_letter(p), reg.canonical_letter(q)
         _need(move, p.exp == 1 and q.exp == 1, "braid patterns take positive letters")
         if move.form == "fwd":
-            rep = _braid_fwd(reg, move, p, q)
-        elif move.form in ("rev1", "rev2"):
-            _need(move, not p.curve.is_conjugate and not q.curve.is_conjugate,
-                  f"{move.form} takes two plain letters")
-            _need(move, reg.braid_adjacent(p.curve.name, q.curve.name),
-                  f"{p.curve.name},{q.curve.name} are not braid-adjacent")
-            if move.form == "rev1":  # (b, a) -> (a^-1(b), b)
-                rep = (Letter(make_curve(p.curve.name, (Letter(q.curve, -1),))), Letter(p.curve))
-            else:  # (a, b) -> (b, a(b))
-                rep = (Letter(q.curve), Letter(make_curve(q.curve.name, (Letter(p.curve, 1),))))
-        else:
-            raise IllegalMove(move, f"unknown braid form {move.form!r}")
-        return move.pos, move.pos + 2, rep
+            # rev1 undoes (a^-1(b), b) -> (b, a), rev2 undoes (b, a(b)) -> (a, b)
+            undo = Braid(move.pos, "rev1" if p.curve.is_conjugate else "rev2")
+            return move.pos, move.pos + 2, _braid_fwd(reg, move, p, q), undo
+        _need(move, move.form in ("rev1", "rev2"), f"unknown braid form {move.form!r}")
+        _need(move, not p.curve.is_conjugate and not q.curve.is_conjugate,
+              f"{move.form} takes two plain letters")
+        _need(move, reg.braid_adjacent(p.curve.name, q.curve.name),
+              f"{p.curve.name},{q.curve.name} are not braid-adjacent")
+        if move.form == "rev1":  # (b, a) -> (a^-1(b), b)
+            rep = (Letter(make_curve(p.curve.name, (Letter(q.curve, -1),))), Letter(p.curve))
+        else:  # (a, b) -> (b, a(b))
+            rep = (Letter(q.curve), Letter(make_curve(q.curve.name, (Letter(p.curve, 1),))))
+        return move.pos, move.pos + 2, rep, Braid(move.pos, "fwd")
 
     if isinstance(move, Lantern):
         _need(move, move.inst in reg.lanterns, f"unknown lantern instance {move.inst}")
         _need(move, move.direction in _LANTERN_SIDES, f"unknown direction {move.direction!r}")
         inst = reg.lanterns[move.inst]
-        src_side, dst_side = _LANTERN_SIDES[move.direction]
+        src_side, dst_side, back = _LANTERN_SIDES[move.direction]
         src = inst.rotations(src_side)
-        dst_rotations = inst.rotations(dst_side)
-        dst = dst_rotations[move.out % len(dst_rotations)]
+        dst = inst.rotations(dst_side)
         r = _match_rotation(reg, w, move.pos, src, move.conj)
         _need(move, r is not None, f"word at {move.pos} matches no rotation of {move.inst} {src_side}")
-        width = len(src[0])
-        return move.pos, move.pos + width, _conjugated_side(reg, dst, move.conj)
+        rep = _conjugated_side(reg, dst[move.out % len(dst)], move.conj)
+        # the undo puts back the rotation r that matched
+        undo = Lantern(move.pos, move.inst, back, r, move.conj)
+        return move.pos, move.pos + len(src[0]), rep, undo
 
     if isinstance(move, (CyclicShift, GlobalConjugate)):
         if relator is None:
             relator = reg.image(w) == hom.IDENTITY
         if isinstance(move, CyclicShift):
             _need(move, relator, "cyclic shift requires a relator")
-            return 0, len(w), cyclic_shift(w, move.k)
+            return 0, len(w), cyclic_shift(w, move.k), CyclicShift(-move.k % max(len(w), 1))
         _need(move, relator, "global conjugation requires a relator")
-        return 0, len(w), conjugate(w, invert(move.by))
+        return 0, len(w), conjugate(w, invert(move.by)), GlobalConjugate(invert(move.by))
 
     if isinstance(move, Expand):
         _need(move, 0 <= move.pos < len(w), f"no letter at {move.pos}")
         l = w[move.pos]
         _need(move, l.curve.is_conjugate, f"{l!r} is not in conjugate form")
-        return move.pos, move.pos + 1, expand_letter(l)
+        rep = expand_letter(l)
+        return move.pos, move.pos + 1, rep, Contract(move.pos, move.pos + len(rep))
 
     if isinstance(move, Contract):
         try:
             out = contract_subword(w, move.lo, move.hi)
         except ValueError as exc:
             raise IllegalMove(move, str(exc)) from None
-        return move.lo, move.hi, out[move.lo : move.lo + 1]
+        return move.lo, move.hi, out[move.lo : move.lo + 1], Expand(move.lo)
 
     if isinstance(move, Alias):
         _need(move, move.rel in reg.aliases, f"unknown alias relation {move.rel}")
@@ -342,7 +353,8 @@ def _apply(reg: Registry, w: Word, move: Move, relator: Optional[bool] = None) -
         span = w[move.pos : move.pos + len(src)]
         _need(move, len(span) == len(src) and reg.words_equal(span, src),
               f"word at {move.pos} does not match the {move.direction} side of {move.rel}")
-        return move.pos, move.pos + len(src), dst
+        undo = Alias(move.pos, move.rel, "rev" if move.direction == "fwd" else "fwd")
+        return move.pos, move.pos + len(src), dst, undo
 
     if isinstance(move, CentralSlide):
         block = w[move.pos : move.pos + move.length]
@@ -351,45 +363,12 @@ def _apply(reg: Registry, w: Word, move: Move, relator: Optional[bool] = None) -
               "block is not a registered central word")
         end = move.pos + move.length
         _need(move, 0 <= move.dest <= len(w) - move.length, f"destination {move.dest} out of range")
+        undo = CentralSlide(move.dest, move.length, move.pos)
         if move.dest <= move.pos:  # the block moves left over w[dest:pos]
-            return move.dest, end, block + w[move.dest : move.pos]
-        return move.pos, move.dest + move.length, w[end : move.dest + move.length] + block
+            return move.dest, end, block + w[move.dest : move.pos], undo
+        return move.pos, move.dest + move.length, w[end : move.dest + move.length] + block, undo
 
     raise TypeError(f"unknown move {move!r}")
-
-
-def inverse_move(reg: Registry, w: Word, move: Move) -> Move:
-    """The move undoing ``move`` when applied to apply_move(reg, w, move)."""
-    if isinstance(move, Commute):
-        return move
-    if isinstance(move, Hurwitz):
-        return Hurwitz(move.pos, "right" if move.side == "left" else "left")
-    if isinstance(move, Braid):
-        if move.form == "fwd":
-            p = reg.canonical_letter(w[move.pos])
-            return Braid(move.pos, "rev1" if p.curve.is_conjugate else "rev2")
-        return Braid(move.pos, "fwd")
-    if isinstance(move, Lantern):
-        src = reg.lanterns[move.inst].rotations(_LANTERN_SIDES[move.direction][0])
-        r = _match_rotation(reg, w, move.pos, src, move.conj)
-        if r is None:
-            raise IllegalMove(move, "cannot invert a move that does not apply")
-        direction = "up" if move.direction == "down" else "down"
-        return Lantern(move.pos, move.inst, direction, out=r, conj=move.conj)
-    if isinstance(move, CyclicShift):
-        return CyclicShift(-move.k % max(len(w), 1))
-    if isinstance(move, GlobalConjugate):
-        return GlobalConjugate(invert(move.by))
-    if isinstance(move, Expand):
-        width = 2 * len(w[move.pos].curve.conj) + 1
-        return Contract(move.pos, move.pos + width)
-    if isinstance(move, Contract):
-        return Expand(move.lo)
-    if isinstance(move, Alias):
-        return Alias(move.pos, move.rel, "rev" if move.direction == "fwd" else "fwd")
-    if isinstance(move, CentralSlide):
-        return CentralSlide(move.dest, move.length, move.pos)
-    raise TypeError(move)
 
 
 # -- replay ---------------------------------------------------------------------

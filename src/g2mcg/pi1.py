@@ -40,7 +40,7 @@ from typing import Optional
 from . import homology as hom
 from .homology import Mat
 from .registry import Registry
-from .words import Curve, Letter, Word
+from .words import Word, invert
 
 GENS = "abcd"
 RELATOR = "abABcdCD"
@@ -228,24 +228,16 @@ def preserves_relator(aut: Aut) -> bool:
 
 def word_action(reg: Registry, w: Word) -> Aut:
     """Automorphism of the word: rightmost letter acts first, matching the
-    matrix convention image(uv) = image(u) image(v) on column vectors."""
+    matrix convention image(uv) = image(u) image(v) on column vectors.  The
+    letters of reg.flat_word(w), all plain, act by their table entries;
+    MissingAutomorphism names the first of them with no entry."""
     out = dict(_IDENTITY)
-    for l in w:
-        out = compose(out, _letter_action(reg, l))
+    for l in reg.flat_word(w):
+        table = TWIST_TABLE if l.exp == 1 else TWIST_TABLE_INV
+        if l.curve.name not in table:
+            raise MissingAutomorphism(l.curve.name)
+        out = compose(out, table[l.curve.name])
     return out
-
-
-def _letter_action(reg: Registry, l: Letter) -> Aut:
-    name = l.curve.name
-    if l.curve.conj:
-        inner = _letter_action(reg, Letter(Curve(name), l.exp))
-        u = word_action(reg, l.curve.conj)
-        uinv = word_action(reg, tuple(m.inverse() for m in reversed(l.curve.conj)))
-        return compose(u, compose(inner, uinv))
-    table = TWIST_TABLE if l.exp == 1 else TWIST_TABLE_INV
-    if name not in table:
-        raise MissingAutomorphism(name)
-    return dict(table[name])
 
 
 def apply_word(reg: Registry, w: Word, g: str) -> str:
@@ -302,6 +294,5 @@ def equal_up_to_inner(reg: Registry, u: Word, v: Word) -> Verdict:
     """Do u and v induce the same outer automorphism, that is, are they the
     same mapping class?  Equal, with the conjugator z of u = z v z^-1 on
     every generator, exactly when the action of u v^-1 is inner."""
-    vinv = tuple(l.inverse() for l in reversed(v))
-    z = inner_conjugator(word_action(reg, u + vinv))
+    z = inner_conjugator(word_action(reg, u + invert(v)))
     return Verdict("distinguished") if z is None else Verdict("equal", z)

@@ -185,6 +185,33 @@ def test_every_move_is_invertible_along_the_corpus():
             state = checked_step(state, entry, apply_move(reg, state, entry))
 
 
+@pytest.mark.parametrize(
+    "text, move",
+    [
+        ("c5 c1 c5", Expand(1)),  # a plain letter has no conjugator
+        ("c1 c3", Braid(0, "fwd")),  # neither forward braid pattern
+        ("c1 c2", Commute(0)),  # the curves intersect
+        ("c1 c2", CyclicShift(1)),  # not a relator
+    ],
+)
+def test_inverse_move_refuses_a_move_that_does_not_apply(text, move):
+    with pytest.raises(IllegalMove):
+        inverse_move(reg, parse_word(text), move)
+
+
+def test_a_lantern_step_matches_its_rotation_once(monkeypatch):
+    calls = []
+    real = moves._match_rotation
+    monkeypatch.setattr(moves, "_match_rotation", lambda *a: calls.append(a) or real(*a))
+    w = reg.lanterns["L1"].rotations("lhs")[2]
+    move = Lantern(0, "L1", "down")
+    out = apply_move(reg, w, move)
+    assert len(calls) == 1
+    undo = inverse_move(reg, w, move)
+    assert len(calls) == 2 and undo == Lantern(0, "L1", "up", out=2)
+    assert apply_move(reg, out, undo) == w
+
+
 RELATORS = sorted(corpus.relators.values(), key=lambda r: r.label)
 
 
@@ -342,7 +369,7 @@ def test_corpus_scripts_all_replay():
 
 
 def reference_apply(w, move, reg=reg):
-    lo, hi, rep = moves._apply(reg, w, move)
+    lo, hi, rep, _ = moves._apply(reg, w, move)
     out = reg.canonical_word(w[:lo] + rep + w[hi:])
     if isinstance(move, (CyclicShift, GlobalConjugate)):
         return out
@@ -400,6 +427,18 @@ def assert_replay_matches_reference(script, reg=reg):
 @pytest.mark.parametrize("name", sorted(corpus.scripts))
 def test_corpus_replay_matches_the_whole_word_engine(name):
     assert_replay_matches_reference(corpus.scripts[name])
+
+
+def test_each_labeled_corpus_word_is_the_relator_of_that_name():
+    # X0..X7 and Z0..Z4, as starts or checkpoints, some in two scripts
+    labeled = [
+        (label, w)
+        for script in corpus.scripts.values()
+        for label, w in replay(reg, script).labeled.items()
+    ]
+    assert len(labeled) == 16
+    for label, w in labeled:
+        assert w == reg.canonical_word(corpus.relator(label).word), label
 
 
 def walk_script(data, start):

@@ -1,13 +1,16 @@
 """Every public top-level function and class of g2mcg, and every public
 method of such a class, is reached.
 
-A name counts as reached when some module of the package other than
-``__init__.py`` refers to it (an ``ast.Name`` or ``ast.Attribute`` outside
-its own definition), or when a file under ``bench/`` mentions it: the
-tracer wraps functions by name.  A method is matched by its name alone, as
-an attribute's owner is not known without running the code.  The files
-under ``bench/`` are only read.  A name that nothing reaches is dead code,
-unless ALLOWED keeps it and says why.
+A name counts as reached only from a reached definition.  The roots are
+cli.py, the module-level code of every module and the names a file under
+``bench/`` mentions: the tracer wraps functions by name.  A reached
+definition reaches each name its body refers to (an ``ast.Name`` or
+``ast.Attribute``), and a reached class its own private and dunder
+methods, which run without being named.  A reference is matched by name
+alone, as an attribute's owner is not known without running the code.
+``__init__.py`` only re-exports, and counts for nothing.  The files under
+``bench/`` are only read.  A name that nothing reaches is dead code, unless
+ALLOWED keeps it and says why.
 """
 
 import ast
@@ -22,52 +25,64 @@ ALLOWED = {
     "registry.ValidationReport.failures": "tests read a report's failed checks",
     "homology.is_symplectic": "test oracle: every Sp(4,Z) image is symplectic",
     "homology.sp_inverse": "test oracle: a word's inverse maps to the inverse matrix",
+    "homology.transpose": "serves the test oracles is_symplectic and sp_inverse",
+    "homology.transvection": "test oracle: the matrix of a right-handed twist",
     "homology.transvection_inv": "test oracle: the matrix each letter's rank-one update must equal",
     "pi1.ab_matrix": "test oracle: the pi1 action abelianizes to the Sp(4,Z) image",
+    "pi1.ab_vector": "serves the test oracle ab_matrix",
     "pi1.preserves_relator": "test oracle: each twist action fixes the surface relator",
     "pi1.apply_word": "test oracle: the action of a word on one generator",
     "pi1.equal_up_to_inner": "ROADMAP direction 1: the pi1 identity check of aliases",
+    "pi1.Verdict": "the answer of equal_up_to_inner, ROADMAP direction 1",
     "invariants.homeo_label": "ROADMAP direction 2: the Freedman label of a proved certificate",
     "invariants.non_spin_from_signature": "ROADMAP direction 2: oddness of the form",
+    "invariants.NotOddForm": "raised by non_spin_from_signature, ROADMAP direction 2",
     "invariants.fiber_sum": "ROADMAP direction 4: the summands of fiber-sum splits",
     "invariants.blowdown_delta": "ROADMAP direction 5: per-step invariant deltas",
+    "invariants.BlowdownDelta": "the answer of blowdown_delta, ROADMAP direction 5",
 }
 
-
-def _public(nodes) -> list[ast.AST]:
-    return [n for n in nodes
-            if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")]
+DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 
 
-def _definitions() -> set[str]:
-    out = set()
+def _names(node: ast.AST):
+    """Names referred to under node."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def _graph():
+    """(definitions, roots): each definition "module.name" or
+    "module.Class.method" with the names its body refers to, and the names
+    the roots refer to.  A class's methods are definitions of their own."""
+    defs: dict[str, set[str]] = {}
+    roots: set[str] = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in _public(ast.parse(path.read_text(encoding="utf-8")).body):
-            out.add(f"{path.stem}.{node.name}")
-            if isinstance(node, ast.ClassDef):
-                out.update(f"{path.stem}.{node.name}.{m.name}" for m in _public(node.body)
-                           if isinstance(m, ast.FunctionDef))
-    return out
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "cli.py":
+            roots.update(_names(tree))
+        for node in tree.body:
+            if not isinstance(node, DEFINITIONS):
+                roots.update(_names(node))
+                continue
+            qualified = f"{path.stem}.{node.name}"
+            refs = defs[qualified] = set()
+            for part in ([node] if isinstance(node, ast.FunctionDef) else
+                         [*node.decorator_list, *node.bases, *node.body]):
+                if isinstance(part, ast.FunctionDef) and part is not node:
+                    defs[f"{qualified}.{part.name}"] = set(_names(part))
+                else:
+                    refs.update(_names(part))
+    return defs, roots
 
 
-def _references(node: ast.AST, own: frozenset[str] = frozenset()):
-    """Names referred to under node, outside the definitions that bear them."""
-    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-        own |= {node.name}
-    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-    if isinstance(node, (ast.Name, ast.Attribute)) and name not in own:
-        yield name
-    for child in ast.iter_child_nodes(node):
-        yield from _references(child, own)
-
-
-def _package_references() -> set[str]:
-    """Names referred to in the package, __init__.py and self-references aside."""
-    return {
-        name
-        for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
-        for name in _references(ast.parse(path.read_text(encoding="utf-8")))
-    }
+def _public(qualified: str) -> bool:
+    return not qualified.rpartition(".")[2].startswith("_")
 
 
 def _bench_text() -> str:
@@ -77,12 +92,23 @@ def _bench_text() -> str:
 
 
 def unreached() -> set[str]:
-    refs, bench = _package_references(), _bench_text()
-    return {
-        qualified for qualified in _definitions()
-        if (name := qualified.rpartition(".")[2]) not in refs
-        and not re.search(rf"\b{name}\b", bench)
-    }
+    defs, roots = _graph()
+    bench = _bench_text()
+    by_name: dict[str, list[str]] = {}
+    for qualified in defs:
+        by_name.setdefault(qualified.rpartition(".")[2], []).append(qualified)
+    reached: set[str] = set()
+    todo = [q for q in defs if re.search(rf"\b{q.rpartition('.')[2]}\b", bench)]
+    todo += [q for name in roots for q in by_name.get(name, ())]
+    while todo:
+        qualified = todo.pop()
+        if qualified in reached:
+            continue
+        reached.add(qualified)
+        todo += [q for name in defs[qualified] for q in by_name.get(name, ())]
+        # a reached class runs its private and dunder methods unnamed
+        todo += [q for q in defs if q.startswith(qualified + ".") and not _public(q)]
+    return {q for q in defs if _public(q) and q not in reached}
 
 
 def test_no_public_helper_is_unreached():

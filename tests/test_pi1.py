@@ -80,11 +80,23 @@ def test_apply_word_empty_is_reduction():
 def test_missing_automorphism():
     with pytest.raises(pi1.MissingAutomorphism):
         pi1.apply_word(reg, (letter("x"),), "a")
+    # the first letter of the flattened word x B0 x^-1 without an action
+    with pytest.raises(pi1.MissingAutomorphism, match="'x'"):
+        pi1.word_action(reg, parse_word("[x](B0)"))
 
 
 def test_conjugate_curve_letters_act():
     w = (letter("c2", conj=(letter("c3", -1),)),)
     assert pi1.ab_matrix(pi1.word_action(reg, w)) == reg.image(w)
+
+
+def test_word_action_flattens_conjugators_without_recursing(monkeypatch):
+    calls = []
+    real = pi1.word_action
+    monkeypatch.setattr(pi1, "word_action", lambda r, w: calls.append(w) or real(r, w))
+    w = parse_word("[c1 [c2](c3)^-1](c4) c5 [c4^-1](c3)^-1")
+    assert pi1.word_action(reg, w) == _ref_word_action(w)
+    assert len(calls) == 1
 
 
 def test_abelianization_matches_homology_on_random_words():

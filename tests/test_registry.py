@@ -20,6 +20,14 @@ def test_standard_registry_validates():
     assert report.ok, report.render()
 
 
+def test_validate_multiplies_no_matrices(monkeypatch):
+    calls = []
+    real = hom.mat_mul
+    monkeypatch.setattr(hom, "mat_mul", lambda a, b: calls.append(1) or real(a, b))
+    assert Registry.parse(reg.serialize()).validate().ok  # cold caches
+    assert calls == []
+
+
 def test_homology_classes():
     assert reg.homology_class(curve("c1")) == (1, 0, 0, 0)
     assert reg.homology_class(curve("d")) == (0, 0, 0, 0)
