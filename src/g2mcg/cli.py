@@ -79,7 +79,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 inner = pi1.inner_conjugator(pi1.word_action(reg, rel.word)) is not None
                 ok = ok and inner
                 shown = f"acts by conjugation on generators: {inner}"
-            except pi1.MissingAutomorphism as exc:
+            except pi1.MissingAutomorphism as exc:  # inconclusive, so not a pass
+                ok = False
                 inner, shown = "skipped", f"skipped (no action table for curve {exc})"
         if not ok:
             status = 1
@@ -155,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "records"), default="text")
     parser.add_argument("--pi1", action="store_true",
                         help="prove or refute that each relator acts on pi1 as an inner "
-                             "automorphism (verify only)")
+                             "automorphism (verify only); one it cannot decide is skipped "
+                             "and fails")
     parser.add_argument("--out", help="write output to this path instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 

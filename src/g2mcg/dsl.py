@@ -8,10 +8,12 @@ Word grammar
 
 Letters are separated by whitespace or '.', and '^k' repeats a letter |k|
 times with the sign of k as exponent; '(w)^k' repeats a whole word.  No
-word or conjugator may expand past MAX_LETTERS letters.  The
-conjugate form [w](a) is the twist along the image of curve a under the
-word w.  Unicode input is accepted for a few names (the Greek delta and
-macron accents map to d, kb, hb); output is always ASCII.
+word or conjugator may expand past MAX_LETTERS letters.  The conjugate
+form [w](a) is the twist along the image of curve a under the word w.  A
+document reads each distinct item (a name or a flat [w](a), with its
+power) once, so its words share their letters.  Unicode input is accepted
+for a few names (the Greek delta and macron accents map to d, kb, hb);
+output is always ASCII.
 
 Script files are line oriented:
 
@@ -48,7 +50,7 @@ from .moves import (
     describe,
 )
 from .registry import Registry, UnknownCurve
-from .words import Curve, Letter, PositiveRelator, Word, invert, make_curve
+from .words import Curve, Letter, PositiveRelator, Word, invert, push
 
 
 class ParseError(ValueError):
@@ -63,10 +65,16 @@ class ParseError(ValueError):
 _UNICODE_NAMES = {"δ": "d", "k\u0304": "kb", "h\u0304": "hb", "k\u00af": "kb", "h\u00af": "hb"}
 _BLANK = r"\s.\u00b7\u22c5"  # whitespace, '.' and the middle dots separate letters
 # a name ends before a k or h that carries a macron (k̄ and k¯ spell kb)
-_TOKEN = r"δ|[kh][\u0304\u00af]|[A-Za-z](?:(?![kh][\u0304\u00af])[A-Za-z0-9])*|\^-?\d+|[\[\]()]"
+_NAME = r"δ|[kh][\u0304\u00af]|[A-Za-z](?:(?![kh][\u0304\u00af])[A-Za-z0-9])*"
+# An item, one token: a name or a flat conjugate [w](a), with its power.  Inside
+# its brackets names are ASCII and blanks '.' or whitespace, so w splits one way.
+_FLAT, _GAP = r"[A-Za-z][A-Za-z0-9]*(?![A-Za-z0-9])", r"[\s.]*"
+_ITEM = (rf"(?:{_NAME}|\[(?:{_GAP}{_FLAT}(?:{_GAP}\^-?\d+)?)*{_GAP}\]{_GAP}\({_GAP}{_FLAT}{_GAP}\))"
+         rf"(?:[{_BLANK}]*\^-?\d+)?")
 # one findall tokenizes a word; at a bad character it yields an empty token
-_TOKEN_RE = re.compile(rf"[{_BLANK}]*({_TOKEN}|(?=[^{_BLANK}]))")
-_GOOD_PREFIX_RE = re.compile(rf"(?:[{_BLANK}]*(?:{_TOKEN}))*[{_BLANK}]*")
+_TOKEN_RE = re.compile(rf"[{_BLANK}]*({_ITEM}|\^-?\d+|[\[\]()]|(?=[^{_BLANK}]))")
+# single tokens, as error messages quote them; re compiles it on first use
+_SINGLE = rf"[{_BLANK}]*({_NAME}|\^-?\d+|[\[\]()]|(?=[^{_BLANK}]))"
 _CLOSER = {"[": "]", "(": ")"}
 MAX_LETTERS = 100_000  # per word or conjugator, checked before each power expands
 
@@ -74,69 +82,96 @@ MAX_LETTERS = 100_000  # per word or conjugator, checked before each power expan
 def parse_word(text: str, registry: Optional[Registry] = None, line: int = 0, col: int = 0) -> Word:
     """Parse one word.  ``col`` is the offset of ``text`` in its line, so a bad
     character's column counts from the start of the line."""
+    return _parse_word(text, registry, line, col, {})
+
+
+def _parse_word(text: str, registry: Optional[Registry], line: int, col: int, memo: dict) -> Word:
     tokens = _TOKEN_RE.findall(text)
     if "" in tokens:
-        bad = _GOOD_PREFIX_RE.match(text).end()
+        bad = next(m.start(1) for m in _TOKEN_RE.finditer(text) if not m[1])
         raise ParseError(f"bad character {text[bad]!r}", line, col + bad + 1)
     if not text.isascii():
         tokens = [_UNICODE_NAMES.get(t, t) for t in tokens]
     tokens.append("")  # end of word: no closer, name or exponent matches it
 
-    def expect(i: int, expected: str) -> str:
+    def expect(i: int, expected: str) -> str:  # tokens[i]: expected, or a name if that is ""
         if not tokens[i]:
             raise ParseError("unexpected end of word", line)
-        if expected and tokens[i] != expected:
-            raise ParseError(f"expected {expected!r}, got {tokens[i]!r}", line)
+        if tokens[i] != expected and (expected or not tokens[i][0].isalpha()):
+            got = re.match(_SINGLE, tokens[i])[1]  # an item's first single token
+            what = repr(expected) if expected else "curve name"
+            raise ParseError(f"expected {what}, got {_UNICODE_NAMES.get(got, got)!r}", line)
         return tokens[i]
 
-    plain: dict[str, Letter] = {}
     letters: list[Letter] = []
     stack: list[tuple[str, list[Letter]]] = []  # per open bracket: its closer, the word before it
     i = 0
     while tokens[i]:
         tok = tokens[i]
         i += 1
-        if tok in _CLOSER:
+        if tok in memo:
+            letters += memo[tok][0]
+        elif tok in _CLOSER:
             stack.append((_CLOSER[tok], letters))
             letters = []
             continue
-        if stack and tok == stack[-1][0]:
+        elif stack and tok == stack[-1][0]:
             base, letters = tuple(letters), stack.pop()[1]
             if tok == "]":
                 expect(i, "(")
                 name = expect(i + 1, "")
-                if not name[0].isalpha():
-                    raise ParseError(f"expected curve name, got {name!r}", line)
+                if "^" in name:  # the name's power stands where ')' belongs
+                    raise ParseError(f"expected ')', got {name[name.index('^'):]!r}", line)
                 expect(i + 2, ")")
                 i += 3
-                base = (Letter(make_curve(name, base)),)
-        elif tok[0].isalpha():
-            if tok not in plain:
-                plain[tok] = Letter(Curve(tok))
-            base = (plain[tok],)
+                base = (push(_item(name, line, memo)[0][0], base),)  # a pushed by w
+            exp = 1
+            if tokens[i][:1] == "^":
+                exp = int(tokens[i][1:])
+                i += 1
+            letters += _power(base, exp, line)
+        elif tok[0].isalpha() or tok[0] == "[":
+            letters += _item(tok, line, memo)[0]
         else:
             raise ParseError(f"unexpected token {tok!r}", line)
-        exp = 1
-        if tokens[i][:1] == "^":
-            exp = int(tokens[i][1:])
-            i += 1
-        if len(letters) + len(base) * abs(exp) > MAX_LETTERS:
+        if len(letters) > MAX_LETTERS:
             raise ParseError(f"word expands past {MAX_LETTERS} letters", line)
-        if exp >= 0:
-            letters.extend(base * exp)
-        else:
-            letters.extend(invert(base) * (-exp))
     if stack:
         raise ParseError("unexpected end of word", line)
-    if registry is not None and not all(t in registry.curves for t in set(tokens) if t[:1].isalpha()):
+    curves = registry.curves.keys() if registry is not None else None
+    if curves is not None and not all(curves >= memo[t][1] for t in set(tokens) if t in memo):
         _check_curves(text, registry, line, col)
     return tuple(letters)
+
+
+def _item(tok: str, line: int, memo: dict) -> tuple[Word, frozenset[str]]:
+    """The letters and curve names of an item token, read once per ``memo``: one
+    parse_document or parse_word call's, so that its words share their letters."""
+    if tok in memo:
+        return memo[tok]
+    power = tok.rfind("^")
+    if power > tok.rfind(")"):  # the item's own power follows its base, itself an item
+        base = _TOKEN_RE.match(tok, 0, power)[1]
+        letters, names = _item(_UNICODE_NAMES.get(base, base), line, memo)
+        value = _power(letters, int(tok[power + 1 :]), line), names
+    elif tok[0] == "[":  # [w](a): the letters of w, then of a, through the same parser
+        *conj, a = _parse_word(tok[1:-1].replace("]", " ").replace("(", " "), None, line, 0, memo)
+        value = (push(a, conj),), frozenset(l.curve.name for l in (*conj, a))
+    else:
+        value = (Letter(Curve(tok)),), frozenset((tok,))
+    return memo.setdefault(tok, value)
+
+
+def _power(base: Word, exp: int, line: int) -> Word:
+    if len(base) * abs(exp) > MAX_LETTERS:
+        raise ParseError(f"word expands past {MAX_LETTERS} letters", line)
+    return base * exp if exp >= 0 else invert(base) * -exp
 
 
 def _check_curves(text: str, registry: Registry, line: int, col: int) -> None:
     """Raise UnknownCurve at the first name of a well-formed word that the
     registry lacks.  A name under ^0 is not in the word and does not count."""
-    tokens = [(_UNICODE_NAMES.get(m[1], m[1]), m.start(1)) for m in _TOKEN_RE.finditer(text)]
+    tokens = [(_UNICODE_NAMES.get(m[1], m[1]), m.start(1)) for m in re.finditer(_SINGLE, text)]
     tokens.append(("", 0))
     names: list[tuple[str, int]] = []  # (name, offset) of each name read, less those under ^0
     opened: list[int] = []  # per open bracket: how many names came before it
@@ -164,7 +199,10 @@ def _check_curves(text: str, registry: Registry, line: int, col: int) -> None:
 def parse_relator(
     text: str, registry: Optional[Registry] = None, label: str = "", line: int = 0, col: int = 0
 ) -> PositiveRelator:
-    w = parse_word(text, registry, line, col)
+    return _relator(parse_word(text, registry, line, col), label, line)
+
+
+def _relator(w: Word, label: str, line: int) -> PositiveRelator:
     if any(l.exp != 1 for l in w):
         raise ParseError("relator contains inverse letters", line)
     return PositiveRelator(w, label)
@@ -254,9 +292,9 @@ _START_REF_RE = re.compile(r"^start\s+([\w()+-]+)$")
 _SLOT_PATTERNS = {Word: ".+", Nat: r"\d+", int: r"-?\d+", str: r"\w+"}
 
 
-def _slot_value(kind, text: str, registry: Optional[Registry], lineno: int, col: int):
+def _slot_value(kind, text: str, registry: Optional[Registry], lineno: int, col: int, memo: dict):
     if kind == Word:
-        return parse_word(text, registry, lineno, col)
+        return _parse_word(text, registry, lineno, col, memo)
     return int(text) if kind in (int, Nat) else text
 
 
@@ -284,7 +322,8 @@ def _compile_move(cls: type) -> tuple[type, dict, re.Pattern]:
 _MOVE_SYNTAX = [_compile_move(cls) for cls in MOVES]
 
 
-def _parse_move(line: str, lineno: int, registry: Optional[Registry], indent: int) -> Optional[Move]:
+def _parse_move(line: str, lineno: int, registry: Optional[Registry], indent: int,
+                memo: dict) -> Optional[Move]:
     for cls, kinds, pattern in _MOVE_SYNTAX:
         m = pattern.fullmatch(line)
         if m is None:
@@ -292,7 +331,7 @@ def _parse_move(line: str, lineno: int, registry: Optional[Registry], indent: in
         if cls is Lantern and registry is not None and m["inst"] not in registry.lanterns:
             raise ParseError(f"unknown lantern instance {m['inst']!r}", lineno)
         return cls(**{
-            name: _slot_value(kinds[name], text, registry, lineno, indent + m.start(name))
+            name: _slot_value(kinds[name], text, registry, lineno, indent + m.start(name), memo)
             for name, text in m.groupdict().items()
             if text is not None
         })
@@ -305,6 +344,7 @@ def parse_document(text: str, registry: Optional[Registry] = None) -> Document:
     start: Optional[Word] = None
     start_label = ""
     entries: list[Entry] = []
+    memo: dict = {}
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -320,8 +360,8 @@ def parse_document(text: str, registry: Optional[Registry] = None) -> Document:
                 name, body = m.groups()
                 if name in doc.relators:
                     raise ParseError(f"duplicate relator {name}", lineno)
-                rel = parse_relator(body, registry, label=name, line=lineno, col=indent + m.start(2))
-                doc.relators[name] = rel
+                w = _parse_word(body, registry, lineno, indent + m.start(2), memo)
+                doc.relators[name] = _relator(w, name, lineno)
                 continue
             m = re.match(r"^script\s+([\w()+-]+)$", line)
             if m:
@@ -352,16 +392,16 @@ def parse_document(text: str, registry: Optional[Registry] = None) -> Document:
         m = _START_RE.match(line)
         if m:
             start_label = m.group(1) or ""
-            start = parse_word(m.group(2), registry, lineno, indent + m.start(2))
+            start = _parse_word(m.group(2), registry, lineno, indent + m.start(2), memo)
             continue
         m = _CHECK_RE.match(line)
         if m:
             kind, label, body = m.groups()
-            w = parse_word(body, registry, lineno, indent + m.start(3))
+            w = _parse_word(body, registry, lineno, indent + m.start(3), memo)
             entry = Final(w, label or "") if kind == "final" else Checkpoint(w, label or "")
             entries.append(entry)
             continue
-        move = _parse_move(line, lineno, registry, indent)
+        move = _parse_move(line, lineno, registry, indent, memo)
         if move is not None:
             entries.append(move)
             continue

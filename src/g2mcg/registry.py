@@ -24,7 +24,8 @@ validate() certifies every class in the file, each identity once:
     handle-swapping involution composed with c4^-1 c3^-1 c2^-1 c1^-1
     takes B0 to c1 up to sign.
 disjoint:ci,cj, central:0 and alias:chain also cover chain curves two or
-more apart commuting, tau commuting with c1..c5, and d = (c1 c2)^6.
+more apart commuting, tau commuting with every curve of the registry (17
+on standard.reg), and d = (c1 c2)^6.
 
 The registry also curates the structural tables that the moves engine
 consults: geometric disjointness (commute legality), braid-adjacent

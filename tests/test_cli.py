@@ -11,9 +11,10 @@ import pytest
 import g2mcg
 from g2mcg import cli, fixtures
 from g2mcg.cli import main
-from g2mcg.dsl import ParseError, parse_document
+from g2mcg.dsl import ParseError, parse_document, serialize_word
 from g2mcg.fixtures import FILES, load_corpus, read_text, script_text
 from g2mcg.registry import standard_registry
+from g2mcg.words import Curve, letter
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -78,7 +79,7 @@ def test_verify_pi1_refutes_torelli_products(tmp_path, capsys, text):
 @pytest.mark.parametrize("text, status, verdict", [
     ("relator r = (c1 c2 c3 c4 c5)^6", 0, "True"),
     ("relator r = (c1 c2)^30", 1, "False"),
-    ("relator M = (B0 B1 B2 d)^2", 0, "skipped"),
+    ("relator M = (B0 B1 B2 d)^2", 1, "skipped"),
 ])
 def test_verify_pi1_records_carry_the_verdict(tmp_path, capsys, text, status, verdict):
     p = tmp_path / "r.mcg"
@@ -87,6 +88,21 @@ def test_verify_pi1_records_carry_the_verdict(tmp_path, capsys, text, status, ve
     out = capsys.readouterr().out
     assert out.count("\n") == 1 and out.startswith("relator=")
     assert out.rstrip("\n").endswith(f" pi1={verdict}")
+
+
+_X7 = load_corpus(standard_registry()).relator("X7").word
+
+
+@pytest.mark.parametrize("old, new", [("d", "h"), ("x", "B2")])
+def test_verify_pi1_fails_a_relator_it_could_not_check(tmp_path, capsys, old, new):
+    # X7 with its last plain letter swapped for a curve of the same homology
+    # class passes in Sp(4,Z); pi1 has no action table for it, so --pi1 is
+    # inconclusive there and must not exit 0
+    last = max(p for p, l in enumerate(_X7) if l.curve == Curve(old))
+    p = tmp_path / "p2.mcg"
+    p.write_text(serialize_word(_X7[:last] + (letter(new),) + _X7[last + 1 :]))
+    assert main(["--pi1", "verify", str(p)]) == 1
+    assert "  pi1: skipped (no action table for curve" in capsys.readouterr().out
 
 
 def load_workloads():

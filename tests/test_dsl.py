@@ -338,6 +338,13 @@ _texts = st.one_of(
 @given(_texts, st.sampled_from([0, 7]))
 @example("[](", 0)
 @example("[c1](", 7)
+@example("c1 ^0", 0)
+@example("[c1] (c2)", 0)
+@example("[c1 ^2](c2) ^-1", 0)
+@example("[[c1](c2)](c3)^2", 0)
+@example("[x]c3c5^2", 0)
+@example("d[x]δ)", 0)
+@example("kb ^-2[]h̄c5^2", 0)
 def test_parse_word_agrees_with_the_recursive_descent_parser(text, line):
     for registry in (None, reg):
         expected = _outcome(_ref_parse_word, text, registry, line)
@@ -356,6 +363,24 @@ def test_parse_word_error_messages(text, message):
     with pytest.raises(ParseError) as err:
         parse_word(text)
     assert str(err.value) == message
+
+
+_SAME_TWICE = "script s\nstart: {w}\nfinal: {w}\nend\n".format(
+    w="c1 c2^2 [c3^-1](x) [c1 c2^-1](c3)^-1 c1 [c3^-1](x) (c4 c5)^2")
+
+
+def test_a_document_reads_each_item_once():
+    script = parse_document(_SAME_TWICE, reg).scripts["s"]
+    start, final = script.start, script.entries[-1].word
+    assert all(a is b for a, b in zip(start, final, strict=True))
+    assert start[0] is start[5] and start[1] is start[2] and start[3] is start[6]
+
+
+def test_two_documents_share_no_conjugate_letter():
+    first, second = (parse_document(_SAME_TWICE, reg).scripts["s"].start for _ in range(2))
+    assert first == second
+    shared = {id(l) for l in first if l.curve.conj} & {id(l) for l in second if l.curve.conj}
+    assert not shared
 
 
 def test_unknown_curve_under_zero_power_is_dropped():
