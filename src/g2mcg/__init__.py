@@ -43,7 +43,7 @@ from .registry import (
     LanternInstance,
     Registry,
     UnknownCurve,
-    ValidationReport,
+    Verdict,
     standard_registry,
 )
 from .words import (

@@ -5,7 +5,8 @@
     g2mcg decompose <n> <s>        enumerate fiber-sum splits of a signature
     g2mcg registry-check           validate the curve registry
 
-Exit codes: 0 success, 1 verification failure, 2 parse or usage error.
+Exit codes: 0 success; 1 a verify or registry-check Verdict refuted or
+inconclusive, or a failed replay step; 2 parse or usage error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,15 @@ from .invariants import (
     invariants,
 )
 from .moves import replay
-from .registry import Registry, UnknownCurve, standard_registry
+from .registry import (
+    INCONCLUSIVE,
+    PROVED,
+    REFUTED,
+    Registry,
+    UnknownCurve,
+    Verdict,
+    standard_registry,
+)
 
 
 def _load_registry(path: Optional[str]) -> Registry:
@@ -46,7 +55,13 @@ def _emit(text: str, out: Optional[str]) -> None:
         print(text)
 
 
+def _exit_code(verdicts: list[Verdict]) -> int:
+    """0 when every verdict is proved; 1 when one is refuted or inconclusive."""
+    return 0 if all(v.status == PROVED for v in verdicts) else 1
+
+
 _DOCUMENT_LINE = re.compile(r"(relator|script)\b")
+_PI1_SHOWN = {PROVED: "True", REFUTED: "False", INCONCLUSIVE: "skipped"}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -68,22 +83,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 2
 
     lines = []
-    status = 0
+    verdicts: list[Verdict] = []
     for name, rel in relators.items():
-        identity = reg.image(rel.word) == hom.IDENTITY
         sig = fiber_signature(reg, rel)
-        ab = sig.mod_ten
-        ok = identity and ab == 0
+        identity = reg.image(rel.word) == hom.IDENTITY
+        verdicts += Verdict.decided("image", identity), Verdict.decided("ab", sig.mod_ten == 0)
         if args.pi1:
-            try:
-                inner = pi1.inner_conjugator(pi1.word_action(reg, rel.word)) is not None
-                ok = ok and inner
-                shown = f"acts by conjugation on generators: {inner}"
-            except pi1.MissingAutomorphism as exc:  # inconclusive, so not a pass
-                ok = False
-                inner, shown = "skipped", f"skipped (no action table for curve {exc})"
-        if not ok:
-            status = 1
+            inner = pi1.relator_verdict(reg, rel.word)
+            verdicts.append(inner)
+            shown = _PI1_SHOWN[inner.status]
         try:
             inv, undefined = invariants(sig), None
         except SignatureNotIntegral as exc:
@@ -91,17 +99,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.format == "records":
             rec = (invariant_records(sig, inv) if inv is not None
                    else f"n={sig.n} s={sig.s} invariants=non-integral")
-            lines.append(f"relator={name} identity={identity} ab={ab} {rec}"
-                         + (f" pi1={inner}" if args.pi1 else ""))
+            lines.append(f"relator={name} identity={identity} ab={sig.mod_ten} {rec}"
+                         + (f" pi1={shown}" if args.pi1 else ""))
         else:
             lines.append(f"{name}: image {'=' if identity else '!='} identity, "
-                         f"ab class {ab}, (n,s) = ({sig.n},{sig.s})")
+                         f"ab class {sig.mod_ten}, (n,s) = ({sig.n},{sig.s})")
             lines.append(f"  e={inv.e} sigma={inv.sigma} c1^2={inv.c1sq} chi_h={inv.chi_h}"
                          if inv is not None else f"  invariants undefined: {undefined}")
             if args.pi1:
-                lines.append(f"  pi1: {shown}")
+                lines.append(f"  pi1: skipped ({inner.detail})" if inner.status == INCONCLUSIVE
+                             else f"  pi1: acts by conjugation on generators: {shown}")
     _emit("\n".join(lines), args.out)
-    return status
+    return _exit_code(verdicts)
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
@@ -144,9 +153,14 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_registry_check(args: argparse.Namespace) -> int:
     reg = _load_registry(args.registry)
-    report = reg.validate()
-    _emit(report.render() if args.format == "text" else report.records(), args.out)
-    return 0 if report.ok else 1
+    checks = reg.validate()
+    if args.format == "text":
+        lines = [f"[{'pass' if c.status == PROVED else 'FAIL'}] {c.name}"
+                 + (f"  ({c.detail})" if c.detail else "") for c in checks]
+    else:
+        lines = [f"check={c.name} ok={c.status == PROVED}" for c in checks]
+    _emit("\n".join(lines), args.out)
+    return _exit_code(checks)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,9 +7,10 @@ Word grammar
     atom      :=  NAME | '[' word ']' '(' NAME ')' | '(' word ')'
 
 Letters are separated by whitespace or '.', and '^k' repeats a letter |k|
-times with the sign of k as exponent; '(w)^k' repeats a whole word.  No
-word or conjugator may expand past MAX_LETTERS letters.  The conjugate
-form [w](a) is the twist along the image of curve a under the word w.  A
+times with the sign of k as exponent; '(w)^k' repeats a whole word.  The
+conjugate form [w](a) is the twist along the image of curve a under the
+word w.  No word may expand past MAX_LETTERS letters once flattened, each
+[w](a) spelled out as w a w^-1, as Registry.flat_word reads it.  A
 document reads each distinct item (a name or a flat [w](a), with its
 power) once, so its words share their letters.  Unicode input is accepted
 for a few names (the Greek delta and macron accents map to d, kb, hb);
@@ -76,7 +77,7 @@ _TOKEN_RE = re.compile(rf"[{_BLANK}]*({_ITEM}|\^-?\d+|[\[\]()]|(?=[^{_BLANK}]))"
 # single tokens, as error messages quote them; re compiles it on first use
 _SINGLE = rf"[{_BLANK}]*({_NAME}|\^-?\d+|[\[\]()]|(?=[^{_BLANK}]))"
 _CLOSER = {"[": "]", "(": ")"}
-MAX_LETTERS = 100_000  # per word or conjugator, checked before each power expands
+MAX_LETTERS = 100_000  # per flattened word, checked before each power expands
 
 
 def parse_word(text: str, registry: Optional[Registry] = None, line: int = 0, col: int = 0) -> Word:
@@ -104,19 +105,24 @@ def _parse_word(text: str, registry: Optional[Registry], line: int, col: int, me
         return tokens[i]
 
     letters: list[Letter] = []
-    stack: list[tuple[str, list[Letter]]] = []  # per open bracket: its closer, the word before it
+    size = 0  # the length of letters flattened
+    # per open bracket: its closer, the word before it and that word's size
+    stack: list[tuple[str, list[Letter], int]] = []
     i = 0
     while tokens[i]:
         tok = tokens[i]
         i += 1
         if tok in memo:
-            letters += memo[tok][0]
+            word, _, n = memo[tok]
+            letters += word
+            size += n
         elif tok in _CLOSER:
-            stack.append((_CLOSER[tok], letters))
-            letters = []
+            stack.append((_CLOSER[tok], letters, size))
+            letters, size = [], 0
             continue
         elif stack and tok == stack[-1][0]:
-            base, letters = tuple(letters), stack.pop()[1]
+            base, n = tuple(letters), size
+            _, letters, size = stack.pop()
             if tok == "]":
                 expect(i, "(")
                 name = expect(i + 1, "")
@@ -124,17 +130,20 @@ def _parse_word(text: str, registry: Optional[Registry], line: int, col: int, me
                     raise ParseError(f"expected ')', got {name[name.index('^'):]!r}", line)
                 expect(i + 2, ")")
                 i += 3
-                base = (push(_item(name, line, memo)[0][0], base),)  # a pushed by w
+                base, n = (push(_item(name, line, memo)[0][0], base),), 2 * n + 1  # a pushed by w
             exp = 1
             if tokens[i][:1] == "^":
                 exp = int(tokens[i][1:])
                 i += 1
-            letters += _power(base, exp, line)
+            letters += _power(base, n, exp, line)
+            size += n * abs(exp)
         elif tok[0].isalpha() or tok[0] == "[":
-            letters += _item(tok, line, memo)[0]
+            word, _, n = _item(tok, line, memo)
+            letters += word
+            size += n
         else:
             raise ParseError(f"unexpected token {tok!r}", line)
-        if len(letters) > MAX_LETTERS:
+        if size > MAX_LETTERS:
             raise ParseError(f"word expands past {MAX_LETTERS} letters", line)
     if stack:
         raise ParseError("unexpected end of word", line)
@@ -144,26 +153,31 @@ def _parse_word(text: str, registry: Optional[Registry], line: int, col: int, me
     return tuple(letters)
 
 
-def _item(tok: str, line: int, memo: dict) -> tuple[Word, frozenset[str]]:
-    """The letters and curve names of an item token, read once per ``memo``: one
-    parse_document or parse_word call's, so that its words share their letters."""
+def _item(tok: str, line: int, memo: dict) -> tuple[Word, frozenset[str], int]:
+    """The letters, curve names and flattened length of an item token, read once
+    per ``memo``: one parse_document or parse_word call's, so that its words
+    share their letters."""
     if tok in memo:
         return memo[tok]
     power = tok.rfind("^")
     if power > tok.rfind(")"):  # the item's own power follows its base, itself an item
         base = _TOKEN_RE.match(tok, 0, power)[1]
-        letters, names = _item(_UNICODE_NAMES.get(base, base), line, memo)
-        value = _power(letters, int(tok[power + 1 :]), line), names
+        letters, names, n = _item(_UNICODE_NAMES.get(base, base), line, memo)
+        exp = int(tok[power + 1 :])
+        value = _power(letters, n, exp, line), names, n * abs(exp)
     elif tok[0] == "[":  # [w](a): the letters of w, then of a, through the same parser
         *conj, a = _parse_word(tok[1:-1].replace("]", " ").replace("(", " "), None, line, 0, memo)
-        value = (push(a, conj),), frozenset(l.curve.name for l in (*conj, a))
+        # w is plain letters, so [w](a) flattens to w a w^-1
+        value = (push(a, conj),), frozenset(l.curve.name for l in (*conj, a)), 2 * len(conj) + 1
     else:
-        value = (Letter(Curve(tok)),), frozenset((tok,))
+        value = (Letter(Curve(tok)),), frozenset((tok,)), 1
     return memo.setdefault(tok, value)
 
 
-def _power(base: Word, exp: int, line: int) -> Word:
-    if len(base) * abs(exp) > MAX_LETTERS:
+def _power(base: Word, size: int, exp: int, line: int) -> Word:
+    """base repeated |exp| times, inverted when exp < 0; ``size`` is base's
+    flattened length."""
+    if size * abs(exp) > MAX_LETTERS:
         raise ParseError(f"word expands past {MAX_LETTERS} letters", line)
     return base * exp if exp >= 0 else invert(base) * -exp
 

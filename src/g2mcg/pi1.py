@@ -12,12 +12,14 @@ letters lies in at most one of the 16 rotations of the relator and its
 inverse, so one table gives each segment's complement.
 
 A twist word is a relator in Mod(S2) exactly when its action on the surface
-group is inner (Dehn-Nielsen-Baer; Farb-Margalit, Primer, ch. 8), and
-``inner_conjugator`` decides that exactly.  The relator's pieces have length
-one, so the presentation is C'(1/7) and a cyclically Dehn-reduced conjugate
-of a generator is the generator itself (Lyndon-Schupp, ch. V); the
-centralizer of a generator is the cyclic group it generates, which leaves
-one power to find before the last two generators decide.
+group is inner (Dehn-Nielsen-Baer; Farb-Margalit, Primer, ch. 8), which
+``inner_conjugator`` decides exactly; ``relator_verdict`` says so as a
+Verdict, inconclusive when a curve has no action table entry.  The
+relator's pieces have length one, so the presentation is C'(1/7) and a
+cyclically Dehn-reduced conjugate of a generator is the generator itself
+(Lyndon-Schupp, ch. V); the centralizer of a generator is the cyclic group
+it generates, which leaves one power to find before the last two
+generators decide.
 
 The twist action table was reconstructed from the planar two-handle
 picture: each chain twist inserts the based twist-curve word into the
@@ -34,13 +36,12 @@ action equal to the homology transvection.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from . import homology as hom
 from .homology import Mat
-from .registry import Registry
-from .words import Word, invert
+from .registry import INCONCLUSIVE, PROVED, REFUTED, Registry, Verdict
+from .words import Word
 
 GENS = "abcd"
 RELATOR = "abABcdCD"
@@ -256,17 +257,7 @@ def ab_matrix(aut: Aut) -> Mat:
     return tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))  # type: ignore[return-value]
 
 
-# -- comparison up to inner automorphisms --------------------------------------------
-
-
-@dataclass(frozen=True)
-class Verdict:
-    status: str  # "equal" | "distinguished"
-    conjugator: Optional[str] = None
-
-    @property
-    def equal(self) -> bool:
-        return self.status == "equal"
+# -- relators up to inner automorphisms ----------------------------------------------
 
 
 def inner_conjugator(phi: Aut) -> Optional[str]:
@@ -290,9 +281,13 @@ def inner_conjugator(phi: Aut) -> Optional[str]:
     return None
 
 
-def equal_up_to_inner(reg: Registry, u: Word, v: Word) -> Verdict:
-    """Do u and v induce the same outer automorphism, that is, are they the
-    same mapping class?  Equal, with the conjugator z of u = z v z^-1 on
-    every generator, exactly when the action of u v^-1 is inner."""
-    z = inner_conjugator(word_action(reg, u + invert(v)))
-    return Verdict("distinguished") if z is None else Verdict("equal", z)
+def relator_verdict(reg: Registry, w: Word) -> Verdict:
+    """Whether w is a relator of Mod(S2): proved, with z of phi(g) = z g z^-1
+    as certificate, when w acts by an inner phi; refuted when phi is not
+    inner; inconclusive when a letter's curve has no action table entry."""
+    try:
+        phi = word_action(reg, w)
+    except MissingAutomorphism as exc:
+        return Verdict("pi1", INCONCLUSIVE, f"no action table for curve {exc}")
+    z = inner_conjugator(phi)
+    return Verdict("pi1", REFUTED) if z is None else Verdict("pi1", PROVED, z)

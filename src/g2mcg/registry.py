@@ -12,7 +12,8 @@ corpus/standard.reg, in the format of Registry.serialize and
 Registry.parse.  standard_registry() parses that file; a --registry file
 in the same format replaces it.
 
-validate() certifies every class in the file, each identity once:
+validate() certifies every class in the file, each identity once, by exact
+checks whose Verdicts are proved or refuted, never inconclusive:
   - the chain c1 -> a1, c2 -> b1, c3 -> a2 - a1, c4 -> b2, c5 -> a2:
     eq02:*, eq03:*, eq04:* and disjoint:ci,cj, the genus-2 presentation;
   - the lantern interior curves x, k and kb: lantern:*:image, the two
@@ -109,34 +110,23 @@ class AliasRelation:
     rhs: Word
 
 
-@dataclass
-class CheckResult:
+PROVED, REFUTED, INCONCLUSIVE = "proved", "refuted", "inconclusive"
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """An oracle's answer: ``status`` PROVED, REFUTED or INCONCLUSIVE, ``detail``
+    a proof's certificate (pi1's conjugator z, "" the empty word), another
+    answer's reason, or None for neither."""
+
     name: str
-    ok: bool
-    detail: str = ""
+    status: str
+    detail: Optional[str] = None
 
-
-@dataclass
-class ValidationReport:
-    checks: list[CheckResult]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.ok]
-
-    def render(self) -> str:
-        lines = []
-        for c in self.checks:
-            mark = "pass" if c.ok else "FAIL"
-            suffix = f"  ({c.detail})" if c.detail and not c.ok else ""
-            lines.append(f"[{mark}] {c.name}{suffix}")
-        return "\n".join(lines)
-
-    def records(self) -> str:
-        return "\n".join(f"check={c.name} ok={c.ok}" for c in self.checks)
+    @staticmethod
+    def decided(name: str, holds: bool, reason: Optional[str] = None) -> "Verdict":
+        """An exact check's answer: proved when it holds, else refuted for ``reason``."""
+        return Verdict(name, PROVED) if holds else Verdict(name, REFUTED, reason)
 
 
 BASE_NAMES = ("c1", "c2", "c3", "c4", "c5")
@@ -402,19 +392,19 @@ class Registry:
 
     # -- validation -------------------------------------------------------------
 
-    def validate(self) -> ValidationReport:
+    def validate(self) -> list[Verdict]:
         """Check the atlas in Sp(4,Z), each identity once, as image(u) == image(v)
         for two words (v = () for a relator): disjoint:ci,cj covers chain curves
         two or more apart commuting, central:0 tau commuting with every curve,
         and alias:chain d = (c1 c2)^6.  Images are products of transvections,
         so always symplectic, and no check asks for that.
         A defn: or lantern: check whose words name a missing curve fails."""
-        checks: list[CheckResult] = []
+        checks: list[Verdict] = []
 
-        def add(name: str, ok: bool, detail: str = "") -> None:
-            checks.append(CheckResult(name, ok, detail))
+        def add(name: str, ok: bool, detail: Optional[str] = None) -> None:
+            checks.append(Verdict.decided(name, ok, detail))
 
-        def same(name: str, u: Word, v: Word = (), detail: str = "") -> None:
+        def same(name: str, u: Word, v: Word = (), detail: Optional[str] = None) -> None:
             add(name, self.image(u) == self.image(v), detail)
 
         for c in self.curves.values():
@@ -493,7 +483,7 @@ class Registry:
 
         add("coverage:lanterns", set(self.lanterns) == {"L1", "L2", "L3"},
             "expected exactly the three standard lantern instances")
-        return ValidationReport(checks)
+        return checks
 
     # -- text serialization ------------------------------------------------------
 

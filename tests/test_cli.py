@@ -142,6 +142,23 @@ def test_verify_rejects_a_word_past_the_power_bound_at_once(tmp_path, capsys, te
     assert "expands past 100000 letters" in capsys.readouterr().err
 
 
+NESTED = "[" * 20 + "c1" + "](c2)" * 20  # 122 bytes that flatten to 2^21 - 1 letters
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["--pi1", "verify"], NESTED),
+    (["verify"], NESTED),
+    (["replay"], f"script s\nstart: {NESTED}\nC by=c1\nend\n"),
+], ids=["pi1-verify", "verify", "replay"])
+def test_a_word_past_the_bound_once_flattened_exits_2_at_once(tmp_path, capsys, argv, text):
+    p = tmp_path / "nested.mcg"
+    p.write_text(text)
+    start = time.perf_counter()
+    assert main([*argv, str(p)]) == 2
+    assert time.perf_counter() - start < 1
+    assert "expands past 100000 letters" in capsys.readouterr().err
+
+
 def test_verify_parse_error(tmp_path):
     p = tmp_path / "bad.mcg"
     p.write_text("c1 c2^-1")  # not positive

@@ -77,6 +77,23 @@ def test_parse_word_stops_before_a_power_expands_too_far(text):
         parse_word(text, reg)
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 16 + "c1" + "](c2)" * 16, "[c1^50000](c2)", "[c1^49999](c2) c3 c3", "[[c1](c2)](c3)^14286",
+], ids=["nested16", "wide", "wide+2", "nested-power"])
+def test_parse_word_bounds_the_flattened_word(text):
+    # [w](a) flattens to w a w^-1, so nesting doubles the length at each level
+    with pytest.raises(ParseError, match="expands past 100000 letters"):
+        parse_word(text, reg)
+
+
+@pytest.mark.parametrize("text, size", [
+    ("[" * 15 + "c1" + "](c2)" * 15, 2**16 - 1), ("[c1^49999](c2)", 99_999),
+    ("[[c1](c2)](c3)^14285", 99_995),
+], ids=["nested15", "wide", "nested-power"])
+def test_parse_word_flattens_up_to_the_bound(text, size):
+    assert len(reg.flat_word(parse_word(text, reg))) == size
+
+
 def test_parse_word_expands_up_to_the_bound():
     assert len(parse_word("c2 (c1)^99998 c2", reg)) == 100_000
 

@@ -1,23 +1,31 @@
-"""Replay reports, serializations and registry verdicts do not drift.
+"""Replay reports, verify outputs, serializations and registry verdicts do
+not drift.
 
 One golden file holds the rendered replay report of every corpus script,
-the other the registry-check verdicts of the packaged registry and of the
-perturbed registries the tests build.  After a deliberate change, rewrite
-both with ``PYTHONPATH=src python tests/test_golden.py``.
+one the stdout and exit code of ``verify`` and ``--pi1 verify``, in text
+and records form, on every corpus file, and one the registry-check
+verdicts of the packaged registry and of the perturbed registries the
+tests build.  After a deliberate change, rewrite all three with
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import contextlib
 import hashlib
+import io
 import re
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from g2mcg.cli import main
 from g2mcg.dsl import parse_document, serialize
 from g2mcg.fixtures import FILES, load_corpus, read_text
 from g2mcg.moves import replay
-from g2mcg.registry import Registry, standard_registry
+from g2mcg.registry import PROVED, Registry, standard_registry
 
 GOLDEN = Path(__file__).with_name("golden") / "corpus_replay.txt"
+GOLDEN_VERIFY = GOLDEN.with_name("corpus_verify.txt")
 GOLDEN_VERDICTS = GOLDEN.with_name("registry_verdicts.txt")
 
 reg = standard_registry()
@@ -30,6 +38,25 @@ def corpus_renders() -> str:
 
 def test_corpus_replay_matches_golden():
     assert corpus_renders() == GOLDEN.read_text(encoding="utf-8")
+
+
+def verify_outputs() -> str:
+    """Per corpus file, flags and format: the exit code and stdout of verify."""
+    chunks = []
+    for name in FILES:
+        path = str(resources.files("g2mcg").joinpath("corpus").joinpath(name))
+        for flags in ([], ["--pi1"]):
+            for fmt in ("text", "records"):
+                argv = ["--format", fmt, *flags, "verify"]
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main([*argv, path])
+                chunks.append(f"== {' '.join(argv)} {name}: exit {code}\n{out.getvalue()}")
+    return "".join(chunks)
+
+
+def test_corpus_verify_matches_golden():
+    assert verify_outputs() == GOLDEN_VERIFY.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", FILES)
@@ -75,11 +102,11 @@ def registry_verdicts() -> str:
     and the failed checks."""
     lines = []
     for label, registry in perturbed_registries().items():
-        report = registry.validate()
-        pairs = "\n".join(f"{c.name} {c.ok}" for c in report.checks).encode()
-        failed = ",".join(c.name for c in report.failures()) or "-"
+        checks = registry.validate()
+        pairs = "\n".join(f"{c.name} {c.status == PROVED}" for c in checks).encode()
+        failed = ",".join(c.name for c in checks if c.status != PROVED) or "-"
         digest = hashlib.sha1(pairs).hexdigest()[:12]
-        lines.append(f"{label}: {len(report.checks)} checks {digest} failed={failed}")
+        lines.append(f"{label}: {len(checks)} checks {digest} failed={failed}")
     return "\n".join(lines) + "\n"
 
 
@@ -89,4 +116,5 @@ def test_registry_verdicts_match_golden():
 
 if __name__ == "__main__":
     GOLDEN.write_text(corpus_renders(), encoding="utf-8")
+    GOLDEN_VERIFY.write_text(verify_outputs(), encoding="utf-8")
     GOLDEN_VERDICTS.write_text(registry_verdicts(), encoding="utf-8")

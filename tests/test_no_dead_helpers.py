@@ -22,7 +22,6 @@ PACKAGE = ROOT / "src" / "g2mcg"
 
 # Kept on purpose, each with its reason.
 ALLOWED = {
-    "registry.ValidationReport.failures": "tests read a report's failed checks",
     "homology.is_symplectic": "test oracle: every Sp(4,Z) image is symplectic",
     "homology.sp_inverse": "test oracle: a word's inverse maps to the inverse matrix",
     "homology.transpose": "serves the test oracles is_symplectic and sp_inverse",
@@ -32,14 +31,12 @@ ALLOWED = {
     "pi1.ab_vector": "serves the test oracle ab_matrix",
     "pi1.preserves_relator": "test oracle: each twist action fixes the surface relator",
     "pi1.apply_word": "test oracle: the action of a word on one generator",
-    "pi1.equal_up_to_inner": "ROADMAP direction 1: the pi1 identity check of aliases",
-    "pi1.Verdict": "the answer of equal_up_to_inner, ROADMAP direction 1",
-    "invariants.homeo_label": "ROADMAP direction 2: the Freedman label of a proved certificate",
-    "invariants.non_spin_from_signature": "ROADMAP direction 2: oddness of the form",
-    "invariants.NotOddForm": "raised by non_spin_from_signature, ROADMAP direction 2",
-    "invariants.fiber_sum": "ROADMAP direction 4: the summands of fiber-sum splits",
-    "invariants.blowdown_delta": "ROADMAP direction 5: per-step invariant deltas",
-    "invariants.BlowdownDelta": "the answer of blowdown_delta, ROADMAP direction 5",
+    "invariants.homeo_label": "ROADMAP direction 3: the Freedman label of a proved certificate",
+    "invariants.non_spin_from_signature": "ROADMAP direction 3: oddness of the form",
+    "invariants.NotOddForm": "raised by non_spin_from_signature, ROADMAP direction 3",
+    "invariants.fiber_sum": "ROADMAP direction 7: the summands of fiber-sum splits",
+    "invariants.blowdown_delta": "ROADMAP direction 8: per-step invariant deltas",
+    "invariants.BlowdownDelta": "the answer of blowdown_delta, ROADMAP direction 8",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.ClassDef)

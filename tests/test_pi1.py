@@ -7,8 +7,8 @@ from g2mcg import pi1
 from g2mcg.dsl import parse_word
 from g2mcg.fixtures import load_corpus
 from g2mcg.moves import Checkpoint, Final, apply_move
-from g2mcg.registry import standard_registry
-from g2mcg.words import Curve, Letter, letter
+from g2mcg.registry import INCONCLUSIVE, PROVED, REFUTED, Verdict, standard_registry
+from g2mcg.words import Curve, Letter, invert, letter
 
 reg = standard_registry()
 corpus = load_corpus(reg)
@@ -53,9 +53,11 @@ def test_involution_squares_to_identity():
     tau = aut_of("c1 c2 c3 c4 c5^2 c4 c3 c2 c1")
     sq = pi1.compose(tau, tau)
     assert all(sq[g] == g for g in pi1.GENS)
-    # tau inverts every generator up to conjugacy (it is -1 on homology)
+    # tau inverts every generator up to conjugacy (it is -1 on homology): the
+    # cyclic Dehn form of tau(g) is g^-1, and its conjugator p carries it back
     for g in pi1.GENS:
-        assert pi1.conjugate_elements(tau[g], g.swapcase())
+        cyc, p = pi1._cyclic_dehn_reduce(tau[g])
+        assert cyc == g.swapcase() and pi1.elements_equal(p + cyc + pi1.inverse(p), tau[g])
 
 
 def test_chain_relation_acts_as_boundary_twist():
@@ -66,11 +68,18 @@ def test_chain_relation_acts_as_boundary_twist():
     assert act["c"] == "c" and act["d"] == "d"
 
 
+def assert_certified(w, z):
+    """w's verdict is proved with certificate z, and z conjugates every
+    generator g to w's image of it."""
+    assert pi1.relator_verdict(reg, w) == Verdict("pi1", PROVED, z)
+    phi = pi1.word_action(reg, w)
+    for g in pi1.GENS:
+        assert pi1.elements_equal(z + g + pi1.inverse(z), phi[g]), g
+
+
 def test_relators_act_by_inner_automorphisms():
     for label in ("Z0", "chain30", "chain40"):
-        w = corpus.relator(label).word
-        for g in pi1.GENS:
-            assert pi1.conjugate_elements(pi1.apply_word(reg, w, g), g), (label, g)
+        assert_certified(corpus.relator(label).word, "")  # the empty word, not no certificate
 
 
 def test_apply_word_empty_is_reduction():
@@ -109,26 +118,29 @@ def test_abelianization_matches_homology_on_random_words():
         assert pi1.ab_matrix(pi1.word_action(reg, w)) == reg.image(w)
 
 
+def equal_up_to_inner(u, v):
+    """The verdict on u = v in Mod(S2): is the action of u v^-1 inner?"""
+    return pi1.relator_verdict(reg, u + invert(v))
+
+
 def test_equal_up_to_inner_same_word():
     w = parse_word("c1 c2 c3")
-    assert pi1.equal_up_to_inner(reg, w, w) == pi1.Verdict("equal", "")
+    assert equal_up_to_inner(w, w) == Verdict("pi1", PROVED, "")
 
 
 def test_equal_up_to_inner_relator_vs_empty():
-    v = pi1.equal_up_to_inner(reg, parse_word("(c1 c2 c3 c4 c5)^6"), ())
-    assert v.equal
+    assert equal_up_to_inner(parse_word("(c1 c2 c3 c4 c5)^6"), ()).status == PROVED
 
 
 def test_equal_up_to_inner_distinguishes_generators():
-    v = pi1.equal_up_to_inner(reg, (letter("c1"),), (letter("c2"),))
-    assert v.status == "distinguished"
+    assert equal_up_to_inner((letter("c1"),), (letter("c2"),)).status == REFUTED
 
 
 def test_equal_up_to_inner_distinguishes_conjugated_twist():
     # t_{c1}-conjugate of t_{c2} is the twist along a different curve
     u = parse_word("c2")
     v = parse_word("c1 c2 c1^-1")
-    assert pi1.equal_up_to_inner(reg, v, u).status == "distinguished"
+    assert equal_up_to_inner(v, u).status == REFUTED
 
 
 def test_equal_up_to_inner_never_guesses():
@@ -136,15 +148,24 @@ def test_equal_up_to_inner_never_guesses():
     # t_c3(d), distinct since c3 meets d, so their actions differ by more than inner
     u = parse_word("(c1 c2)^6")
     v = parse_word("c3 (c1 c2)^6 c3^-1")
-    verdict = pi1.equal_up_to_inner(reg, u, v)
-    assert verdict.status == "distinguished"
+    assert equal_up_to_inner(u, v).status == REFUTED
 
 
 def test_td5_is_not_equal_to_the_identity():
     # (c1 c2)^30 = t_d^5 by the chain relation: trivial in homology and in
-    # Z/10, yet not a relator in Mod(S2); the oracle must not call it equal
-    verdict = pi1.equal_up_to_inner(reg, parse_word("(c1 c2)^30"), ())
-    assert verdict.status != "equal"
+    # Z/10, yet not a relator in Mod(S2); the oracle must not prove it
+    assert pi1.relator_verdict(reg, parse_word("(c1 c2)^30")).status == REFUTED
+
+
+@pytest.mark.parametrize("text, verdict", [
+    ("(c1 c2)^6", Verdict("pi1", REFUTED)),
+    ("(c1 c2)^-12", Verdict("pi1", REFUTED)),
+    ("(c1 c2)^30 (c2 c3)^6", Verdict("pi1", REFUTED)),  # Torelli products
+    ("(c1 c2)^12 (c2 c3)^12", Verdict("pi1", REFUTED)),
+    ("(B0 B1 B2 d)^2", Verdict("pi1", INCONCLUSIVE, "no action table for curve 'B0'")),
+])
+def test_only_a_proved_verdict_carries_a_certificate(text, verdict):
+    assert pi1.relator_verdict(reg, parse_word(text)) == verdict
 
 
 def test_braid_words_act_identically():
@@ -403,5 +424,4 @@ def test_powers_of_a_separating_twist_are_not_inner(k):
 
 
 def test_two_chains_give_the_same_separating_twist():
-    verdict = pi1.equal_up_to_inner(reg, parse_word("(c1 c2)^6"), parse_word("(c4 c5)^6"))
-    assert verdict.equal and pi1.elements_equal(verdict.conjugator, "abAB")
+    assert_certified(parse_word("(c1 c2)^6 (c4 c5)^-6"), "abAB")

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from g2mcg import homology as hom
 from g2mcg.dsl import ParseError, parse_document, parse_word
-from g2mcg.registry import Registry, UnknownCurve, standard_registry
+from g2mcg.registry import PROVED, Registry, UnknownCurve, standard_registry
 from g2mcg.words import Curve, Letter, letter
 
 reg = standard_registry()
@@ -15,16 +15,20 @@ def curve(name):
     return Curve(name)
 
 
+def failed(registry):
+    """The names of the registry's checks that are not proved."""
+    return {c.name for c in registry.validate() if c.status != PROVED}
+
+
 def test_standard_registry_validates():
-    report = reg.validate()
-    assert report.ok, report.render()
+    assert failed(reg) == set()
 
 
 def test_validate_multiplies_no_matrices(monkeypatch):
     calls = []
     real = hom.mat_mul
     monkeypatch.setattr(hom, "mat_mul", lambda a, b: calls.append(1) or real(a, b))
-    assert Registry.parse(reg.serialize()).validate().ok  # cold caches
+    assert failed(Registry.parse(reg.serialize())) == set()  # cold caches
     assert calls == []
 
 
@@ -48,18 +52,15 @@ def test_unknown_curve():
 def test_corrupting_x_breaks_lantern_check():
     # an inconsistent class on either side of L1 is caught by its image check
     for name in ("x", "c3"):
-        report = reg.replace(name, homology=(1, 1, 1, 0)).validate()
-        assert "lantern:L1:image" in {c.name for c in report.failures()}, name
+        assert "lantern:L1:image" in failed(reg.replace(name, homology=(1, 1, 1, 0))), name
 
 
 def test_marking_d_nonseparating_fails():
-    bad = reg.replace("d", separating=False)
-    report = bad.validate()
-    assert any(c.name == "flag:d" for c in report.failures())
+    assert "flag:d" in failed(reg.replace("d", separating=False))
 
 
 def test_missing_lantern_fails_coverage():
-    assert not reg.replace(drop_lantern="L3").validate().ok
+    assert "coverage:lanterns" in failed(reg.replace(drop_lantern="L3"))
 
 
 def test_lantern_instances_are_homology_consistent():
@@ -236,7 +237,7 @@ def test_serialization_roundtrip():
     again = Registry.parse(text)
     assert again.curves == reg.curves
     assert again.lanterns == reg.lanterns
-    assert again.validate().ok
+    assert failed(again) == set()
 
 
 def test_registry_file_fixture_matches_builtin():
@@ -363,7 +364,7 @@ def test_derived_registries_do_not_share_the_canonical_curve_cache():
 
 
 def test_standard_report_evaluates_each_identity_once():
-    names = [c.name for c in reg.validate().checks]
+    names = [c.name for c in reg.validate()]
     assert len(names) == len(set(names)) == 72
     assert "symbol:lambda(B0)=c1" in names
     assert not [
@@ -387,15 +388,14 @@ def test_identities_checked_once_still_fail_through_their_twin(name, cls):
     # no cls flips the curve's separating flag; else cls becomes its class
     fields = {"separating": not reg.data(name).separating} if cls is None else {"homology": cls}
     bad = reg.replace(name, **fields)
-    report = bad.validate()
-    failed = {c.name for c in report.failures()}
+    refuted = failed(bad)
     t = {i: bad.image((letter(f"c{i}"),)) for i in range(1, 6)}
     tau = bad.image(parse_word("c1 c2 c3 c4 c5^2 c4 c3 c2 c1"))
     for i in range(1, 6):
         for j in range(i + 2, 6):
             if not _commute(t[i], t[j]):
-                assert not report.ok and f"disjoint:c{i},c{j}" in failed
+                assert f"disjoint:c{i},c{j}" in refuted
         if not _commute(tau, t[i]):
-            assert not report.ok and "central:0" in failed
+            assert "central:0" in refuted
     if bad.image(parse_word("d")) != bad.image(parse_word("(c1 c2)^6")):
-        assert not report.ok and "alias:chain" in failed
+        assert "alias:chain" in refuted
