@@ -12,6 +12,7 @@ inconclusive, or a failed replay step; 2 parse or usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from typing import Optional
@@ -41,10 +42,20 @@ from .registry import (
 
 
 def _load_registry(path: Optional[str]) -> Registry:
+    """The packaged atlas, or the one in the file at ``path``.  The file is
+    read on every call; the Registry of the last text parsed is reused while
+    the text is unchanged, as a Registry is read-only, and its memo caches
+    carry over from call to call as those of the packaged atlas do."""
     if path is None:
         return standard_registry()
     with open(path, encoding="utf-8") as fh:
-        return Registry.parse(fh.read())
+        return _parse_registry(fh.read())
+
+
+@functools.lru_cache(maxsize=1)
+def _parse_registry(text: str) -> Registry:
+    # A parse error propagates and is not cached.
+    return Registry.parse(text)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -163,7 +174,9 @@ def cmd_registry_check(args: argparse.Namespace) -> int:
     return _exit_code(checks)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args gives a fresh Namespace per call."""
     parser = argparse.ArgumentParser(prog="g2mcg", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--registry", help="registry file (default: the packaged corpus/standard.reg)")
@@ -197,6 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """One g2mcg invocation.  A process that calls main more than once reuses
+    what does not change between calls: the argument parser, the packaged
+    corpus texts and the Registry of the last --registry text read (the file
+    is read again on every call).  Relator and script files are read and
+    parsed anew on every call, and nothing derived from them is cached."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.pi1 and args.command != "verify":

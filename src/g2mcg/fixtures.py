@@ -10,6 +10,7 @@ substitution X6 -> X7.
 
 from __future__ import annotations
 
+import functools
 import re
 from importlib import resources
 from typing import Optional
@@ -27,7 +28,9 @@ FILES = (
 )
 
 
+@functools.cache
 def read_text(name: str) -> str:
+    """The text of the packaged corpus file ``name``, read once per process."""
     return (
         resources.files("g2mcg").joinpath("corpus").joinpath(name).read_text(encoding="utf-8")
     )

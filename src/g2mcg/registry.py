@@ -13,7 +13,9 @@ Registry.parse.  standard_registry() parses that file; a --registry file
 in the same format replaces it.
 
 validate() certifies every class in the file, each identity once, by exact
-checks whose Verdicts are proved or refuted, never inconclusive:
+checks whose Verdicts are proved or refuted (inconclusive only for a defn:
+or lantern: check that names a curve the registry lacks, as it compares
+nothing):
   - the chain c1 -> a1, c2 -> b1, c3 -> a2 - a1, c4 -> b2, c5 -> a2:
     eq02:*, eq03:*, eq04:* and disjoint:ci,cj, the genus-2 presentation;
   - the lantern interior curves x, k and kb: lantern:*:image, the two
@@ -398,11 +400,15 @@ class Registry:
         two or more apart commuting, central:0 tau commuting with every curve,
         and alias:chain d = (c1 c2)^6.  Images are products of transvections,
         so always symplectic, and no check asks for that.
-        A defn: or lantern: check whose words name a missing curve fails."""
+        A defn: or lantern: check whose words name a missing curve compares
+        nothing and is inconclusive."""
         checks: list[Verdict] = []
 
         def add(name: str, ok: bool, detail: Optional[str] = None) -> None:
             checks.append(Verdict.decided(name, ok, detail))
+
+        def undecided(name: str, detail: str) -> None:
+            checks.append(Verdict(name, INCONCLUSIVE, detail))
 
         def same(name: str, u: Word, v: Word = (), detail: Optional[str] = None) -> None:
             add(name, self.image(u) == self.image(v), detail)
@@ -422,14 +428,15 @@ class Registry:
                 )
             if c.defn is not None:
                 unknown = self._unknown_name((Letter(c.defn),))
-                add(
-                    f"defn:{c.name}",
-                    not unknown
-                    and self.homology_class(c.defn) == c.homology
-                    and self.separating(c.defn) == c.separating,
-                    f"definition of {c.name} names unknown curve {unknown}" if unknown
-                    else f"definition of {c.name} disagrees with stored data",
-                )
+                if unknown:
+                    undecided(f"defn:{c.name}", f"definition of {c.name} names unknown curve {unknown}")
+                else:
+                    add(
+                        f"defn:{c.name}",
+                        self.homology_class(c.defn) == c.homology
+                        and self.separating(c.defn) == c.separating,
+                        f"definition of {c.name} disagrees with stored data",
+                    )
 
         if all(n in self.curves for n in BASE_NAMES):
             for i in range(1, 5):
@@ -444,8 +451,8 @@ class Registry:
             unknown = self._unknown_name(lhs + rhs)
             if unknown:
                 detail = f"{inst.ident} names unknown curve {unknown}"
-                add(f"lantern:{inst.ident}:image", False, detail)
-                add(f"lantern:{inst.ident}:flags", False, detail)
+                undecided(f"lantern:{inst.ident}:image", detail)
+                undecided(f"lantern:{inst.ident}:flags", detail)
                 continue
             same(f"lantern:{inst.ident}:image", lhs, rhs,
                  f"{inst.ident} sides have different homology image")

@@ -13,7 +13,7 @@ from g2mcg import cli, fixtures
 from g2mcg.cli import main
 from g2mcg.dsl import ParseError, parse_document, serialize_word
 from g2mcg.fixtures import FILES, load_corpus, read_text, script_text
-from g2mcg.registry import standard_registry
+from g2mcg.registry import INCONCLUSIVE, Registry, standard_registry
 from g2mcg.words import Curve, letter
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -418,6 +418,10 @@ def test_registry_check_fails_a_check_that_names_a_missing_curve(tmp_path, capsy
     assert out[-1] == "[pass] coverage:lanterns"
     for name, detail in failed.items():
         assert f"[FAIL] {name}  ({detail})" in out
+    # such a check compares nothing, so it is neither proved nor refuted
+    verdicts = {v.name: v for v in Registry.parse(text).validate()}
+    for name, detail in failed.items():
+        assert (verdicts[name].status, verdicts[name].detail) == (INCONCLUSIVE, detail)
 
 
 def test_registry_check_rejects_a_second_line_for_a_lantern(tmp_path, capsys):
@@ -483,6 +487,63 @@ def test_malformed_registry_file(tmp_path, capsys, line):
     p.write_text(line + "\n")
     assert main(["--registry", str(p), "registry-check"]) == 2
     assert "cannot parse registry line" in capsys.readouterr().err
+
+
+# One of each command: pi1 proves the chain relator and cannot decide X0.
+REPEATED = (
+    ["--format", "records", "verify", "{f}"],
+    ["verify", "{f}"],
+    ["--pi1", "verify", "{f}"],
+    ["replay", "--builtin", "sub-c1c5"],
+    ["decompose", "26", "2"],
+    ["registry-check"],
+)
+
+
+def test_repeated_calls_in_one_process_answer_alike_in_either_order(tmp_path, capsys):
+    f = tmp_path / "f.mcg"
+    f.write_text("relator X0 = (B0 B1 c1 c2 c3 c4 c5^2 c4 [c3](c2) c1^3 c5^2)^2\n"
+                 "relator chain = (c1 c2 c3 c4 c5)^6\n")
+    argvs = [[a.format(f=f) for a in argv] for argv in REPEATED]
+
+    def run(order):
+        answers = {}
+        for argv in order:
+            code = main(argv)
+            answers[" ".join(argv)] = code, capsys.readouterr().out
+        return answers
+
+    cli.build_parser.cache_clear()
+    fixtures.read_text.cache_clear()
+    forward = run(argvs)
+    assert run(argvs[::-1]) == forward
+    assert [code for code, _ in forward.values()] == [0, 0, 1, 0, 0, 0]
+    assert main(["--pi1", "verify", str(f)]) == 1
+    capsys.readouterr()
+    assert main(["--pi1", "replay", "--builtin", "sub-c1c5"]) == 2
+    assert "applies to verify only" in capsys.readouterr().err
+
+
+def test_a_registry_file_is_reused_by_its_text_not_its_path(tmp_path, capsys, monkeypatch):
+    parses = []
+    real = Registry.parse
+    monkeypatch.setattr(Registry, "parse", staticmethod(lambda text: parses.append(1) or real(text)))
+    cli._parse_registry.cache_clear()
+    p = tmp_path / "atlas.reg"
+    text = read_text("standard.reg")
+    p.write_text(text)
+    argv = ["--registry", str(p), "registry-check"]
+    assert main(argv) == 0 and main(argv) == 0
+    assert len(parses) == 1
+    p.write_text(text.replace("d sep h=(0,0,0,0)", "d nonsep h=(0,0,0,0)"))
+    assert main(argv) == 1
+    assert "[FAIL] flag:d" in capsys.readouterr().out
+    # a parse error is raised anew on each call, not remembered
+    p.write_text("c1 is a curve\n")
+    for _ in range(2):
+        assert main(argv) == 2
+        assert "cannot parse registry line" in capsys.readouterr().err
+    assert len(parses) == 4
 
 
 # Registries whose data disagree, each with a move that breaks the image.
