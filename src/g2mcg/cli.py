@@ -21,7 +21,7 @@ from . import pi1
 from . import homology as hom
 from .decompose import admissible_splits
 from .dsl import ParseError, parse_document, parse_relator
-from .fixtures import load_corpus, script_text
+from .fixtures import script_names, script_text
 from .invariants import (
     FiberSignature,
     SignatureNotIntegral,
@@ -130,7 +130,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         text = script_text(args.file)
         if text is None:
             print(f"no embedded script named {args.file!r}; "
-                  f"available: {', '.join(sorted(load_corpus(reg).scripts))}", file=sys.stderr)
+                  f"available: {', '.join(script_names())}", file=sys.stderr)
             return 2
     else:
         with open(args.file, encoding="utf-8") as fh:

@@ -51,7 +51,7 @@ from .moves import (
     describe,
 )
 from .registry import Registry, UnknownCurve
-from .words import Curve, Letter, PositiveRelator, Word, invert, push
+from .words import Curve, Letter, PositiveRelator, Word, invert, push, word_str
 
 
 class ParseError(ValueError):
@@ -225,53 +225,30 @@ def _relator(w: Word, label: str, line: int) -> PositiveRelator:
 # -- serialization ------------------------------------------------------------
 
 
-def serialize_letter(l: Letter, count: int = 1) -> str:
-    if l.curve.is_conjugate:
-        base = f"[{serialize_word(l.curve.conj)}]({l.curve.name})"
-    else:
-        base = l.curve.name
-    e = l.exp * count
-    return base if e == 1 else f"{base}^{e}"
-
-
-def serialize_word(w: Word) -> str:
-    if not w:
-        return "()"
-    parts = []
-    i = 0
-    while i < len(w):
-        j = i
-        while j < len(w) and w[j] == w[i]:
-            j += 1
-        parts.append(serialize_letter(w[i], j - i))
-        i = j
-    return " ".join(parts)
-
-
 def serialize(value) -> str:
     """Serialize a word, relator, script, or document to canonical ASCII."""
     if isinstance(value, PositiveRelator):
-        return serialize_word(value.word)
+        return word_str(value.word)
     if isinstance(value, MoveScript):
         return _serialize_script(value)
     if isinstance(value, Document):
         return serialize_document(value)
     if isinstance(value, tuple):
-        return serialize_word(value)
+        return word_str(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def _serialize_script(script: MoveScript) -> str:
     lines = [f"script {script.name}"]
     label = f" label={script.start_label}" if script.start_label else ""
-    lines.append(f"start{label}: {serialize_word(script.start)}")
+    lines.append(f"start{label}: {word_str(script.start)}")
     for entry in script.entries:
         if isinstance(entry, (Checkpoint, Final)):
             kind = "final" if isinstance(entry, Final) else "checkpoint"
             lab = f" label={entry.label}" if entry.label else ""
-            lines.append(f"{kind}{lab}: {serialize_word(entry.word)}")
+            lines.append(f"{kind}{lab}: {word_str(entry.word)}")
         else:
-            lines.append(describe(entry, serialize_word))
+            lines.append(describe(entry))
     lines.append("end")
     return "\n".join(lines)
 
@@ -279,7 +256,7 @@ def _serialize_script(script: MoveScript) -> str:
 def serialize_document(doc: "Document") -> str:
     chunks = []
     for name, rel in doc.relators.items():
-        chunks.append(f"relator {name} = {serialize_word(rel.word)}")
+        chunks.append(f"relator {name} = {word_str(rel.word)}")
     for script in doc.scripts.values():
         chunks.append(_serialize_script(script))
     return "\n\n".join(chunks) + "\n"

@@ -51,6 +51,16 @@ def script_text(script: str) -> Optional[str]:
     return texts[0] if texts else None
 
 
+def script_names() -> list[str]:
+    """The names the corpus script headers declare, as script_text reads
+    them, sorted; a name declared twice raises ParseError."""
+    names = sorted(name for text in map(read_text, FILES) for name in _HEADER_RE.findall(text))
+    for name, following in zip(names, names[1:]):
+        if name == following:
+            raise ParseError(f"duplicate script {name}")
+    return names
+
+
 def load_corpus(registry: Optional[Registry] = None) -> Document:
     """Every relator and script of the corpus files, as one document."""
     reg = registry if registry is not None else standard_registry()

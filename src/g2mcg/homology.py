@@ -8,9 +8,10 @@ exact and overflow-free.
 
 The transvection is I + v (Jv)^T, a rank-one change of the identity, so
 Registry.image builds a word's image by one rank-one row update per letter
-and never forms a letter's matrix; Registry.validate compares images of
-words.  The matrix helpers here serve the tests, as oracles, and the
-bench's tracer layer.
+and never forms a letter's matrix.  Registry.homology_class applies the
+image of a conjugator to a class with mat_vec, and Registry.validate
+compares images of words with mat_vec and mat_neg; the other matrix helpers
+serve the tests, as oracles, and the bench's tracer layer.
 """
 
 from __future__ import annotations

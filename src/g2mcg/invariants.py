@@ -8,16 +8,15 @@ signature is sigma = -(3n + s)/5 by the genus-2 local signature formula;
 the division is exact for any signature obeying the mod-10 law n + 2s = 0,
 and non-divisibility is reported as an error, never rounded.
 
-Derived quantities: c1^2 = 3 sigma + 2e, chi_h = (sigma + e)/4, and, only
-when the caller asserts simple connectivity, b2+ = (e + sigma - 2)/2 and
-b2- = (e - sigma - 2)/2 with the homeomorphism-type label
-"p CP2 # q CP2bar" for the (then odd, indefinite) intersection form.
+Derived quantities: c1^2 = 3 sigma + 2e and chi_h = (sigma + e)/4.
+homeo_label names the homeomorphism type "p CP2 # q CP2bar" that a simply
+connected total space with an odd form has, p = b2+ and q = b2-; neither
+hypothesis is proved here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .registry import Registry
 from .words import PositiveRelator, Word, push
@@ -28,7 +27,7 @@ class SignatureNotIntegral(ValueError):
 
 
 class NotOddForm(ValueError):
-    """Homeomorphism labels need asserted simple connectivity and non-spin."""
+    """(e, sigma) gives no label p CP2 # q CP2bar: b2+ or b2- is negative or odd."""
 
 
 @dataclass(frozen=True)
@@ -61,8 +60,6 @@ class InvariantSet:
     sigma: int
     c1sq: int
     chi_h: int
-    b2plus: Optional[int] = None
-    b2minus: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -80,7 +77,7 @@ def fiber_signature(reg: Registry, r: PositiveRelator | Word) -> FiberSignature:
     return FiberSignature(len(w) - s, s)
 
 
-def invariants(sig: FiberSignature, simply_connected: bool = False) -> InvariantSet:
+def invariants(sig: FiberSignature) -> InvariantSet:
     n, s = sig.n, sig.s
     if (3 * n + s) % 5 != 0:
         raise SignatureNotIntegral(f"3n+s = {3*n+s} is not divisible by 5 for (n,s)=({n},{s})")
@@ -89,15 +86,7 @@ def invariants(sig: FiberSignature, simply_connected: bool = False) -> Invariant
     c1sq = 3 * sigma + 2 * e
     if (sigma + e) % 4 != 0:
         raise SignatureNotIntegral(f"sigma+e = {sigma+e} is not divisible by 4")
-    chi_h = (sigma + e) // 4
-    b2p = b2m = None
-    if simply_connected:
-        # 2 - 2 b1 + 2 b2+ = e + sigma with b1 = 0.
-        if (e + sigma - 2) % 2 or (e - sigma - 2) % 2:
-            raise SignatureNotIntegral("betti numbers are not integral")
-        b2p = (e + sigma - 2) // 2
-        b2m = (e - sigma - 2) // 2
-    return InvariantSet(e, sigma, c1sq, chi_h, b2p, b2m)
+    return InvariantSet(e, sigma, c1sq, chi_h=(sigma + e) // 4)
 
 
 def blowdown_delta(p: int) -> BlowdownDelta:
@@ -124,17 +113,10 @@ def fiber_sum(
     return PositiveRelator(r1.word + tail, label)
 
 
-def homeo_label(
-    inv: InvariantSet, simply_connected: bool, non_spin: bool
-) -> str:
-    """Label p CP2 # q CP2bar; valid only under the asserted hypotheses.
-
-    The tool never proves simple connectivity or non-spin-ness; the caller
-    asserts them.  (A reducible fiber forces non-spin, see
-    non_spin_from_signature.)
-    """
-    if not simply_connected or not non_spin:
-        raise NotOddForm("label requires asserted simple connectivity and non-spin")
+def homeo_label(inv: InvariantSet) -> str:
+    """p CP2 # q CP2bar for b2+ = (e + sigma - 2)/2 and b2- = (e - sigma - 2)/2,
+    the type of X if it is simply connected (b1 = 0) with an odd form; that
+    is not checked, but M, which is not, gets b2+ = -1 and is refused."""
     p2 = inv.e + inv.sigma - 2
     q2 = inv.e - inv.sigma - 2
     if p2 % 2 or q2 % 2 or p2 < 0 or q2 < 0:
@@ -146,18 +128,10 @@ def format_homeo(p: int, q: int) -> str:
     return f"{p} CP2 # {q} CP2bar"
 
 
-def non_spin_from_signature(sig: FiberSignature) -> bool:
-    """A reducible singular fiber forces a non-spin total space."""
-    return sig.s >= 1
-
-
 # -- reports -------------------------------------------------------------------
 
 
 def invariant_records(sig: FiberSignature, inv: InvariantSet) -> str:
-    parts = [f"n={sig.n}", f"s={sig.s}", f"e={inv.e}", f"sigma={inv.sigma}",
-             f"c1sq={inv.c1sq}", f"chi_h={inv.chi_h}"]
-    if inv.b2plus is not None:
-        parts += [f"b2plus={inv.b2plus}", f"b2minus={inv.b2minus}"]
-    return " ".join(parts)
+    return " ".join([f"n={sig.n}", f"s={sig.s}", f"e={inv.e}", f"sigma={inv.sigma}",
+                     f"c1sq={inv.c1sq}", f"chi_h={inv.chi_h}"])
 

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import compress, count
 from operator import is_not
-from typing import Callable, Literal, NewType, Optional, Union
+from typing import Literal, NewType, Optional, Union
 
 from . import homology as hom
 from .registry import Registry
@@ -182,15 +182,15 @@ class MoveScript:
     start_label: str = ""
 
 
-def describe(move: Move, word_fmt: Callable[[Word], str] = word_str) -> str:
-    """The move's line: its syntax template filled in, words by ``word_fmt``."""
+def describe(move: Move) -> str:
+    """The move's line: its syntax template filled in, words by word_str."""
 
     def fill(m: re.Match) -> str:
         prefix, optional, name = m.groups()
         value = getattr(move, optional or name)
         if optional and value == ():
             return ""
-        return (prefix or "") + (word_fmt(value) if isinstance(value, tuple) else str(value))
+        return (prefix or "") + (word_str(value) if isinstance(value, tuple) else str(value))
 
     return SLOT.sub(fill, move.syntax)
 

@@ -186,7 +186,7 @@ class Registry:
         self.braid_pairs = {frozenset((f"c{i}", f"c{i+1}")) for i in range(1, 5)}
         # Safe to memoize: a registry is never changed after __init__
         # (replace() builds a new registry with empty caches).  A letter
-        # t_u^e maps to (u, e Ju), all that image and homology_class use of it.
+        # t_u^e maps to (u, e Ju), all that image uses of it.
         self._twist_cache: dict[Letter, tuple[Vec, Vec]] = {}
         self._canonical_curve_cache: dict[Curve, Curve] = {}
         # declare a central word or an alias only when the registry has every curve it names
@@ -239,18 +239,9 @@ class Registry:
         return self.data(curve.name).separating
 
     def homology_class(self, curve: Curve) -> Vec:
-        """The class of w(a): the letters of w act on a's class right to left.
-
-        A letter t_u^e sends v to v + e <v, u> u, and <v, u> = v . Ju, so it
-        adds (v . e Ju) u: the pair (u, e Ju) of image, its halves swapped."""
+        """The class of w(a): the image of w applied to a's class."""
         v = self.data(curve.name).homology
-        get = self._twist_cache.get
-        for l in reversed(curve.conj):
-            u, eju = get(l) or self._twist(l)
-            s = v[0] * eju[0] + v[1] * eju[1] + v[2] * eju[2] + v[3] * eju[3]
-            if s:
-                v = (v[0] + s * u[0], v[1] + s * u[1], v[2] + s * u[2], v[3] + s * u[3])
-        return v
+        return hom.mat_vec(self.image(curve.conj), v)
 
     def _twist(self, l: Letter) -> tuple[Vec, Vec]:
         """(u, e Ju) for the letter t_u^e: its matrix is I + e u (Ju)^T.

@@ -93,7 +93,16 @@ def push(l: Letter, by: Word) -> Letter:
 
 
 def word_str(w: Word) -> str:
-    return " ".join(repr(l) for l in w) if w else "()"
+    """The word as .mcg text, a run of equal letters as one power.  Printing
+    is injective, so runs are found by comparing curve texts, not letters."""
+    runs: list[list] = []
+    for l in w:
+        text = repr(l.curve)
+        if runs and runs[-1][0] == text and runs[-1][1] * l.exp > 0:
+            runs[-1][1] += l.exp
+        else:
+            runs.append([text, l.exp])
+    return " ".join(t if e == 1 else f"{t}^{e}" for t, e in runs) or "()"
 
 
 def invert(w: Word) -> Word:

@@ -11,10 +11,10 @@ import pytest
 import g2mcg
 from g2mcg import cli, fixtures
 from g2mcg.cli import main
-from g2mcg.dsl import ParseError, parse_document, serialize_word
+from g2mcg.dsl import ParseError, parse_document
 from g2mcg.fixtures import FILES, load_corpus, read_text, script_text
 from g2mcg.registry import INCONCLUSIVE, Registry, standard_registry
-from g2mcg.words import Curve, letter
+from g2mcg.words import Curve, letter, word_str
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -100,7 +100,7 @@ def test_verify_pi1_fails_a_relator_it_could_not_check(tmp_path, capsys, old, ne
     # inconclusive there and must not exit 0
     last = max(p for p, l in enumerate(_X7) if l.curve == Curve(old))
     p = tmp_path / "p2.mcg"
-    p.write_text(serialize_word(_X7[:last] + (letter(new),) + _X7[last + 1 :]))
+    p.write_text(word_str(_X7[:last] + (letter(new),) + _X7[last + 1 :]))
     assert main(["--pi1", "verify", str(p)]) == 1
     assert "  pi1: skipped (no action table for curve" in capsys.readouterr().out
 
@@ -249,6 +249,17 @@ def test_replay_missing_builtin(capsys):
     assert "no embedded script named 'nope'; available: blowup-to-thirty, sub-c1c3," in err
 
 
+def test_replay_missing_builtin_lists_names_a_registry_could_not_parse(tmp_path, capsys):
+    # relators.mcg names Yc, which this registry lacks; the names come from
+    # the script headers, so no corpus file is parsed to list them
+    p = tmp_path / "noyc.reg"
+    p.write_text("\n".join(
+        l for l in read_text("standard.reg").splitlines() if not l.startswith("Yc ")))
+    assert main(["--registry", str(p), "replay", "nosuch", "--builtin"]) == 2
+    assert capsys.readouterr().err == (
+        f"no embedded script named 'nosuch'; available: {', '.join(sorted(load_corpus().scripts))}\n")
+
+
 GOLDEN = Path(__file__).with_name("golden") / "corpus_replay.txt"
 GOLDEN_RENDERS = {
     chunk.split(":", 1)[0].removeprefix("script "): chunk
@@ -259,9 +270,13 @@ GOLDEN_RENDERS = {
 @pytest.mark.parametrize("name", sorted(load_corpus().scripts))
 def test_replay_builtin_prints_the_golden_render(name, monkeypatch, capsys):
     # the success path parses the declaring file only, never the whole corpus
-    monkeypatch.setattr(cli, "load_corpus", None)
+    parsed = []
+    monkeypatch.setattr(fixtures, "parse_document", None)
+    monkeypatch.setattr(cli, "parse_document", lambda text, reg: parsed.append(text)
+                        or parse_document(text, reg))
     assert main(["replay", name, "--builtin"]) == 0
     assert capsys.readouterr().out == GOLDEN_RENDERS[name]
+    assert parsed == [script_text(name)]
 
 
 def test_every_corpus_script_is_found_by_its_header():
@@ -297,8 +312,9 @@ def test_conflicting_relators_raise_a_parse_error(monkeypatch, capsys):
     patch_corpus(monkeypatch, "x-seven.mcg", "\nrelator Z0 = c1\n")
     with pytest.raises(ParseError, match="conflicting definitions of relator Z0"):
         load_corpus()
+    # listing the scripts reads their headers only, so it does not see it
     assert main(["replay", "nope", "--builtin"]) == 2
-    assert "error: conflicting definitions of relator Z0" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("no embedded script named 'nope'; available: ")
 
 
 def test_python_dash_m_runs_the_cli():

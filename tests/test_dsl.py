@@ -1,4 +1,5 @@
 import re
+from itertools import groupby
 from typing import Optional
 
 import pytest
@@ -11,13 +12,12 @@ from g2mcg.dsl import (
     parse_relator,
     parse_word,
     serialize,
-    serialize_word,
 )
 from g2mcg.fixtures import FILES, load_corpus, read_text
 from g2mcg.invariants import FiberSignature, fiber_signature
 from g2mcg.moves import Braid, Commute, GlobalConjugate, Hurwitz, Lantern
 from g2mcg.registry import UnknownCurve, standard_registry
-from g2mcg.words import Curve, Letter, Word, letter, make_curve
+from g2mcg.words import Curve, Letter, Word, letter, make_curve, word_str
 
 reg = standard_registry()
 
@@ -45,7 +45,7 @@ def test_separators_dot_and_space():
 
 def test_unicode_input_ascii_output():
     w = parse_word("δ k̄ h̄ · c1")
-    assert serialize_word(w) == "d kb hb c1"
+    assert word_str(w) == "d kb hb c1"
 
 
 def test_negative_powers_expand():
@@ -55,7 +55,7 @@ def test_negative_powers_expand():
 
 def test_empty_word():
     assert parse_word("()") == ()
-    assert serialize_word(()) == "()"
+    assert word_str(()) == "()"
 
 
 def test_parse_errors():
@@ -105,7 +105,50 @@ def test_word_roundtrip_examples():
         "c1^3 c5^2",
     ]:
         w = parse_word(text, reg)
-        assert parse_word(serialize_word(w), reg) == w
+        assert parse_word(word_str(w), reg) == w
+
+
+_NAMES = sorted(reg.curves)
+_signs = st.sampled_from([1, -1])
+
+
+def _runs(letters):
+    """Words of drawn letters, each repeated up to three times, so that equal
+    letters stand in runs."""
+    return st.lists(st.tuples(letters, st.integers(1, 3)), max_size=5).map(
+        lambda runs: tuple(l for l, k in runs for _ in range(k))
+    )
+
+
+# plain and inverse letters, and conjugates whose conjugators hold runs and
+# conjugates, as the recursive strategy of tests/test_homology.py draws them
+_letters = st.recursive(
+    st.builds(letter, st.sampled_from(_NAMES), _signs),
+    lambda inner: st.builds(
+        lambda name, conj, exp: letter(name, exp, conj=conj),
+        st.sampled_from(_NAMES), _runs(inner), _signs,
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_runs(_letters))
+@example(parse_word("c1^-2 c1 [c2^2 c3^-3](c4)^-2 [c2 c2](c4)", reg))
+def test_word_str_round_trips(w):
+    text = word_str(w)
+    assert parse_word(text, reg) == w
+    # one item per maximal run: the spaces outside brackets part the runs
+    depth = spaces = 0
+    for ch in text:
+        depth += (ch == "[") - (ch == "]")
+        spaces += ch == " " and depth == 0
+    assert spaces + 1 == max(1, len(list(groupby(w))))
+
+
+def test_word_str_prints_runs_as_powers():
+    w = parse_word("c1 c1 c2^-1 c2^-1 c2^-1 c1 c1^-1 [c3 c3](c4) [c3 c3](c4)", reg)
+    assert word_str(w) == "c1^2 c2^-3 c1 c1^-1 [c3^2](c4)^2"
 
 
 def test_corpus_files_roundtrip():

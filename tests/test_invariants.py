@@ -5,6 +5,7 @@ from g2mcg.dsl import parse_word
 from g2mcg.fixtures import load_corpus
 from g2mcg.invariants import (
     FiberSignature,
+    InvariantSet,
     NotOddForm,
     SignatureNotIntegral,
     blowdown_delta,
@@ -14,7 +15,6 @@ from g2mcg.invariants import (
     homeo_label,
     invariant_records,
     invariants,
-    non_spin_from_signature,
 )
 from g2mcg.registry import standard_registry
 from g2mcg.words import PositiveRelator
@@ -52,11 +52,6 @@ def test_invariants_examples():
 def test_invariants_require_divisibility():
     with pytest.raises(SignatureNotIntegral):
         invariants(FiberSignature(1, 0))
-
-
-def test_betti_numbers_under_simple_connectivity():
-    inv = invariants(FiberSignature(26, 2), simply_connected=True)
-    assert (inv.b2plus, inv.b2minus) == (3, 19)
 
 
 def test_blowdown_deltas():
@@ -112,35 +107,30 @@ def test_twisted_fiber_sum_conjugates_letters():
 
 
 def test_homeo_labels():
-    assert homeo_label(invariants(FiberSignature(26, 2)), True, True) == "3 CP2 # 19 CP2bar"
-    assert homeo_label(invariants(FiberSignature(20, 0)), True, True) == "1 CP2 # 13 CP2bar"
-    assert homeo_label(invariants(FiberSignature(16, 7)), True, True) == "3 CP2 # 14 CP2bar"
+    assert homeo_label(invariants(FiberSignature(26, 2))) == "3 CP2 # 19 CP2bar"
+    assert homeo_label(invariants(FiberSignature(20, 0))) == "1 CP2 # 13 CP2bar"
+    assert homeo_label(invariants(FiberSignature(16, 7))) == "3 CP2 # 14 CP2bar"
 
 
 def test_homeo_label_family():
     for n in range(2, 8):
         inv = invariants(sig(f"X{n}"))
-        assert homeo_label(inv, True, True) == format_homeo(3, 21 - n)
+        assert homeo_label(inv) == format_homeo(3, 21 - n)
 
 
 def test_homeo_label_guards():
-    inv = invariants(FiberSignature(26, 2))
-    with pytest.raises(NotOddForm):
-        homeo_label(inv, False, True)
-    with pytest.raises(NotOddForm):
-        homeo_label(inv, True, False)
     # Matsumoto's fibration is not simply connected; the arithmetic refuses
-    with pytest.raises(NotOddForm):
-        homeo_label(invariants(FiberSignature(6, 2)), True, True)
-
-
-def test_non_spin_helper():
-    assert non_spin_from_signature(FiberSignature(6, 2))
-    assert not non_spin_from_signature(FiberSignature(30, 0))
+    # it, as its b2+ would be -1
+    with pytest.raises(NotOddForm, match=r"\(e,sigma\)=\(4,-4\)"):
+        homeo_label(invariants(sig("M")))
+    # b2- = -1, and b2+ = b2- = 3/2: no invariants() gives these, as chi_h
+    # needs e + sigma divisible by 4
+    for e, sigma in [(4, 4), (5, 0)]:
+        with pytest.raises(NotOddForm):
+            homeo_label(InvariantSet(e, sigma, 3 * sigma + 2 * e, 0))
 
 
 def test_reports_render():
     s = FiberSignature(26, 2)
-    inv = invariants(s, simply_connected=True)
-    rec = invariant_records(s, inv)
-    assert "e=24" in rec and "b2plus=3" in rec
+    rec = invariant_records(s, invariants(s))
+    assert rec == "n=26 s=2 e=24 sigma=-16 c1sq=0 chi_h=2"

@@ -2,7 +2,8 @@
 
 import pytest
 
-from g2mcg.dsl import ParseError, parse_document, parse_word, serialize, serialize_word
+from g2mcg.dsl import ParseError, parse_document, parse_word, serialize
+from g2mcg.fixtures import FILES, read_text
 from g2mcg.moves import (
     Alias,
     Braid,
@@ -14,6 +15,7 @@ from g2mcg.moves import (
     GlobalConjugate,
     Hurwitz,
     Lantern,
+    MOVES,
     describe,
 )
 from g2mcg.registry import standard_registry
@@ -80,10 +82,28 @@ def test_move_line_round_trip(line, move, printed):
     script = parse_document(_script(line), reg).scripts["t"]
     assert script.entries == (move,)
     assert serialize(script).splitlines()[2] == (printed or line)
-    assert describe(move, serialize_word) == (printed or line)
+    assert describe(move) == (printed or line)
 
 
 @pytest.mark.parametrize("line", REJECTED)
 def test_bad_move_line(line):
     with pytest.raises(ParseError):
         parse_document(_script(line), reg)
+
+
+def test_every_corpus_move_line_prints_back_as_written():
+    # a script's lines but its header, start, checkpoints, final and end
+    written, printed = [], []
+    for name in FILES:
+        text = read_text(name)
+        written += [
+            (f"{name}:{n}", " ".join(line.split())) for n, raw in enumerate(text.splitlines(), 1)
+            if (line := raw.split("#", 1)[0].strip())
+            and line.split()[0].rstrip(":") not in (
+                "relator", "script", "start", "checkpoint", "final", "end")
+        ]
+        printed += [describe(e) for script in parse_document(text, reg).scripts.values()
+                    for e in script.entries if isinstance(e, MOVES)]
+    assert len(written) == len(printed) == 206
+    assert [(where, line, again) for (where, line), again in zip(written, printed)
+            if line != again] == []

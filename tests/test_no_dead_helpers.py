@@ -32,8 +32,7 @@ ALLOWED = {
     "pi1.preserves_relator": "test oracle: each twist action fixes the surface relator",
     "pi1.apply_word": "test oracle: the action of a word on one generator",
     "invariants.homeo_label": "ROADMAP direction 3: the Freedman label of a proved certificate",
-    "invariants.non_spin_from_signature": "ROADMAP direction 3: oddness of the form",
-    "invariants.NotOddForm": "raised by non_spin_from_signature, ROADMAP direction 3",
+    "invariants.NotOddForm": "raised by homeo_label, ROADMAP direction 3",
     "invariants.fiber_sum": "ROADMAP direction 7: the summands of fiber-sum splits",
     "invariants.blowdown_delta": "ROADMAP direction 8: per-step invariant deltas",
     "invariants.BlowdownDelta": "the answer of blowdown_delta, ROADMAP direction 8",
