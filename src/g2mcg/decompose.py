@@ -2,8 +2,11 @@
 obstructions, and classify the summands that survive.
 
 A fiber sum splits the signature additively, and each relatively minimal
-summand must itself obey the abelianization law n + 2s = 0 (mod 10).  On
-top of that the rule table carries the published obstructions: the pairs
+summand must itself obey the abelianization law n + 2s = 0 (mod 10).  The
+law is additive, so a total that breaks it has no such split, and for a
+total that obeys it the enumeration visits only first summands on the
+mod-10 lattice, whose complements then obey the law as well.  On top of
+that the rule table carries the published obstructions: the pairs
 (10,0) and (8,1) never occur as the fiber counts of a genus-2 Lefschetz
 fibration over the sphere (Sato, remark 5.1); every such fibration has at
 least 7 singular fibers, and none has only reducible fibers
@@ -166,17 +169,23 @@ def admissible_splits(sig: FiberSignature) -> DecompositionReport:
     """All unordered nontrivial splits with both sides obeying the mod-10 law,
     each built once, in canonical order (the smaller summand first).
 
-    The complementary summand of a mod-10 summand of a mod-10 total obeys
-    the law automatically; both are still checked.
+    The law is additive.  When the total breaks it, the complement of any
+    summand that obeys it breaks it, so the empty report returns at once.
+    Otherwise only the lattice points n1 = -2 s1 (mod 10) are visited: each
+    first summand there obeys the law, and its complement needs no check of
+    its own, as the difference of two classes that are 0 in Z/10.  Trivial
+    and out-of-order pairs are skipped on the counts, so a FiberSignature is
+    built only for the summands of a listed candidate.
     """
     report = DecompositionReport(sig)
+    if sig.mod_ten != 0:
+        return report
     for s1 in range(sig.s // 2 + 1):
-        for n1 in range(sig.n + 1):
-            a = FiberSignature(n1, s1)
-            b = FiberSignature(sig.n - n1, sig.s - s1)
-            if a.total == 0 or b.total == 0 or (b.s, b.n) < (a.s, a.n):
+        s2 = sig.s - s1
+        for n1 in range(-2 * s1 % 10, sig.n + 1, 10):
+            n2 = sig.n - n1
+            if n1 + s1 == 0 or n2 + s2 == 0 or (s2, n2) < (s1, n1):
                 continue
-            if a.mod_ten != 0 or b.mod_ten != 0:
-                continue
+            a, b = FiberSignature(n1, s1), FiberSignature(n2, s2)
             report.candidates.append(CandidateSplit(_verdict(a), _verdict(b)))
     return report

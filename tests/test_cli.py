@@ -337,13 +337,22 @@ def test_decompose_command(capsys):
 def test_decompose_18_6(capsys):
     assert main(["decompose", "18", "6"]) == 0
     out = capsys.readouterr().out
-    assert "(6,2) + (12,4)" in out.replace("admissible", "admissible")
+    assert "(6,2) + (12,4)" in out
     assert "(4,3) + (14,3)" in out
 
 
 def test_decompose_trivial(capsys):
-    assert main(["decompose", "0", "0"]) == 0
-    assert "summary: None" in capsys.readouterr().out
+    # (0,0) has no nontrivial split; (27,2) breaks the mod-10 law, so no
+    # split of it has both summands obeying the law
+    for n, s in [(0, 0), (27, 2)]:
+        assert main(["decompose", str(n), str(s)]) == 0
+        assert capsys.readouterr().out == (
+            f"fiber sum decompositions of (n,s) = ({n},{s})\n"
+            "assuming both summands are relatively minimal genus-2 fibrations\n"
+            "summary: None\n"
+        )
+        assert main(["--format", "records", "decompose", str(n), str(s)]) == 0
+        assert capsys.readouterr().out == "summary=None\n"
 
 
 def test_decompose_rejects_negative(capsys):

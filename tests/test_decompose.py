@@ -1,3 +1,4 @@
+import g2mcg.decompose
 from g2mcg.decompose import (
     CLASSIFICATION,
     RULES,
@@ -121,6 +122,22 @@ def test_summand_mod_ten_always_holds():
                 assert v.signature.mod_ten == 0
             (n1, s1), (n2, s2) = c.signatures
             assert (n1 + n2, s1 + s2) == (n, s)
+
+
+def test_summands_are_built_only_for_listed_candidates(monkeypatch):
+    built = []
+
+    class Counted(FiberSignature):
+        def __post_init__(self):
+            built.append((self.n, self.s))
+            super().__post_init__()
+
+    monkeypatch.setattr(g2mcg.decompose, "FiberSignature", Counted)
+    # a full (n+1) x (s/2+1) box would build 902, 108, 152 and 112
+    for (n, s), count in {(40, 20): 88, (26, 2): 6, (18, 6): 12, (27, 2): 0}.items():
+        built.clear()
+        report = admissible_splits(FiberSignature(n, s))
+        assert len(built) == 2 * len(report.candidates) == count, (n, s)
 
 
 def test_classification_lookups():
