@@ -31,6 +31,22 @@ holds for it exactly: braid relations for adjacent twists, commutation
 for distant ones, the involution word squaring to the identity, the
 30-twist chain relator acting as the identity, and every abelianized
 action equal to the homology transvection.
+
+``word_action`` keeps the images of the generators and of their inverses
+in one dict and applies the letters of the flat word one at a time, each
+as its twist's steps: first the image of the inserted curve word g, the
+product of its letters' images (held already when g is one letter), then
+each moved generator's image, the product of its template's pieces (its
+own image, g's and g's inverse) passed once through the rewrite loop of
+Dehn's algorithm.  A product joins freely reduced pieces at their seams:
+the tail of the product so far that cancels the head of the next piece
+is its common tail with that piece's inverse, which the dict holds.
+Free reduction is confluent, a word having one freely reduced form
+whatever the order its pairs cancel in, so the loop sees the string it
+would see if the substituted template were freely reduced whole, and the
+images are those of composing the twist automorphisms one at a time.
+The image of g stays freely reduced only: Dehn-reducing it first can
+spell the images another, equal, way.
 """
 
 from __future__ import annotations
@@ -88,9 +104,14 @@ _SCAN7, _SCAN6, _SCAN5 = (
 def dehn_reduce(w: str) -> str:
     """Dehn's algorithm: while a subword is more than half a relator
     rotation, replace the leftmost one of the greatest length by the shorter
-    complement, with free reduction throughout.  A segment of length 6 or 7
-    starts with one of length 5, so the longer scans start at its hit."""
-    w = free_reduce(w)
+    complement, with free reduction throughout."""
+    return _dehn_rewrite(free_reduce(w))
+
+
+def _dehn_rewrite(w: str) -> str:
+    # The rewrite loop of dehn_reduce, on a freely reduced w.  A segment of
+    # length 6 or 7 starts with one of length 5, so the longer scans start
+    # at its hit.
     m = _SCAN5.search(w)
     while m:
         m = _SCAN7.search(w, m.start()) or _SCAN6.search(w, m.start()) or m
@@ -209,40 +230,68 @@ def _twist_table(left: bool) -> dict[str, Aut]:
 TWIST_TABLE: dict[str, Aut] = _twist_table(left=False)
 TWIST_TABLE_INV: dict[str, Aut] = _twist_table(left=True)
 
-
-def apply_aut(aut: Aut, w: str) -> str:
-    out = []
-    for ch in w:
-        out.append(aut[ch] if ch.islower() else inverse(aut[ch.lower()]))
-    return dehn_reduce("".join(out))
-
-
-def compose(outer: Aut, inner: Aut) -> Aut:
-    """(outer . inner)(x) = outer(inner(x)).  Every Aut built here has
-    Dehn-reduced images, so a generator inner fixes maps to outer's image."""
-    return {g: outer[g] if inner[g] == g else apply_aut(outer, inner[g]) for g in GENS}
+# The same twists as steps on a dict of images keyed by the generators, their
+# inverses and g, G.  A step (x, X, pieces) sets the image of x to the product
+# of the images of its pieces, each a key with the key of its inverse, and the
+# image of X to its inverse.  The first step sets g, the curve word the twist
+# inserts, unless it is one letter, whose image the dict holds; each moved
+# generator's template reads only itself and g, G, so the images are updated
+# in place.
+_Pieces = tuple[tuple[str, str], ...]
 
 
-def preserves_relator(aut: Aut) -> bool:
-    return is_trivial(apply_aut(aut, RELATOR))
+def _twist_steps(left: bool) -> dict[str, list[tuple[str, str, _Pieces]]]:
+    steps = {}
+    for name, (g, images) in _TWIST_SPEC.items():
+        g = inverse(g) if left else g
+        if len(g) == 1:
+            step, fill = [], {"g": g, "G": inverse(g)}
+        else:
+            step, fill = [("g", "G", tuple(zip(g, g.swapcase())))], {"g": "g", "G": "G"}
+        for x, image in images.items():
+            t = image.format(**fill)
+            step.append((x, x.upper(), tuple(zip(t, t.swapcase()))))
+        steps[name] = step
+    return steps
+
+
+_STEPS = _twist_steps(left=False)
+_STEPS_INV = _twist_steps(left=True)
+
+
+def _product(img: dict[str, str], pieces: _Pieces) -> str:
+    """free_reduce of the product of the images of pieces, which are freely
+    reduced: at each seam, the tail of the product so far that cancels the
+    next image's head is its common tail with that image's inverse."""
+    u = ""
+    for key, inv_key in pieces:
+        v, v_inv = img[key], img[inv_key]
+        if u[-1:] != v_inv[-1:]:
+            u += v
+            continue
+        k, n = 1, min(len(u), len(v))
+        while k < n and u[-1 - k] == v_inv[-1 - k]:
+            k += 1
+        u = u[: len(u) - k] + v[k:]
+    return u
 
 
 def word_action(reg: Registry, w: Word) -> Aut:
     """Automorphism of the word: rightmost letter acts first, matching the
     matrix convention image(uv) = image(u) image(v) on column vectors.  The
-    letters of reg.flat_word(w), all plain, act by their table entries;
-    MissingAutomorphism names the first of them with no entry."""
-    out = dict(_IDENTITY)
+    letters of reg.flat_word(w), all plain, act by their twist steps;
+    MissingAutomorphism names the first of them with none."""
+    img = {x: x for x in GENS + GENS.upper()}
     for l in reg.flat_word(w):
-        table = TWIST_TABLE if l.exp == 1 else TWIST_TABLE_INV
-        if l.curve.name not in table:
+        steps = (_STEPS if l.exp == 1 else _STEPS_INV).get(l.curve.name)
+        if steps is None:
             raise MissingAutomorphism(l.curve.name)
-        out = compose(out, table[l.curve.name])
-    return out
-
-
-def apply_word(reg: Registry, w: Word, g: str) -> str:
-    return apply_aut(word_action(reg, w), dehn_reduce(g))
+        for x, inv_x, pieces in steps:
+            u = _product(img, pieces)
+            if x != "g":  # the image of g stays freely reduced only
+                u = _dehn_rewrite(u)
+            img[x], img[inv_x] = u, inverse(u)
+    return {g: img[g] for g in GENS}
 
 
 def ab_vector(w: str) -> tuple[int, int, int, int]:

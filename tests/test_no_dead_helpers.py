@@ -29,8 +29,6 @@ ALLOWED = {
     "homology.transvection_inv": "test oracle: the matrix each letter's rank-one update must equal",
     "pi1.ab_matrix": "test oracle: the pi1 action abelianizes to the Sp(4,Z) image",
     "pi1.ab_vector": "serves the test oracle ab_matrix",
-    "pi1.preserves_relator": "test oracle: each twist action fixes the surface relator",
-    "pi1.apply_word": "test oracle: the action of a word on one generator",
     "invariants.homeo_label": "ROADMAP direction 3: the Freedman label of a proved certificate",
     "invariants.NotOddForm": "raised by homeo_label, ROADMAP direction 3",
     "invariants.fiber_sum": "ROADMAP direction 7: the summands of fiber-sum splits",

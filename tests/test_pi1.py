@@ -28,13 +28,30 @@ def test_dehn_reduce_examples():
 
 def test_every_twist_preserves_the_relator():
     for name in BASE:
-        assert pi1.preserves_relator(pi1.TWIST_TABLE[name])
-        assert pi1.preserves_relator(pi1.TWIST_TABLE_INV[name])
+        assert _ref_apply_aut(pi1.TWIST_TABLE[name], pi1.RELATOR) == ""
+        assert _ref_apply_aut(pi1.TWIST_TABLE_INV[name], pi1.RELATOR) == ""
+
+
+def _free_apply(aut, w):
+    return _ref_free_reduce(
+        "".join(aut[ch] if ch.islower() else pi1.inverse(aut[ch.lower()]) for ch in w)
+    )
+
+
+def test_twists_act_on_the_free_group_fixing_the_boundary():
+    # with free reduction alone, no surface relation: each entry fixes the
+    # boundary word abABcdCD letter for letter, and the hands invert each other
+    for name in BASE:
+        right, left = pi1.TWIST_TABLE[name], pi1.TWIST_TABLE_INV[name]
+        for aut in (right, left):
+            assert _free_apply(aut, pi1.RELATOR) == pi1.RELATOR
+        for outer, inner in ((right, left), (left, right)):
+            assert all(_free_apply(outer, inner[g]) == g for g in pi1.GENS)
 
 
 def test_twist_inverses():
     for name in BASE:
-        both = pi1.compose(pi1.TWIST_TABLE[name], pi1.TWIST_TABLE_INV[name])
+        both = _ref_compose(pi1.TWIST_TABLE[name], pi1.TWIST_TABLE_INV[name])
         assert all(both[g] == g for g in pi1.GENS)
 
 
@@ -42,16 +59,16 @@ def test_presentation_relations_hold_exactly():
     t = {i: pi1.TWIST_TABLE[f"c{i}"] for i in range(1, 6)}
     for i in range(1, 6):
         for j in range(i + 2, 6):
-            assert pi1.compose(t[i], t[j]) == pi1.compose(t[j], t[i])
+            assert _ref_compose(t[i], t[j]) == _ref_compose(t[j], t[i])
     for i in range(1, 5):
-        lhs = pi1.compose(t[i], pi1.compose(t[i + 1], t[i]))
-        rhs = pi1.compose(t[i + 1], pi1.compose(t[i], t[i + 1]))
+        lhs = _ref_compose(t[i], _ref_compose(t[i + 1], t[i]))
+        rhs = _ref_compose(t[i + 1], _ref_compose(t[i], t[i + 1]))
         assert lhs == rhs
 
 
 def test_involution_squares_to_identity():
     tau = aut_of("c1 c2 c3 c4 c5^2 c4 c3 c2 c1")
-    sq = pi1.compose(tau, tau)
+    sq = _ref_compose(tau, tau)
     assert all(sq[g] == g for g in pi1.GENS)
     # tau inverts every generator up to conjugacy (it is -1 on homology): the
     # cyclic Dehn form of tau(g) is g^-1, and its conjugator p carries it back
@@ -83,12 +100,12 @@ def test_relators_act_by_inner_automorphisms():
 
 
 def test_apply_word_empty_is_reduction():
-    assert pi1.apply_word(reg, (), "aA" + "b") == "b"
+    assert _ref_apply_aut(pi1.word_action(reg, ()), "aA" + "b") == "b"
 
 
 def test_missing_automorphism():
     with pytest.raises(pi1.MissingAutomorphism):
-        pi1.apply_word(reg, (letter("x"),), "a")
+        pi1.word_action(reg, (letter("x"),))
     # the first letter of the flattened word x B0 x^-1 without an action
     with pytest.raises(pi1.MissingAutomorphism, match="'x'"):
         pi1.word_action(reg, parse_word("[x](B0)"))
@@ -337,11 +354,51 @@ def test_word_action_agrees_with_full_compose_on_the_corpus():
     assert compared >= 38  # Z0, chain30, chain40 and 35 script states
 
 
+_plain_letters = st.builds(letter, st.sampled_from(BASE), st.sampled_from([1, -1]))
+_letters = st.one_of(
+    _plain_letters,
+    st.builds(  # [u](ci)^(+-1)
+        lambda name, exp, u: letter(name, exp, conj=tuple(u)),
+        st.sampled_from(BASE), st.sampled_from([1, -1]),
+        st.lists(_plain_letters, min_size=1, max_size=3),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_letters, max_size=20).map(tuple))
+def test_word_action_agrees_with_full_compose_on_random_words(w):
+    # Byte for byte over the flat letters, as the images of g in the twist
+    # steps stay freely reduced.  Composing a conjugate letter's three
+    # actions apart can spell an image another way (Dehn's algorithm is not
+    # confluent), so against that only the group elements must agree.
+    act = pi1.word_action(reg, w)
+    assert act == _ref_word_action(tuple(reg.flat_word(w)))
+    nested = _ref_word_action(w)
+    assert all(pi1.elements_equal(act[g], nested[g]) for g in pi1.GENS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_group_words, _group_words), max_size=4))
+def test_product_cancels_freely_reduced_pieces_at_their_seams(parts):
+    # piece i is s_(i-1)^-1 a_i s_i, freely reduced, so a seam can cancel a whole s
+    pieces, prev = [], ""
+    for a, s in parts:
+        pieces.append(_ref_free_reduce(pi1.inverse(prev) + a + s))
+        prev = s
+    img = {}
+    for i, u in enumerate(pieces):
+        img[f"u{i}"], img[f"U{i}"] = u, pi1.inverse(u)
+    keys = tuple((f"u{i}", f"U{i}") for i in range(len(pieces)))
+    assert pi1._product(img, keys) == _ref_free_reduce("".join(pieces))
+
+
 def test_twist_table_images_are_dehn_reduced():
-    # compose keeps outer[g] as it stands for a generator inner fixes
-    for table in (pi1.TWIST_TABLE, pi1.TWIST_TABLE_INV):
-        for aut in table.values():
+    # each entry is also the action of its letter alone, built from the twist steps
+    for table, exp in ((pi1.TWIST_TABLE, 1), (pi1.TWIST_TABLE_INV, -1)):
+        for name, aut in table.items():
             assert all(pi1.dehn_reduce(img) == img for img in aut.values())
+            assert pi1.word_action(reg, (letter(name, exp),)) == aut
 
 
 @settings(max_examples=200, deadline=None)
@@ -409,12 +466,12 @@ _conjugators = st.lists(
 def test_inner_conjugator_finds_every_conjugator(z, composed, twist, left):
     phi, expected = _inner(z), z
     if composed:
-        phi, expected = pi1.compose(phi, TD_OVER_TD), z + "abAB"
+        phi, expected = _ref_compose(phi, TD_OVER_TD), z + "abAB"
     found = pi1.inner_conjugator(phi)
     assert found is not None and pi1.elements_equal(found, expected)
     # one twist more is a nontrivial mapping class: never inner
     table = pi1.TWIST_TABLE_INV if left else pi1.TWIST_TABLE
-    assert pi1.inner_conjugator(pi1.compose(_inner(z), table[twist])) is None
+    assert pi1.inner_conjugator(_ref_compose(_inner(z), table[twist])) is None
 
 
 @pytest.mark.parametrize("k", [1, -1, 2, -2, 5])

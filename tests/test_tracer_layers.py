@@ -62,3 +62,20 @@ def test_replay_calls_apply_move_once_per_move(monkeypatch):
         assert moves.replay(reg, script).ok, script.name
         expected = [e for e in script.entries if isinstance(e, moves.MOVES)]
         assert calls == expected, script.name
+
+
+def test_word_action_runs_the_dehn_loop_once_per_moved_generator(monkeypatch):
+    # the bench's pi1.dehn_reduce layer counts no word_action work while this holds
+    reg = standard_registry()
+    calls, rewrites = [], []
+    dehn_reduce, dehn_rewrite = pi1.dehn_reduce, pi1._dehn_rewrite
+    monkeypatch.setattr(pi1, "dehn_reduce", lambda w: calls.append(w) or dehn_reduce(w))
+    monkeypatch.setattr(pi1, "_dehn_rewrite", lambda w: rewrites.append(w) or dehn_rewrite(w))
+    corpus = load_corpus(reg)
+    for label in ("Z0", "chain30", "chain40"):
+        rewrites.clear()
+        w = corpus.relator(label).word
+        pi1.word_action(reg, w)
+        assert calls == [], label
+        moved = sum(len(pi1._TWIST_SPEC[l.curve.name][1]) for l in reg.flat_word(w))
+        assert len(rewrites) == moved, label
