@@ -233,7 +233,7 @@ def serialize(value) -> str:
         return _serialize_script(value)
     if isinstance(value, Document):
         return serialize_document(value)
-    if isinstance(value, tuple):
+    if isinstance(value, tuple) and not isinstance(value, (Letter, Curve)):  # a word
         return word_str(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 

@@ -190,7 +190,8 @@ def describe(move: Move) -> str:
         value = getattr(move, optional or name)
         if optional and value == ():
             return ""
-        return (prefix or "") + (word_str(value) if isinstance(value, tuple) else str(value))
+        is_word = isinstance(value, tuple) and not isinstance(value, (Letter, Curve))
+        return (prefix or "") + (word_str(value) if is_word else str(value))
 
     return SLOT.sub(fill, move.syntax)
 
@@ -421,8 +422,8 @@ def _rewritten_span(old: Word, new: Word) -> tuple[int, int, int]:
     """(lo, hi, new_hi) with new == old[:lo] + new[lo:new_hi] + old[hi:].
 
     apply_move splices its span between the very letter objects of the old
-    word, so an identity scan finds the span, at C speed and without
-    calling a letter's __eq__."""
+    word, so an identity scan finds the span, faster than letter equality,
+    which runs in C too but descends into each letter's curve."""
     common = min(len(old), len(new))
     lo = next(compress(count(), map(is_not, old, new)), common)
     tail = next(compress(count(), map(is_not, reversed(old), reversed(new))), common)

@@ -11,13 +11,17 @@ convert between.
 
 Everything here is immutable and purely structural: two conjugate curves
 with different but equivalent conjugating words compare unequal.  The
-registry module layers a semantic normal form on top of this.
+registry module layers a semantic normal form on top of this.  Curve and
+Letter are tuple types, so their equality and hash are by value and run in
+C, as the registry's caches and replay's checkpoint checks need; a Letter
+also equals the plain tuple of its fields, and no code compares the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 
 class NotConjugateForm(ValueError):
@@ -28,24 +32,18 @@ class SpanNotConjugatePattern(ValueError):
     """Raised when a span does not read u . t_a^e . u^-1."""
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(NamedTuple):
     """A simple closed curve: a plain name, optionally pushed around by a word.
 
     ``conj`` is the conjugating word and the inner curve ``name`` is always
     plain.  Code that pushes a conjugate curve further (contract_subword,
     the Hurwitz move, a conjugated lantern side, a twisted fiber sum) calls
-    push, which keeps it that way by building u(v(a)) as (u.v)(a).
+    push, which keeps it that way by building u(v(a)) as (u.v)(a).  The
+    tuple (name, conj): equal and hashed by value, the hash of its fields.
     """
 
     name: str
     conj: "Word" = ()
-
-    def __post_init__(self) -> None:  # hashed once, not on every cache lookup
-        object.__setattr__(self, "_hash", hash((self.name, self.conj)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def is_conjugate(self) -> bool:
@@ -57,16 +55,16 @@ class Curve:
         return f"[{word_str(self.conj)}]({self.name})"
 
 
-@dataclass(frozen=True)
-class Letter:
-    """One signed Dehn twist."""
+class Letter(NamedTuple("_LetterFields", [("curve", Curve), ("exp", int)])):
+    """One signed Dehn twist: the tuple (curve, exp), exp +1 or -1, equal
+    and hashed by value like Curve."""
 
-    curve: Curve
-    exp: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.exp not in (1, -1):
-            raise ValueError(f"letter exponent must be +1 or -1, got {self.exp}")
+    def __new__(cls, curve: Curve, exp: int = 1) -> "Letter":
+        if exp not in (1, -1):
+            raise ValueError(f"letter exponent must be +1 or -1, got {exp}")
+        return tuple.__new__(cls, (curve, exp))
 
     def inverse(self) -> "Letter":
         return Letter(self.curve, -self.exp)

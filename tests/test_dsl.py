@@ -252,6 +252,15 @@ def test_serialize_rejects_unknown():
         serialize(42)
 
 
+@pytest.mark.parametrize("value", [letter("x", -1, conj=(letter("c3"),)), make_curve("c1")])
+def test_serialize_rejects_a_letter_or_curve_though_both_are_tuples(value):
+    # a word is a tuple of letters; a Letter or Curve is a tuple, not a word
+    assert isinstance(value, tuple)
+    with pytest.raises(TypeError, match=f"cannot serialize {type(value).__name__}$"):
+        serialize(value)
+    assert serialize((letter("c1"), letter("x", -1, conj=(letter("c3"),)))) == "c1 [c3](x)^-1"
+
+
 def test_document_relators_survive():
     corpus = load_corpus(reg)
     assert corpus.relator("Z0").label == "Z0"

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from g2mcg.words import (
+    Curve,
+    Letter,
     NotConjugateForm,
     PositiveRelator,
     SpanNotConjugatePattern,
@@ -140,3 +142,49 @@ def test_nested_curves_hash_by_value():
     same = make_curve("c1", (letter("c2"), letter("x", conj=lw("c3'"))))
     assert outer == same and hash(outer) == hash(same)
     assert len({outer, same, inner}) == 2
+
+
+@pytest.mark.parametrize("cls", [Curve, Letter])
+def test_equality_and_hash_are_the_tuple_ones(cls):
+    # run in C: a Python-level override would bring back the cost of the
+    # dataclass methods on every cache lookup and checkpoint comparison
+    assert cls.__eq__ is tuple.__eq__ and cls.__hash__ is tuple.__hash__
+
+
+@given(st.sampled_from(NAMES), st.sampled_from([1, -1]), words_st)
+def test_letter_hash_is_the_hash_of_its_fields(name, exp, conj):
+    c = make_curve(name, conj)
+    assert hash(Letter(c, exp)) == hash((c, exp))  # dict and set orders stay put
+
+
+def test_a_twin_letter_is_a_dict_hit():
+    l = letter("x", -1, conj=lw("c3'", "c2"))
+    twin = letter("x", -1, conj=lw("c3'", "c2"))
+    assert twin == l and twin is not l
+    assert {l: "hit"}.get(twin) == "hit"
+
+
+def test_a_letter_is_neither_its_curve_nor_a_one_letter_word():
+    l = letter("x", 1, conj=lw("c3"))
+    assert l != l.curve and l.curve != l
+    assert l != (l,) and (l,) != l
+    assert Letter(make_curve("c1")) != make_curve("c1")
+
+
+@pytest.mark.parametrize("value, field", [(letter("c1"), "exp"), (make_curve("c1"), "name")])
+def test_fields_cannot_be_assigned(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+
+
+@pytest.mark.parametrize("exp", [0, 2, -2])
+def test_letter_exponent_must_be_a_sign(exp):
+    with pytest.raises(ValueError):
+        Letter(make_curve("c1"), exp)
+
+
+@given(letters_st, words_st)
+def test_letter_inverse_is_an_involution(l, conj):
+    l = Letter(make_curve(l.curve.name, conj), l.exp)
+    assert l.inverse().inverse() == l and l.inverse() != l
+    assert l.inverse().curve is l.curve and l.inverse().exp == -l.exp
