@@ -37,7 +37,6 @@ class ConstraintRule:
 
 
 RULES: tuple[ConstraintRule, ...] = (
-    ConstraintRule("mod10", lambda sig: sig.mod_ten != 0, "abelianization of the genus-2 mapping class group is Z/10"),
     ConstraintRule("no-10-0", lambda sig: (sig.n, sig.s) == (10, 0), "Sato, remark 5.1: (10,0) cannot occur"),
     ConstraintRule("no-8-1", lambda sig: (sig.n, sig.s) == (8, 1), "Sato, remark 5.1: (8,1) cannot occur"),
     ConstraintRule("min-fibers", lambda sig: sig.total < 7, "Ozbagci-Stipsicz: at least 7 singular fibers"),

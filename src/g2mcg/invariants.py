@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .registry import Registry
-from .words import PositiveRelator, Word, push
+from .words import PositiveRelator, Word
 
 
 class SignatureNotIntegral(ValueError):
@@ -38,9 +38,6 @@ class FiberSignature:
     def __post_init__(self) -> None:
         if self.n < 0 or self.s < 0:
             raise ValueError("fiber counts must be nonnegative")
-
-    def __add__(self, other: "FiberSignature") -> "FiberSignature":
-        return FiberSignature(self.n + other.n, self.s + other.s)
 
     @property
     def total(self) -> int:
@@ -62,15 +59,6 @@ class InvariantSet:
     chi_h: int
 
 
-@dataclass(frozen=True)
-class BlowdownDelta:
-    e: int
-    sigma: int
-    c1sq: int
-    chi_h: int
-    b2plus: int
-
-
 def fiber_signature(reg: Registry, r: PositiveRelator | Word) -> FiberSignature:
     w = r.word if isinstance(r, PositiveRelator) else r
     s = sum(1 for l in w if reg.separating(l.curve))
@@ -87,30 +75,6 @@ def invariants(sig: FiberSignature) -> InvariantSet:
     if (sigma + e) % 4 != 0:
         raise SignatureNotIntegral(f"sigma+e = {sigma+e} is not divisible by 4")
     return InvariantSet(e, sigma, c1sq, chi_h=(sigma + e) // 4)
-
-
-def blowdown_delta(p: int) -> BlowdownDelta:
-    """Invariant shift of one rational blowdown along the length-(p-1) chain.
-
-    The excised plumbing is negative definite with p-1 second-homology
-    classes, so b2+ is kept while sigma and c1^2 each gain p-1.
-    """
-    if p < 2:
-        raise ValueError("blowdown needs p >= 2")
-    return BlowdownDelta(e=-(p - 1), sigma=p - 1, c1sq=p - 1, chi_h=0, b2plus=0)
-
-
-def fiber_sum(
-    r1: PositiveRelator, r2: PositiveRelator, twist: Word = ()
-) -> PositiveRelator:
-    """Concatenate monodromies; a nonempty twist conjugates every letter of r2.
-
-    Signatures add, and e(sum) = e(1) + e(2) + 4 since the two discarded
-    fiber neighborhoods each carried e = -2.
-    """
-    tail = tuple(push(l, twist) for l in r2.word) if twist else r2.word
-    label = f"{r1.label}+{r2.label}" if r1.label and r2.label else ""
-    return PositiveRelator(r1.word + tail, label)
 
 
 def homeo_label(inv: InvariantSet) -> str:

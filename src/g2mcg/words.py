@@ -66,6 +66,12 @@ class Letter(NamedTuple("_LetterFields", [("curve", Curve), ("exp", int)])):
             raise ValueError(f"letter exponent must be +1 or -1, got {exp}")
         return tuple.__new__(cls, (curve, exp))
 
+    @classmethod
+    def _make(cls, fields) -> "Letter":
+        # the inherited _make, and _replace through it, build the tuple
+        # directly and would skip the exponent check
+        return cls(*fields)
+
     def inverse(self) -> "Letter":
         return Letter(self.curve, -self.exp)
 

@@ -8,13 +8,15 @@ definition reaches each name its body refers to (an ``ast.Name`` or
 ``ast.Attribute``), and a reached class its own private and dunder
 methods, which run without being named.  A reference is matched by name
 alone, as an attribute's owner is not known without running the code.
-``__init__.py`` only re-exports, and counts for nothing.  The files under
-``bench/`` are only read.  A name that nothing reaches is dead code, unless
-ALLOWED keeps it and says why.
+The files under ``bench/`` are only read.  A name that nothing reaches is
+dead code, unless ALLOWED keeps it and says why.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,9 +33,6 @@ ALLOWED = {
     "pi1.ab_vector": "serves the test oracle ab_matrix",
     "invariants.homeo_label": "ROADMAP direction 3: the Freedman label of a proved certificate",
     "invariants.NotOddForm": "raised by homeo_label, ROADMAP direction 3",
-    "invariants.fiber_sum": "ROADMAP direction 7: the summands of fiber-sum splits",
-    "invariants.blowdown_delta": "ROADMAP direction 8: per-step invariant deltas",
-    "invariants.BlowdownDelta": "the answer of blowdown_delta, ROADMAP direction 8",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
@@ -55,8 +54,6 @@ def _graph():
     defs: dict[str, set[str]] = {}
     roots: set[str] = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         if path.name == "cli.py":
             roots.update(_names(tree))
@@ -109,3 +106,15 @@ def test_no_public_helper_is_unreached():
     dead = unreached()
     assert sorted(dead - ALLOWED.keys()) == [], "delete these, or keep them in ALLOWED with a reason"
     assert sorted(ALLOWED.keys() - dead) == [], "reached now, or gone: drop these from ALLOWED"
+
+
+def test_importing_the_package_loads_no_submodule():
+    # the package root re-exports nothing: every name lives in its submodule
+    path = os.pathsep.join(p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, g2mcg; print(sorted(m for m in sys.modules if m.startswith('g2mcg.')))"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

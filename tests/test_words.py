@@ -183,6 +183,17 @@ def test_letter_exponent_must_be_a_sign(exp):
         Letter(make_curve("c1"), exp)
 
 
+def test_replace_and_make_check_the_exponent():
+    c1 = letter("c1")
+    with pytest.raises(ValueError):
+        c1._replace(exp=2)
+    with pytest.raises(ValueError):
+        Letter._make((c1.curve, 0))
+    inverse = c1._replace(exp=-1)
+    assert type(inverse) is Letter and inverse == c1.inverse()
+    assert Letter._make((c1.curve, 1)) == c1
+
+
 @given(letters_st, words_st)
 def test_letter_inverse_is_an_involution(l, conj):
     l = Letter(make_curve(l.curve.name, conj), l.exp)
