@@ -21,7 +21,7 @@ from . import pi1
 from . import homology as hom
 from .decompose import admissible_splits
 from .dsl import ParseError, parse_document, parse_relator
-from .fixtures import script_names, script_text
+from .fixtures import SCRIPTS, script_text
 from .invariants import (
     FiberSignature,
     SignatureNotIntegral,
@@ -130,14 +130,12 @@ def cmd_replay(args: argparse.Namespace) -> int:
         text = script_text(args.file)
         if text is None:
             print(f"no embedded script named {args.file!r}; "
-                  f"available: {', '.join(script_names())}", file=sys.stderr)
+                  f"available: {', '.join(sorted(SCRIPTS))}", file=sys.stderr)
             return 2
     else:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
     scripts = parse_document(text, reg).scripts
-    if args.builtin:
-        scripts = {args.file: scripts[args.file]}
     if not scripts:
         print("no scripts found", file=sys.stderr)
         return 2

@@ -47,7 +47,7 @@ RULES: tuple[ConstraintRule, ...] = (
 @dataclass(frozen=True)
 class ClassificationEntry:
     signature: tuple[int, int]
-    strength: str  # Diffeo | Homeo | Impossible
+    strength: str  # Diffeo | Homeo
     label: str
     citation: str
 
@@ -62,15 +62,8 @@ CLASSIFICATION: dict[tuple[int, int], ClassificationEntry] = {
         ClassificationEntry((16, 2), "Homeo", format_homeo(1, 11), "rational blowdown of the (18,1) fibration"),
         ClassificationEntry((14, 3), "Homeo", format_homeo(1, 10), "rational blowdown, two lantern substitutions"),
         ClassificationEntry((12, 4), "Homeo", format_homeo(1, 9), "rational blowdown, three lantern substitutions"),
-        ClassificationEntry((10, 0), "Impossible", "", "Sato, remark 5.1"),
-        ClassificationEntry((8, 1), "Impossible", "", "Sato, remark 5.1"),
     )
 }
-
-
-def classify(sig: FiberSignature) -> Optional[ClassificationEntry]:
-    """Table lookup; None for signatures the table does not determine."""
-    return CLASSIFICATION.get((sig.n, sig.s))
 
 
 @dataclass(frozen=True)
@@ -161,7 +154,7 @@ class DecompositionReport:
 
 def _verdict(sig: FiberSignature) -> SummandVerdict:
     rejected = tuple(r.ident for r in RULES if r.rejects(sig))
-    return SummandVerdict(sig, classify(sig), rejected)
+    return SummandVerdict(sig, CLASSIFICATION.get((sig.n, sig.s)), rejected)
 
 
 def admissible_splits(sig: FiberSignature) -> DecompositionReport:

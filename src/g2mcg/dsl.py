@@ -210,10 +210,8 @@ def _check_curves(text: str, registry: Registry, line: int, col: int) -> None:
             raise UnknownCurve(name, line, col + at + 1)
 
 
-def parse_relator(
-    text: str, registry: Optional[Registry] = None, label: str = "", line: int = 0, col: int = 0
-) -> PositiveRelator:
-    return _relator(parse_word(text, registry, line, col), label, line)
+def parse_relator(text: str, registry: Optional[Registry] = None) -> PositiveRelator:
+    return _relator(parse_word(text, registry), "", 0)
 
 
 def _relator(w: Word, label: str, line: int) -> PositiveRelator:

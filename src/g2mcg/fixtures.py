@@ -5,27 +5,29 @@ The corpus carries all the worked derivations: the three lantern
 substitution blocks inside (c5 c4 c3 c2 c1)^2, the two rational blowups
 turning the Matsumoto + rational fiber sum into the (30,0) factorization,
 the four blowdowns Z0 -> Z4, the six blowdowns X0 -> X6, and the seventh
-substitution X6 -> X7.
+substitution X6 -> X7.  Each script is the one script of the file named
+after it; relators.mcg holds the relators the scripts start from.
 """
 
 from __future__ import annotations
 
 import functools
-import re
 from importlib import resources
 from typing import Optional
 
 from .dsl import Document, ParseError, parse_document
 from .registry import Registry, standard_registry
 
-FILES = (
-    "relators.mcg",
-    "substitutions.mcg",
-    "blowups.mcg",
-    "z-family.mcg",
-    "x-family.mcg",
-    "x-seven.mcg",
+SCRIPTS = (
+    "sub-c1c5",
+    "sub-c1c3",
+    "sub-c3c5",
+    "blowup-to-thirty",
+    "z-family",
+    "x-family",
+    "x-seven",
 )
+FILES = ("relators.mcg", *(f"{name}.mcg" for name in SCRIPTS))
 
 
 @functools.cache
@@ -36,29 +38,9 @@ def read_text(name: str) -> str:
     )
 
 
-# A script header line as parse_document reads it: a '#' comment may follow.
-_HEADER_RE = re.compile(r"^[^\S\n]*script[^\S\n]+([\w()+-]+)[^\S\n]*(?:#.*)?$", re.MULTILINE)
-
-
 def script_text(script: str) -> Optional[str]:
-    """The text of the one corpus file that declares ``script``, or None."""
-    texts = [
-        text for text in map(read_text, FILES)
-        if script in _HEADER_RE.findall(text)
-    ]
-    if len(texts) > 1:
-        raise ParseError(f"duplicate script {script}")
-    return texts[0] if texts else None
-
-
-def script_names() -> list[str]:
-    """The names the corpus script headers declare, as script_text reads
-    them, sorted; a name declared twice raises ParseError."""
-    names = sorted(name for text in map(read_text, FILES) for name in _HEADER_RE.findall(text))
-    for name, following in zip(names, names[1:]):
-        if name == following:
-            raise ParseError(f"duplicate script {name}")
-    return names
+    """The text of the corpus file named after ``script``, or None."""
+    return read_text(f"{script}.mcg") if script in SCRIPTS else None
 
 
 def load_corpus(registry: Optional[Registry] = None) -> Document:

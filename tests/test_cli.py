@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import g2mcg
 from g2mcg import cli, fixtures
 from g2mcg.cli import main
 from g2mcg.dsl import ParseError, parse_document
-from g2mcg.fixtures import FILES, load_corpus, read_text, script_text
+from g2mcg.fixtures import FILES, SCRIPTS, load_corpus, read_text, script_text
 from g2mcg.registry import INCONCLUSIVE, Registry, standard_registry
 from g2mcg.words import Curve, letter, word_str
 
@@ -251,7 +252,7 @@ def test_replay_missing_builtin(capsys):
 
 def test_replay_missing_builtin_lists_names_a_registry_could_not_parse(tmp_path, capsys):
     # relators.mcg names Yc, which this registry lacks; the names come from
-    # the script headers, so no corpus file is parsed to list them
+    # fixtures.SCRIPTS, so no corpus file is parsed to list them
     p = tmp_path / "noyc.reg"
     p.write_text("\n".join(
         l for l in read_text("standard.reg").splitlines() if not l.startswith("Yc ")))
@@ -279,11 +280,25 @@ def test_replay_builtin_prints_the_golden_render(name, monkeypatch, capsys):
     assert parsed == [script_text(name)]
 
 
-def test_every_corpus_script_is_found_by_its_header():
-    for name, script in load_corpus().scripts.items():
-        declaring = [f for f in FILES if name in fixtures._HEADER_RE.findall(read_text(f))]
-        assert len(declaring) == 1, name
-        assert parse_document(script_text(name), standard_registry()).scripts[name] == script
+def test_each_script_file_declares_exactly_the_script_of_its_name():
+    corpus = load_corpus()
+    assert list(corpus.scripts) == list(SCRIPTS)
+    for name in SCRIPTS:
+        doc = parse_document(read_text(f"{name}.mcg"), standard_registry())
+        assert doc.scripts == {name: corpus.scripts[name]}
+    assert parse_document(read_text("relators.mcg"), standard_registry()).scripts == {}
+
+
+def test_the_packaged_corpus_holds_exactly_its_files():
+    corpus = resources.files("g2mcg").joinpath("corpus")
+    assert sorted(f.name for f in corpus.iterdir() if f.is_file()) == sorted(
+        (*FILES, "standard.reg"))
+
+
+@pytest.mark.parametrize("name", ["relators", "../relators", "", "sub-c1c5.mcg"])
+def test_script_text_builds_no_path_from_an_unlisted_name(name, monkeypatch):
+    monkeypatch.setattr(fixtures, "read_text", None)
+    assert script_text(name) is None
 
 
 def patch_corpus(monkeypatch, name, extra):
@@ -303,16 +318,18 @@ def test_script_declared_twice_exits_2(monkeypatch, capsys):
     patch_corpus(monkeypatch, "x-seven.mcg", "\nscript sub-c1c5  # again\nstart: c1\nend\n")
     with pytest.raises(ParseError, match="duplicate script sub-c1c5"):
         load_corpus()
-    assert main(["replay", "sub-c1c5", "--builtin"]) == 2
+    # a builtin reads only its own file, so the second declaration is not seen
+    assert main(["replay", "sub-c1c5", "--builtin"]) == 0
+    assert capsys.readouterr().out == GOLDEN_RENDERS["sub-c1c5"]
     assert main(["replay", "nope", "--builtin"]) == 2
-    assert capsys.readouterr().err.count("error: duplicate script sub-c1c5") == 2
+    assert capsys.readouterr().err.startswith("no embedded script named 'nope'; available: ")
 
 
 def test_conflicting_relators_raise_a_parse_error(monkeypatch, capsys):
     patch_corpus(monkeypatch, "x-seven.mcg", "\nrelator Z0 = c1\n")
     with pytest.raises(ParseError, match="conflicting definitions of relator Z0"):
         load_corpus()
-    # listing the scripts reads their headers only, so it does not see it
+    # listing the scripts reads no corpus file, so it does not see it
     assert main(["replay", "nope", "--builtin"]) == 2
     assert capsys.readouterr().err.startswith("no embedded script named 'nope'; available: ")
 

@@ -6,7 +6,6 @@ from g2mcg.decompose import (
     DecompositionReport,
     _verdict,
     admissible_splits,
-    classify,
 )
 from g2mcg.fixtures import load_corpus
 from g2mcg.invariants import FiberSignature, fiber_signature
@@ -141,10 +140,9 @@ def test_summands_are_built_only_for_listed_candidates(monkeypatch):
 
 
 def test_classification_lookups():
-    assert classify(FiberSignature(20, 0)).strength == "Diffeo"
-    assert classify(FiberSignature(20, 0)).label == "1 CP2 # 13 CP2bar"
-    assert classify(FiberSignature(8, 1)).strength == "Impossible"
-    assert classify(FiberSignature(40, 0)) is None
+    assert CLASSIFICATION[(20, 0)].strength == "Diffeo"
+    assert CLASSIFICATION[(20, 0)].label == "1 CP2 # 13 CP2bar"
+    assert (40, 0) not in CLASSIFICATION
 
 
 def test_corpus_case_analyses():
