@@ -22,15 +22,13 @@ decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .invariants import FiberSignature, format_homeo
 
 
-@dataclass(frozen=True)
-class ConstraintRule:
+class ConstraintRule(NamedTuple):
     ident: str
     rejects: Callable[[FiberSignature], bool]
     citation: str
@@ -44,8 +42,7 @@ RULES: tuple[ConstraintRule, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ClassificationEntry:
+class ClassificationEntry(NamedTuple):
     signature: tuple[int, int]
     strength: str  # Diffeo | Homeo
     label: str
@@ -66,15 +63,13 @@ CLASSIFICATION: dict[tuple[int, int], ClassificationEntry] = {
 }
 
 
-@dataclass(frozen=True)
-class SummandVerdict:
+class SummandVerdict(NamedTuple):
     signature: FiberSignature
     entry: Optional[ClassificationEntry]
     rejected_by: tuple[str, ...]  # rule idents (with citations in the rule table)
 
 
-@dataclass(frozen=True)
-class CandidateSplit:
+class CandidateSplit(NamedTuple):
     first: SummandVerdict
     second: SummandVerdict
 
@@ -88,10 +83,10 @@ class CandidateSplit:
         return ((a.n, a.s), (b.n, b.s))
 
 
-@dataclass
 class DecompositionReport:
-    signature: FiberSignature
-    candidates: list[CandidateSplit] = field(default_factory=list)
+    def __init__(self, signature: FiberSignature) -> None:
+        self.signature = signature
+        self.candidates: list[CandidateSplit] = []
 
     @property
     def admissible(self) -> list[CandidateSplit]:

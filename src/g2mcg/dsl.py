@@ -35,8 +35,7 @@ comments are ignored.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Optional, get_args, get_type_hints
+from typing import NamedTuple, Optional, get_args, get_type_hints
 
 from .moves import (
     MOVES,
@@ -231,7 +230,7 @@ def serialize(value) -> str:
         return _serialize_script(value)
     if isinstance(value, Document):
         return serialize_document(value)
-    if isinstance(value, tuple) and not isinstance(value, (Letter, Curve)):  # a word
+    if type(value) is tuple:  # a word; a record is a tuple subclass
         return word_str(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
@@ -263,13 +262,12 @@ def serialize_document(doc: "Document") -> str:
 # -- script / document parsing --------------------------------------------------
 
 
-@dataclass
-class Document:
-    relators: dict[str, PositiveRelator] = field(default_factory=dict)
-    scripts: dict[str, MoveScript] = field(default_factory=dict)
+class Document(NamedTuple):
+    """The relators and scripts of a text, by name.  The fields take no
+    default, which every document would share: each caller passes new dicts."""
 
-    def relator(self, label: str) -> PositiveRelator:
-        return self.relators[label]
+    relators: dict[str, PositiveRelator]
+    scripts: dict[str, MoveScript]
 
 
 _CHECK_RE = re.compile(r"^(checkpoint|final)(?:\s+label=([\w()+-]+))?\s*:\s*(.+)$")
@@ -328,7 +326,7 @@ def _parse_move(line: str, lineno: int, registry: Optional[Registry], indent: in
 
 
 def parse_document(text: str, registry: Optional[Registry] = None) -> Document:
-    doc = Document()
+    doc = Document({}, {})
     script_name: Optional[str] = None
     start: Optional[Word] = None
     start_label = ""

@@ -46,7 +46,7 @@ def script_text(script: str) -> Optional[str]:
 def load_corpus(registry: Optional[Registry] = None) -> Document:
     """Every relator and script of the corpus files, as one document."""
     reg = registry if registry is not None else standard_registry()
-    corpus = Document()
+    corpus = Document({}, {})
     for name in FILES:
         doc = parse_document(read_text(name), reg)
         for label, rel in doc.relators.items():

@@ -16,10 +16,10 @@ hypothesis is proved here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .registry import Registry
-from .words import PositiveRelator, Word
+from .words import PositiveRelator, Word, checked_make
 
 
 class SignatureNotIntegral(ValueError):
@@ -30,14 +30,15 @@ class NotOddForm(ValueError):
     """(e, sigma) gives no label p CP2 # q CP2bar: b2+ or b2- is negative or odd."""
 
 
-@dataclass(frozen=True)
-class FiberSignature:
-    n: int
-    s: int
+class FiberSignature(NamedTuple("_FiberCounts", [("n", int), ("s", int)])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 0 or self.s < 0:
+    def __new__(cls, n: int, s: int) -> "FiberSignature":
+        if n < 0 or s < 0:
             raise ValueError("fiber counts must be nonnegative")
+        return tuple.__new__(cls, (n, s))
+
+    _make = classmethod(checked_make)
 
     @property
     def total(self) -> int:
@@ -51,8 +52,7 @@ class FiberSignature:
         return (self.n + 2 * self.s) % 10
 
 
-@dataclass(frozen=True)
-class InvariantSet:
+class InvariantSet(NamedTuple):
     e: int
     sigma: int
     c1sq: int

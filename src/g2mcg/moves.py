@@ -16,10 +16,9 @@ replay never silently skips a step.  The moves are the classes in MOVES.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import compress, count
 from operator import is_not
-from typing import Literal, NewType, Optional, Union
+from typing import Literal, NamedTuple, NewType, Optional, Union
 
 from . import homology as hom
 from .registry import Registry
@@ -58,8 +57,7 @@ Nat = NewType("Nat", int)
 SLOT = re.compile(r"\[([^\]{]*)\{(\w+)\}\]|\{(\w+)\}")
 
 
-@dataclass(frozen=True)
-class Commute:
+class Commute(NamedTuple):
     """Swap adjacent letters on curves the registry declares disjoint; the
     span check of apply_move then asks that their homology images commute."""
 
@@ -67,8 +65,7 @@ class Commute:
     pos: Nat
 
 
-@dataclass(frozen=True)
-class Hurwitz:
+class Hurwitz(NamedTuple):
     """(a, b) -> (aba^-1, a) on the left, (b, b^-1 a b) on the right; always legal."""
 
     syntax = "H @{pos} {side}"
@@ -76,8 +73,7 @@ class Hurwitz:
     side: Literal["left", "right"]
 
 
-@dataclass(frozen=True)
-class Braid:
+class Braid(NamedTuple):
     """t_a t_b t_a = t_b t_a t_b for braid-adjacent a, b, two letters at a time:
     fwd takes (a^-1(b), b) to (b, a) and (b, a(b)) to (a, b); rev1, rev2 undo it."""
 
@@ -86,8 +82,7 @@ class Braid:
     form: Literal["fwd", "rev1", "rev2"]
 
 
-@dataclass(frozen=True)
-class Lantern:
+class Lantern(NamedTuple):
     """Replace a rotation of one side of a lantern instance, each letter
     conjugated by conj, by rotation out of the other side (down: 4 -> 3)."""
 
@@ -99,32 +94,28 @@ class Lantern:
     conj: Word = ()
 
 
-@dataclass(frozen=True)
-class CyclicShift:
+class CyclicShift(NamedTuple):
     """Cyclic rotation of a relator."""
 
     syntax = "shift {k}"
     k: int
 
 
-@dataclass(frozen=True)
-class GlobalConjugate:
+class GlobalConjugate(NamedTuple):
     """Global conjugation u^-1 w u of a relator."""
 
     syntax = "C by={by}"
     by: Word
 
 
-@dataclass(frozen=True)
-class Expand:
+class Expand(NamedTuple):
     """Rewrite t_{u(a)} as u t_a u^-1."""
 
     syntax = "expand @{pos}"
     pos: Nat
 
 
-@dataclass(frozen=True)
-class Contract:
+class Contract(NamedTuple):
     """Inverse of expand over the span lo..hi."""
 
     syntax = "contract @{lo}..{hi}"
@@ -132,8 +123,7 @@ class Contract:
     hi: Nat
 
 
-@dataclass(frozen=True)
-class Alias:
+class Alias(NamedTuple):
     """Swap one side of a registered alias relation for the other (fwd: lhs -> rhs)."""
 
     syntax = "alias @{pos} rel={rel}[ dir={direction}]"
@@ -142,8 +132,7 @@ class Alias:
     direction: Literal["fwd", "rev"] = "fwd"
 
 
-@dataclass(frozen=True)
-class CentralSlide:
+class CentralSlide(NamedTuple):
     """Slide a block equal to a registered central word to another position."""
 
     syntax = "central @{pos} len={length} to={dest}"
@@ -159,14 +148,12 @@ MOVES = (
 Move = Union[MOVES]
 
 
-@dataclass(frozen=True)
-class Checkpoint:
+class Checkpoint(NamedTuple):
     word: Word
     label: str = ""
 
 
-@dataclass(frozen=True)
-class Final:
+class Final(NamedTuple):
     word: Word
     label: str = ""
 
@@ -174,8 +161,22 @@ class Final:
 Entry = Union[Move, Checkpoint, Final]
 
 
-@dataclass(frozen=True)
-class MoveScript:
+def _same_record(a: tuple, b: object) -> bool:
+    return type(a) is type(b) and tuple.__eq__(a, b)
+
+
+def _other_record(a: tuple, b: object) -> bool:
+    return not _same_record(a, b)
+
+
+# Entries are tuples, so equal fields would make Commute(3) == Expand(3):
+# equality also asks for the same class.  Set on the classes once made, so
+# the hash stays tuple.__hash__, the hash of the fields.
+for _entry in (*MOVES, Checkpoint, Final):
+    _entry.__eq__, _entry.__ne__ = _same_record, _other_record
+
+
+class MoveScript(NamedTuple):
     name: str
     start: Word
     entries: tuple[Entry, ...]
@@ -190,7 +191,7 @@ def describe(move: Move) -> str:
         value = getattr(move, optional or name)
         if optional and value == ():
             return ""
-        is_word = isinstance(value, tuple) and not isinstance(value, (Letter, Curve))
+        is_word = type(value) is tuple
         return (prefix or "") + (word_str(value) if is_word else str(value))
 
     return SLOT.sub(fill, move.syntax)
@@ -375,8 +376,7 @@ def _apply(reg: Registry, w: Word, move: Move,
 # -- replay ---------------------------------------------------------------------
 
 
-@dataclass
-class StepResult:
+class StepResult(NamedTuple):
     index: int
     text: str
     ok: bool
@@ -384,14 +384,14 @@ class StepResult:
     signature: Optional[tuple[int, int]] = None
 
 
-@dataclass
 class ReplayReport:
-    script: str
-    steps: list[StepResult] = field(default_factory=list)
-    labeled: dict[str, Word] = field(default_factory=dict)
-    final_word: Word = ()
-    ok: bool = True
-    failure: str = ""
+    def __init__(self, script: str) -> None:
+        self.script = script
+        self.steps: list[StepResult] = []
+        self.labeled: dict[str, Word] = {}
+        self.final_word: Word = ()
+        self.ok = True
+        self.failure = ""
 
     def render(self) -> str:
         lines = [f"script {self.script}: {'ok' if self.ok else 'FAILED'}"]

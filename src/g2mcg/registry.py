@@ -44,11 +44,9 @@ and every letter kept after them) dropped, written lexicographically least.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import re
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import homology as hom
 from .homology import Mat, Vec
@@ -76,16 +74,14 @@ class UnknownCurve(KeyError):
         return str(ParseError(f"unknown curve {self.name!r}", self.line, self.col))
 
 
-@dataclass(frozen=True)
-class CurveData:
+class CurveData(NamedTuple):
     name: str
     separating: bool
     homology: Vec
     defn: Optional[Curve] = None  # defining expression, e.g. B2 = [c3^-1](x)
 
 
-@dataclass(frozen=True)
-class LanternInstance:
+class LanternInstance(NamedTuple):
     """One embedded lantern: four boundary twists equal three interior twists.
 
     Only cyclic rotations of either side are equal words in the group; the
@@ -103,8 +99,7 @@ class LanternInstance:
         return [tuple(letter(n) for n in names[r:] + names[:r]) for r in range(len(names))]
 
 
-@dataclass(frozen=True)
-class AliasRelation:
+class AliasRelation(NamedTuple):
     """Two words with equal homology image that may replace one another."""
 
     ident: str
@@ -115,8 +110,7 @@ class AliasRelation:
 PROVED, REFUTED, INCONCLUSIVE = "proved", "refuted", "inconclusive"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """An oracle's answer: ``status`` PROVED, REFUTED or INCONCLUSIVE, ``detail``
     a proof's certificate (pi1's conjugator z, "" the empty word), another
     answer's reason, or None for neither."""
@@ -221,7 +215,7 @@ class Registry:
         if name is not None and name not in self.curves:
             raise UnknownCurve(name)
         curves = [
-            dataclasses.replace(c, **fields) if c.name == name else c
+            c._replace(**fields) if c.name == name else c
             for c in self.curves.values()
         ]
         lanterns = [l for l in self.lanterns.values() if l.ident != drop_lantern]

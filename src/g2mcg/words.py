@@ -15,11 +15,12 @@ registry module layers a semantic normal form on top of this.  Curve and
 Letter are tuple types, so their equality and hash are by value and run in
 C, as the registry's caches and replay's checkpoint checks need; a Letter
 also equals the plain tuple of its fields, and no code compares the two.
+A word is a plain tuple, never a subclass: records are tuple subclasses,
+and code that takes either tells a word by its type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
@@ -55,6 +56,12 @@ class Curve(NamedTuple):
         return f"[{word_str(self.conj)}]({self.name})"
 
 
+def checked_make(cls, fields):
+    # the inherited _make, and _replace through it, build the tuple directly
+    # and would skip the check in a record's __new__
+    return cls(*fields)
+
+
 class Letter(NamedTuple("_LetterFields", [("curve", Curve), ("exp", int)])):
     """One signed Dehn twist: the tuple (curve, exp), exp +1 or -1, equal
     and hashed by value like Curve."""
@@ -66,11 +73,7 @@ class Letter(NamedTuple("_LetterFields", [("curve", Curve), ("exp", int)])):
             raise ValueError(f"letter exponent must be +1 or -1, got {exp}")
         return tuple.__new__(cls, (curve, exp))
 
-    @classmethod
-    def _make(cls, fields) -> "Letter":
-        # the inherited _make, and _replace through it, build the tuple
-        # directly and would skip the exponent check
-        return cls(*fields)
+    _make = classmethod(checked_make)
 
     def inverse(self) -> "Letter":
         return Letter(self.curve, -self.exp)
@@ -172,17 +175,19 @@ def cyclic_shift(w: Word, k: int) -> Word:
     return w[k:] + w[:k]
 
 
-@dataclass(frozen=True)
-class PositiveRelator:
+class PositiveRelator(NamedTuple("_RelatorFields", [("word", Word), ("label", str)])):
     """A word of right-handed twists representing 1; one letter per singular fiber."""
 
-    word: Word
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        bad = [l for l in self.word if l.exp != 1]
+    def __new__(cls, word: Word, label: str = "") -> "PositiveRelator":
+        bad = [l for l in word if l.exp != 1]
         if bad:
             raise ValueError(f"relator contains inverse letters: {bad[:3]}")
+        return tuple.__new__(cls, (word, label))
+
+    _make = classmethod(checked_make)
 
     def __len__(self) -> int:
+        """The word's length, not the record's: the fiber count."""
         return len(self.word)

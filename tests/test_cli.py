@@ -91,7 +91,7 @@ def test_verify_pi1_records_carry_the_verdict(tmp_path, capsys, text, status, ve
     assert out.rstrip("\n").endswith(f" pi1={verdict}")
 
 
-_X7 = load_corpus(standard_registry()).relator("X7").word
+_X7 = load_corpus(standard_registry()).relators["X7"].word
 
 
 @pytest.mark.parametrize("old, new", [("d", "h"), ("x", "B2")])

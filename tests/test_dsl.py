@@ -15,7 +15,7 @@ from g2mcg.dsl import (
 )
 from g2mcg.fixtures import FILES, load_corpus, read_text
 from g2mcg.invariants import FiberSignature, fiber_signature
-from g2mcg.moves import Braid, Commute, GlobalConjugate, Hurwitz, Lantern
+from g2mcg.moves import Braid, Commute, Final, GlobalConjugate, Hurwitz, Lantern
 from g2mcg.registry import UnknownCurve, standard_registry
 from g2mcg.words import Curve, Letter, Word, letter, make_curve, word_str
 
@@ -252,9 +252,12 @@ def test_serialize_rejects_unknown():
         serialize(42)
 
 
-@pytest.mark.parametrize("value", [letter("x", -1, conj=(letter("c3"),)), make_curve("c1")])
+@pytest.mark.parametrize("value", [
+    letter("x", -1, conj=(letter("c3"),)), make_curve("c1"), Commute(0), Final((letter("c1"),)),
+])
 def test_serialize_rejects_a_letter_or_curve_though_both_are_tuples(value):
-    # a word is a tuple of letters; a Letter or Curve is a tuple, not a word
+    # a word is a plain tuple of letters; a Letter, Curve, move or other
+    # record is a tuple subclass, not a word
     assert isinstance(value, tuple)
     with pytest.raises(TypeError, match=f"cannot serialize {type(value).__name__}$"):
         serialize(value)
@@ -263,8 +266,8 @@ def test_serialize_rejects_a_letter_or_curve_though_both_are_tuples(value):
 
 def test_document_relators_survive():
     corpus = load_corpus(reg)
-    assert corpus.relator("Z0").label == "Z0"
-    assert len(corpus.relator("X7").word) == 23
+    assert corpus.relators["Z0"].label == "Z0"
+    assert len(corpus.relators["X7"].word) == 23
 
 
 # -- the recursive-descent word parser parse_word replaced, kept as a reference --

@@ -22,7 +22,7 @@ corpus = load_corpus(reg)
 
 
 def sig(label):
-    return fiber_signature(reg, corpus.relator(label))
+    return fiber_signature(reg, corpus.relators[label])
 
 
 def test_signature_examples():
@@ -36,6 +36,15 @@ def test_signature_families():
         assert sig(f"X{n}") == FiberSignature(30 - 2 * n, n)
     for m in range(5):
         assert sig(f"Z{m}") == FiberSignature(20 - 2 * m, m)
+
+
+def test_fiber_counts_are_nonnegative():
+    for n, s in [(-1, 0), (0, -1)]:
+        with pytest.raises(ValueError, match="nonnegative"):
+            FiberSignature(n, s)
+    with pytest.raises(ValueError, match="nonnegative"):  # _replace checks too
+        FiberSignature(2, 1)._replace(s=-1)
+    assert FiberSignature(2, 1)._replace(s=3) == FiberSignature(2, 3)
 
 
 def test_invariants_examples():
@@ -61,14 +70,14 @@ def test_one_lantern_step_shifts_the_invariants():
 
 
 def test_fiber_sum_untwisted_matches_fixture():
-    total = corpus.relator("M").word + corpus.relator("Z0").word
-    assert total == corpus.relator("X2").word
+    total = corpus.relators["M"].word + corpus.relators["Z0"].word
+    assert total == corpus.relators["X2"].word
     assert fiber_signature(reg, total) == FiberSignature(26, 2)
 
 
 def test_fiber_sum_signature_additivity():
     a, b = sig("M"), sig("Z4")
-    total = fiber_signature(reg, corpus.relator("M").word + corpus.relator("Z4").word)
+    total = fiber_signature(reg, corpus.relators["M"].word + corpus.relators["Z4"].word)
     assert total == FiberSignature(18, 6) == FiberSignature(a.n + b.n, a.s + b.s)
 
 
@@ -81,9 +90,9 @@ def test_fiber_sum_euler_additivity_identity():
 
 def test_twisted_fiber_sum_conjugates_letters():
     twist = parse_word("c1 c2")
-    tail = tuple(push(l, twist) for l in corpus.relator("Z0").word)
-    assert tail != corpus.relator("Z0").word
-    total = corpus.relator("M").word + tail
+    tail = tuple(push(l, twist) for l in corpus.relators["Z0"].word)
+    assert tail != corpus.relators["Z0"].word
+    total = corpus.relators["M"].word + tail
     assert fiber_signature(reg, total) == FiberSignature(26, 2)
     # image of the twisted sum is still the identity
     assert reg.image(total) == hom.IDENTITY

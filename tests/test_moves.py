@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2mcg import homology as hom, moves
+from g2mcg.decompose import CLASSIFICATION, RULES, admissible_splits
 from g2mcg.dsl import parse_document, parse_word
 from g2mcg.fixtures import load_corpus
 from g2mcg.moves import (
@@ -17,11 +18,13 @@ from g2mcg.moves import (
     Hurwitz,
     IllegalMove,
     Lantern,
+    MOVES,
     MoveScript,
     apply_move,
     inverse_move,
     replay,
 )
+from g2mcg.invariants import FiberSignature, invariants
 from g2mcg.registry import Registry, standard_registry
 from g2mcg.words import letter
 
@@ -58,7 +61,7 @@ def test_hurwitz_left_and_right():
 
 
 def test_hurwitz_preserves_length_and_image():
-    for w in [corpus.relator("Z1").word, corpus.relator("X3").word]:
+    for w in [corpus.relators["Z1"].word, corpus.relators["X3"].word]:
         for pos in range(len(w) - 1):
             out = apply_move(reg, w, Hurwitz(pos, "left"))
             assert len(out) == len(w)
@@ -122,7 +125,7 @@ def test_lantern_conjugated_block():
 
 
 def test_global_conjugate_cycles_a_relator():
-    rel = corpus.relator("Mconj").word  # starts with c1 c1
+    rel = corpus.relators["Mconj"].word  # starts with c1 c1
     out = apply_move(reg, rel, GlobalConjugate(parse_word("c1^2")))
     assert out == rel[2:] + rel[:2]
 
@@ -133,7 +136,7 @@ def test_global_conjugate_requires_relator():
 
 
 def test_cyclic_shift_requires_relator():
-    rel = corpus.relator("Z0").word
+    rel = corpus.relators["Z0"].word
     out = apply_move(reg, rel, CyclicShift(3))
     assert out == rel[3:] + rel[:3]
     with pytest.raises(IllegalMove):
@@ -315,7 +318,7 @@ def lantern_sites(w, inst, direction="down", conj=()):
 
 
 def test_match_lantern_finds_blocks_in_x0():
-    assert lantern_sites(corpus.relator("X0").word, "L1") == [11, 26]
+    assert lantern_sites(corpus.relators["X0"].word, "L1") == [11, 26]
 
 
 def test_match_lantern_empty_on_plain_word():
@@ -331,7 +334,7 @@ def test_match_lantern_conjugated_occurrence():
 
 
 def test_replay_empty_script():
-    rel = corpus.relator("M")
+    rel = corpus.relators["M"]
     script = MoveScript("noop", rel.word, (Final(rel.word, "M"),))
     report = replay(reg, script)
     assert report.ok and report.labeled["M"] == reg.canonical_word(rel.word)
@@ -352,6 +355,37 @@ def test_replay_stops_at_illegal_move():
     report = replay(reg, script)
     assert not report.ok
     assert not report.steps[-1].ok
+
+
+@pytest.mark.parametrize("a, b", [
+    (Commute(3), Expand(3)),
+    (CyclicShift(3), Commute(3)),
+    (Checkpoint(parse_word("c1 c2")), Final(parse_word("c1 c2"))),
+])
+def test_entries_of_two_classes_with_equal_fields_differ(a, b):
+    # both are tuples of the same fields; == and != must still agree
+    assert tuple(a) == tuple(b)
+    assert not a == b and not b == a and a != b and b != a
+    twin = type(a)(*a)
+    assert a == twin and not a != twin
+
+
+def test_each_record_hashes_as_the_tuple_of_its_fields():
+    # the hash of the fields, on which dict and set orders depend
+    records = [
+        *(e for s in corpus.scripts.values() for e in s.entries),
+        *(m(*(0,) * len(m._fields)) for m in MOVES),
+        *corpus.scripts.values(), *corpus.relators.values(),
+        *replay(reg, corpus.scripts["x-seven"]).steps,
+        *reg.curves.values(), *reg.lanterns.values(), *reg.aliases.values(), *reg.validate(),
+        *RULES, *CLASSIFICATION.values(), FiberSignature(18, 6), invariants(FiberSignature(18, 6)),
+        *(r for c in admissible_splits(FiberSignature(18, 6)).candidates for r in (c, *c)),
+    ]
+    # every record class but Curve and Letter (tests/test_words.py) and
+    # Document, whose dicts do not hash
+    assert len({type(r) for r in records}) == 25
+    for r in records:
+        assert hash(r) == hash(tuple(r)), r
 
 
 def test_corpus_scripts_all_replay():
@@ -438,7 +472,7 @@ def test_each_labeled_corpus_word_is_the_relator_of_that_name():
     ]
     assert len(labeled) == 16
     for label, w in labeled:
-        assert w == reg.canonical_word(corpus.relator(label).word), label
+        assert w == reg.canonical_word(corpus.relators[label].word), label
 
 
 def walk_script(data, start):
@@ -488,7 +522,7 @@ def test_walk_replay_from_a_non_relator_matches_the_whole_word_engine(data):
 def test_replay_takes_one_whole_word_image_for_all_its_shifts(monkeypatch, start):
     # shift and C need image(state) == IDENTITY; replay computes it once and
     # keeps it, as every move in between keeps the image
-    w = reg.canonical_word(corpus.relator("X0").word)
+    w = reg.canonical_word(corpus.relators["X0"].word)
     if start != "X0":
         w = w[1:]
     entries = (Hurwitz(0, "left"), CyclicShift(3), CyclicShift(5), Hurwitz(4, "right"),
@@ -512,7 +546,7 @@ def test_replay_takes_one_whole_word_image_for_all_its_shifts(monkeypatch, start
 def test_a_shift_step_recounts_no_separating_letter(monkeypatch):
     # a rotation keeps the inverse and separating counts, so a replay of
     # shifts asks for as many separating flags as one of no move: the start's
-    w = reg.canonical_word(corpus.relator("X0").word)
+    w = reg.canonical_word(corpus.relators["X0"].word)
     shifts = (CyclicShift(3), CyclicShift(5), CyclicShift(len(w) - 1))
     calls = []
     separating = Registry.separating

@@ -108,13 +108,28 @@ def test_no_public_helper_is_unreached():
     assert sorted(ALLOWED.keys() - dead) == [], "reached now, or gone: drop these from ALLOWED"
 
 
-def test_importing_the_package_loads_no_submodule():
-    # the package root re-exports nothing: every name lives in its submodule
+def _fresh_python(code: str) -> str:
+    """The stdout of ``code`` run in a new interpreter that imports g2mcg from src."""
     path = os.pathsep.join(p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, g2mcg; print(sorted(m for m in sys.modules if m.startswith('g2mcg.')))"],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_importing_the_package_loads_no_submodule():
+    # the package root re-exports nothing: every name lives in its submodule
+    out = _fresh_python(
+        "import sys, g2mcg; print(sorted(m for m in sys.modules if m.startswith('g2mcg.')))")
+    assert out == "[]\n"
+
+
+def test_a_cli_process_loads_neither_dataclasses_nor_inspect():
+    # records are tuple types and plain classes, which generate no code at
+    # import; dataclasses alone would also load inspect, ast, dis and tokenize
+    out = _fresh_python(
+        "import sys, g2mcg.cli; from g2mcg.fixtures import load_corpus; load_corpus(); "
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    assert out == "[]\n"

@@ -96,7 +96,7 @@ def assert_certified(w, z):
 
 def test_relators_act_by_inner_automorphisms():
     for label in ("Z0", "chain30", "chain40"):
-        assert_certified(corpus.relator(label).word, "")  # the empty word, not no certificate
+        assert_certified(corpus.relators[label].word, "")  # the empty word, not no certificate
 
 
 def test_apply_word_empty_is_reduction():

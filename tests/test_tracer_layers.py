@@ -74,7 +74,7 @@ def test_word_action_runs_the_dehn_loop_once_per_moved_generator(monkeypatch):
     corpus = load_corpus(reg)
     for label in ("Z0", "chain30", "chain40"):
         rewrites.clear()
-        w = corpus.relator(label).word
+        w = corpus.relators[label].word
         pi1.word_action(reg, w)
         assert calls == [], label
         moved = sum(len(pi1._TWIST_SPEC[l.curve.name][1]) for l in reg.flat_word(w))

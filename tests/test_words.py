@@ -120,6 +120,10 @@ def test_contract_flattens_nested_conjugates():
 def test_positive_relator_rejects_inverses():
     with pytest.raises(ValueError):
         PositiveRelator(lw("c1", "c2'"))
+    r = PositiveRelator(lw("c1", "c2", "c3"), "r")
+    with pytest.raises(ValueError):  # _replace goes through _make, and _make through the check
+        r._replace(word=lw("c1", "c2'"))
+    assert len(r) == 3 and r._replace(label="s") == PositiveRelator(r.word, "s")
 
 
 def test_curve_flattening():
@@ -146,8 +150,8 @@ def test_nested_curves_hash_by_value():
 
 @pytest.mark.parametrize("cls", [Curve, Letter])
 def test_equality_and_hash_are_the_tuple_ones(cls):
-    # run in C: a Python-level override would bring back the cost of the
-    # dataclass methods on every cache lookup and checkpoint comparison
+    # run in C: a Python-level override would cost a Python call on every
+    # cache lookup and checkpoint comparison
     assert cls.__eq__ is tuple.__eq__ and cls.__hash__ is tuple.__hash__
 
 
