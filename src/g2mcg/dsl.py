@@ -27,9 +27,12 @@ Script files are line oriented:
     end
 
 A MOVE line follows the ``syntax`` template of a class in ``moves.MOVES``,
-which also prints the move back (``moves.describe``).  Positions are
-0-based letter indices into the current word.  Blank lines and '#'
-comments are ignored.
+which also prints the move back (``moves.describe``).  A script line is
+parsed by its leading token, the text before its first blank or ':', which
+picks the one pattern it is matched against: start, checkpoint and final,
+or the move whose syntax begins with that token.  Positions are 0-based
+letter indices into the current word.  Blank lines and '#' comments are
+ignored.
 """
 
 from __future__ import annotations
@@ -270,9 +273,9 @@ class Document(NamedTuple):
     scripts: dict[str, MoveScript]
 
 
-_CHECK_RE = re.compile(r"^(checkpoint|final)(?:\s+label=([\w()+-]+))?\s*:\s*(.+)$")
-_START_RE = re.compile(r"^start(?:\s+label=([\w()+-]+))?\s*:\s*(.+)$")
-_START_REF_RE = re.compile(r"^start\s+([\w()+-]+)$")
+_CHECK_RE = re.compile(r"(?:checkpoint|final)(?:\s+label=([\w()+-]+))?\s*:\s*(.+)")
+# start NAME (group 1), or start [label=L]: WORD (groups 2 and 3)
+_START_RE = re.compile(r"start(?:\s+([\w()+-]+)|(?:\s+label=([\w()+-]+))?\s*:\s*(.+))")
 
 
 # The values a slot takes, by its field's annotation; a Literal takes its choices.
@@ -306,23 +309,23 @@ def _compile_move(cls: type) -> tuple[type, dict, re.Pattern]:
     return cls, kinds, re.compile("".join(parts))
 
 
-_MOVE_SYNTAX = [_compile_move(cls) for cls in MOVES]
+# Each move by the first token of its syntax, which a blank ends on input.
+_MOVE_SYNTAX = {cls.syntax.split(" ", 1)[0]: _compile_move(cls) for cls in MOVES}
 
 
-def _parse_move(line: str, lineno: int, registry: Optional[Registry], indent: int,
-                memo: dict) -> Optional[Move]:
-    for cls, kinds, pattern in _MOVE_SYNTAX:
-        m = pattern.fullmatch(line)
-        if m is None:
-            continue
-        if cls is Lantern and registry is not None and m["inst"] not in registry.lanterns:
-            raise ParseError(f"unknown lantern instance {m['inst']!r}", lineno)
-        return cls(**{
-            name: _slot_value(kinds[name], text, registry, lineno, indent + m.start(name), memo)
-            for name, text in m.groupdict().items()
-            if text is not None
-        })
-    return None
+def _parse_move(line: str, syntax: tuple, lineno: int, registry: Optional[Registry],
+                indent: int, memo: dict) -> Optional[Move]:
+    cls, kinds, pattern = syntax
+    m = pattern.fullmatch(line)
+    if m is None:
+        return None
+    if cls is Lantern and registry is not None and m["inst"] not in registry.lanterns:
+        raise ParseError(f"unknown lantern instance {m['inst']!r}", lineno)
+    return cls(**{
+        name: _slot_value(kinds[name], text, registry, lineno, indent + m.start(name), memo)
+        for name, text in m.groupdict().items()
+        if text is not None
+    })
 
 
 def parse_document(text: str, registry: Optional[Registry] = None) -> Document:
@@ -368,30 +371,30 @@ def parse_document(text: str, registry: Optional[Registry] = None) -> Document:
             )
             script_name = None
             continue
-        m = _START_REF_RE.match(line)
-        if m and start is None:
-            name = m.group(1)
-            if name not in doc.relators:
-                raise ParseError(f"start references unknown relator {name!r}", lineno)
-            start = doc.relators[name].word
-            start_label = name
-            continue
-        m = _START_RE.match(line)
-        if m:
-            start_label = m.group(1) or ""
-            start = _parse_word(m.group(2), registry, lineno, indent + m.start(2), memo)
-            continue
-        m = _CHECK_RE.match(line)
-        if m:
-            kind, label, body = m.groups()
-            w = _parse_word(body, registry, lineno, indent + m.start(3), memo)
-            entry = Final(w, label or "") if kind == "final" else Checkpoint(w, label or "")
-            entries.append(entry)
-            continue
-        move = _parse_move(line, lineno, registry, indent, memo)
-        if move is not None:
-            entries.append(move)
-            continue
+        # one pattern per line, chosen by the line's leading token
+        head = line.split(None, 1)[0].partition(":")[0]
+        if head == "start":
+            m = _START_RE.fullmatch(line)
+            if m and m[1] is not None and start is None:  # a relator's word, once
+                if m[1] not in doc.relators:
+                    raise ParseError(f"start references unknown relator {m[1]!r}", lineno)
+                start, start_label = doc.relators[m[1]].word, m[1]
+                continue
+            if m and m[1] is None:
+                start_label = m[2] or ""
+                start = _parse_word(m[3], registry, lineno, indent + m.start(3), memo)
+                continue
+        elif head in ("checkpoint", "final"):
+            m = _CHECK_RE.fullmatch(line)
+            if m:
+                w = _parse_word(m[2], registry, lineno, indent + m.start(2), memo)
+                entries.append((Final if head == "final" else Checkpoint)(w, m[1] or ""))
+                continue
+        elif head in _MOVE_SYNTAX:
+            move = _parse_move(line, _MOVE_SYNTAX[head], lineno, registry, indent, memo)
+            if move is not None:
+                entries.append(move)
+                continue
         raise ParseError(f"cannot parse script line {line!r}", lineno)
 
     if script_name is not None:

@@ -10,11 +10,14 @@ only to relators, a clause that is their image check too.  Replay decides
 that clause by a whole-word image once, and again only after a C: every
 other move keeps the image, and a shift conjugates it.  An illegal move, or
 one that breaks the image, raises IllegalMove carrying the failed clause;
-replay never silently skips a step.  The moves are the classes in MOVES.
+replay never silently skips a step.  A checkpoint passes when its word's
+canonical form is the (canonical) replay state; a word written exactly as
+the state is not canonicalized.  The moves are the classes in MOVES.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from itertools import compress, count
 from operator import is_not
@@ -185,16 +188,21 @@ class MoveScript(NamedTuple):
 
 def describe(move: Move) -> str:
     """The move's line: its syntax template filled in, words by word_str."""
-
-    def fill(m: re.Match) -> str:
-        prefix, optional, name = m.groups()
+    text, slots = _template(move.syntax)
+    values = []
+    for prefix, optional, name in slots:
         value = getattr(move, optional or name)
-        if optional and value == ():
-            return ""
         is_word = type(value) is tuple
-        return (prefix or "") + (word_str(value) if is_word else str(value))
+        values.append("" if optional and value == () else
+                      (prefix or "") + (word_str(value) if is_word else str(value)))
+    return text.format(*values)
 
-    return SLOT.sub(fill, move.syntax)
+
+@functools.cache
+def _template(syntax: str) -> tuple[str, tuple[tuple, ...]]:
+    """The literal text of a syntax with {} for each slot, and each slot's SLOT groups."""
+    parts = SLOT.split(syntax)  # text, then per slot its three groups and the text after it
+    return "{}".join(parts[::4]), tuple(zip(parts[1::4], parts[2::4], parts[3::4]))
 
 
 def _need(move: Move, cond: bool, reason: str) -> None:
@@ -314,10 +322,9 @@ def _apply(reg: Registry, w: Word, move: Move,
     if isinstance(move, Lantern):
         _need(move, move.inst in reg.lanterns, f"unknown lantern instance {move.inst}")
         _need(move, move.direction in _LANTERN_SIDES, f"unknown direction {move.direction!r}")
-        inst = reg.lanterns[move.inst]
         src_side, dst_side, back = _LANTERN_SIDES[move.direction]
-        src = inst.rotations(src_side)
-        dst = inst.rotations(dst_side)
+        src = reg.lantern_rotations[move.inst, src_side]
+        dst = reg.lantern_rotations[move.inst, dst_side]
         r = _match_rotation(reg, w, move.pos, src, move.conj)
         _need(move, r is not None, f"word at {move.pos} matches no rotation of {move.inst} {src_side}")
         rep = _conjugated_side(reg, dst[move.out % len(dst)], move.conj)
@@ -415,7 +422,11 @@ class ReplayReport:
 def _tally(reg: Registry, w: Word) -> tuple[int, int]:
     """(inverse letters, separating letters) of w: a word with no inverse
     letter has the signature (n,s) = (len(w) - separating, separating)."""
-    return sum(l.exp != 1 for l in w), sum(reg.separating(l.curve) for l in w)
+    inverse = separating = 0
+    for l in w:
+        inverse += l.exp != 1
+        separating += reg.separating(l.curve)
+    return inverse, separating
 
 
 def _rewritten_span(old: Word, new: Word) -> tuple[int, int, int]:
@@ -433,7 +444,9 @@ def _rewritten_span(old: Word, new: Word) -> tuple[int, int, int]:
 
 def replay(reg: Registry, script: MoveScript) -> ReplayReport:
     """Apply the script's moves in order, checking legality, homology-image
-    preservation, and every declared checkpoint; stops at the first failure."""
+    preservation, and every declared checkpoint; stops at the first failure.
+    A checkpoint word equal to the state, which is canonical, passes as
+    written; any other is canonicalized and compared with the state."""
     report = ReplayReport(script.name)
     state = reg.canonical_word(script.start)
     # Kept up to date by each move's rewritten span, not recounted.
@@ -456,7 +469,7 @@ def replay(reg: Registry, script: MoveScript) -> ReplayReport:
     for entry in script.entries:
         index += 1
         if isinstance(entry, (Checkpoint, Final)):
-            expected = reg.canonical_word(entry.word)
+            expected = entry.word if entry.word == state else reg.canonical_word(entry.word)
             ok = state == expected
             kind = "final" if isinstance(entry, Final) else "checkpoint"
             label = f" label={entry.label}" if entry.label else ""

@@ -178,6 +178,9 @@ class Registry:
         self.lanterns: dict[str, LanternInstance] = {l.ident: l for l in lanterns}
         self.disjoint_pairs = _std_disjoint(lanterns)
         self.braid_pairs = {frozenset((f"c{i}", f"c{i+1}")) for i in range(1, 5)}
+        # (lantern, side) -> the side's rotations, built once for the Lantern move
+        self.lantern_rotations = {(l.ident, side): tuple(l.rotations(side))
+                                  for l in self.lanterns.values() for side in ("lhs", "rhs")}
         # Safe to memoize: a registry is never changed after __init__
         # (replace() builds a new registry with empty caches).  A letter
         # t_u^e maps to (u, e Ju), all that image uses of it.

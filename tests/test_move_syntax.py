@@ -8,14 +8,17 @@ from g2mcg.moves import (
     Alias,
     Braid,
     CentralSlide,
+    Checkpoint,
     Commute,
     Contract,
     CyclicShift,
     Expand,
+    Final,
     GlobalConjugate,
     Hurwitz,
     Lantern,
     MOVES,
+    MoveScript,
     describe,
 )
 from g2mcg.registry import standard_registry
@@ -85,10 +88,47 @@ def test_move_line_round_trip(line, move, printed):
     assert describe(move) == (printed or line)
 
 
-@pytest.mark.parametrize("line", REJECTED)
+@pytest.mark.parametrize("line", REJECTED + [
+    "checkpointx: c1", "H@3 left", "startfoo", "start X2", "final", "~commute @0", "end x",
+])
 def test_bad_move_line(line):
-    with pytest.raises(ParseError):
+    # each line is the third of its script
+    message = ("unknown lantern instance 'L9'" if line == "L @0 inst=L9 dir=down"
+               else f"cannot parse script line {line!r}")
+    with pytest.raises(ParseError) as err:
         parse_document(_script(line), reg)
+    assert (str(err.value), err.value.line) == (f"{message} at line 3", 3)
+
+
+def test_each_move_has_its_own_leading_token():
+    # a script line is matched against the one move its leading token names
+    heads = [cls.syntax.split(" ", 1)[0] for cls in MOVES]
+    assert len(set(heads)) == len(heads) == 10
+    assert not {"start", "checkpoint", "final", "end"} & set(heads)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("script t\nstartfoo\nend\n", "cannot parse script line 'startfoo' at line 2"),
+    ("script t\nstart X2\nend\n", "start references unknown relator 'X2' at line 2"),
+    ("relator R = c1\nscript t\nstart R\nstart R\nend\n",
+     "cannot parse script line 'start R' at line 4"),
+    ("script t\nstart label=A\nend\n", "cannot parse script line 'start label=A' at line 2"),
+    ("script t\nstart: c1\nfinal label=a b: c1\nend\n",
+     "cannot parse script line 'final label=a b: c1' at line 3"),
+])
+def test_bad_start_or_checkpoint_line(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_document(text, reg)
+    assert str(err.value) == message
+
+
+def test_start_and_checkpoint_lines_take_a_colon_with_or_without_blanks():
+    script = parse_document(
+        "relator R = c1\nscript t\nstart label=S:c1 c2\ncheckpoint :c1 c2\n"
+        "final label=F\t:  c1 c2\nend\nscript u\nstart R\nfinal: c1\nend\n", reg).scripts
+    entries = (Checkpoint(W("c1 c2")), Final(W("c1 c2"), "F"))
+    assert script["t"] == MoveScript("t", W("c1 c2"), entries, "S")
+    assert script["u"] == MoveScript("u", W("c1"), (Final(W("c1")),), "R")
 
 
 def test_every_corpus_move_line_prints_back_as_written():

@@ -172,7 +172,8 @@ def test_central_slide():
 def checked_step(w, move, out):
     """Check a step out = apply_move(reg, w, move) on the whole word: the
     image apply_move compares only over the rewritten span is unchanged,
-    and the inverse move gives w back."""
+    and the inverse move gives w back.  Both words are canonical."""
+    assert reg.canonical_word(w) == w and reg.canonical_word(out) == out, move
     assert reg.image(out) == reg.image(w), move
     assert apply_move(reg, out, inverse_move(reg, w, move)) == w, move
     return out
@@ -350,6 +351,55 @@ def test_replay_reports_checkpoint_mismatch():
     assert "mismatch" in report.render() or "FAIL" in report.render()
 
 
+def test_every_corpus_replay_state_is_its_own_canonical_form(monkeypatch):
+    # replay passes a checkpoint written exactly as the state without
+    # canonicalizing it, which is sound only while this holds
+    outputs = []
+    real = moves.apply_move
+
+    def recorded(*args, **kwargs):
+        outputs.append(real(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(moves, "apply_move", recorded)
+    written = rewritten = 0
+    for script in corpus.scripts.values():
+        outputs.clear()
+        assert replay(reg, script).ok, script.name
+        states = [reg.canonical_word(script.start), *outputs]
+        assert all(reg.canonical_word(w) == w for w in states), script.name
+        moved = iter(states)
+        state = next(moved)
+        for entry in script.entries:
+            if isinstance(entry, (Checkpoint, Final)):
+                written += entry.word == state
+                rewritten += entry.word != state
+            else:
+                state = next(moved)
+    # both paths of the checkpoint check run on the corpus
+    assert (written, rewritten) == (25, 39)
+
+
+def test_a_checkpoint_in_another_spelling_of_the_state_passes():
+    # x-family and z-family spell [c1^-1 c3](c2) with c1 and c3 swapped
+    start = parse_word("[c1^-1 c3](c2) c4")
+    spelled = parse_word("[c3 c1^-1](c2) c4")
+    assert reg.canonical_word(spelled) == reg.canonical_word(start) == start != spelled
+    report = replay(reg, MoveScript("t", start, (Checkpoint(spelled), Final(spelled, "F"))))
+    assert report.ok and report.labeled == {"F": start}
+
+
+@pytest.mark.parametrize("written, detail", [
+    ("c1 c3", "expected 'c1 c3', have 'c3 c1'"),
+    ("[c3 c1^-1](c2) c3 c1", "expected '[c1^-1 c3](c2) c3 c1', have 'c3 c1'"),
+])
+def test_a_wrong_checkpoint_fails_with_its_canonical_form_and_the_state(written, detail):
+    script = MoveScript("bad", parse_word("c1 c3"), (Commute(0), Checkpoint(parse_word(written))))
+    report = replay(reg, script)
+    assert not report.ok and report.failure == "step 2: checkpoint mismatch"
+    assert report.steps[-1].detail == detail
+
+
 def test_replay_stops_at_illegal_move():
     script = MoveScript("bad", parse_word("c1 c2 c3"), (Commute(0),))
     report = replay(reg, script)
@@ -405,6 +455,7 @@ def test_corpus_scripts_all_replay():
 def reference_apply(w, move, reg=reg):
     lo, hi, rep, _ = moves._apply(reg, w, move)
     out = reg.canonical_word(w[:lo] + rep + w[hi:])
+    assert reg.canonical_word(out) == out  # canonical_word is idempotent
     if isinstance(move, (CyclicShift, GlobalConjugate)):
         return out
     common = min(len(w), len(out))

@@ -305,6 +305,10 @@ def test_lantern_rotations():
     assert inst.rotations("lhs") == [parse_word(t) for t in (
         "c1 c1 c5 c5", "c1 c5 c5 c1", "c5 c5 c1 c1", "c5 c1 c1 c5")]
     assert inst.rotations("rhs") == [parse_word(t) for t in ("x c3 d", "c3 d x", "d x c3")]
+    # the Lantern move reads them from the registry, built once
+    for side in ("lhs", "rhs"):
+        assert reg.lantern_rotations["L1", side] == tuple(inst.rotations(side))
+    assert len(reg.lantern_rotations) == 2 * len(reg.lanterns)
 
 
 def corpus_curves() -> set[Curve]:
