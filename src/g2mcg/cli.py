@@ -7,28 +7,21 @@
 
 Exit codes: 0 success; 1 a verify or registry-check Verdict refuted or
 inconclusive, or a failed replay step; 2 parse or usage error.
+
+Each command imports its own modules when it runs: verify imports pi1 and
+invariants, decompose the decompose module.  A process loads only what the
+commands it runs need; replay and registry-check need neither.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import re
 import sys
 from typing import Optional
 
-from . import pi1
-from . import homology as hom
-from .decompose import admissible_splits
 from .dsl import ParseError, parse_document, parse_relator
 from .fixtures import SCRIPTS, script_text
-from .invariants import (
-    FiberSignature,
-    SignatureNotIntegral,
-    fiber_signature,
-    invariant_records,
-    invariants,
-)
 from .moves import replay
 from .registry import (
     INCONCLUSIVE,
@@ -71,11 +64,12 @@ def _exit_code(verdicts: list[Verdict]) -> int:
     return 0 if all(v.status == PROVED for v in verdicts) else 1
 
 
-_DOCUMENT_LINE = re.compile(r"(relator|script)\b")
-_PI1_SHOWN = {PROVED: "True", REFUTED: "False", INCONCLUSIVE: "skipped"}
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
+    import re
+
+    from . import homology as hom, invariants, pi1
+
+    pi1_shown = {PROVED: "True", REFUTED: "False", INCONCLUSIVE: "skipped"}
     reg = _load_registry(args.registry)
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
@@ -84,7 +78,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # one.  Comments are stripped per line, as parse_document does.
     uncommented = [raw.split("#", 1)[0] for raw in text.splitlines()]
     if not "".join(uncommented).strip() or any(
-        _DOCUMENT_LINE.match(line.strip()) for line in uncommented
+        re.match(r"(relator|script)\b", line.strip()) for line in uncommented
     ):
         relators = dict(parse_document(text, reg).relators)
     else:
@@ -96,19 +90,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lines = []
     verdicts: list[Verdict] = []
     for name, rel in relators.items():
-        sig = fiber_signature(reg, rel)
+        sig = invariants.fiber_signature(reg, rel)
         identity = reg.image(rel.word) == hom.IDENTITY
         verdicts += Verdict.decided("image", identity), Verdict.decided("ab", sig.mod_ten == 0)
         if args.pi1:
             inner = pi1.relator_verdict(reg, rel.word)
             verdicts.append(inner)
-            shown = _PI1_SHOWN[inner.status]
+            shown = pi1_shown[inner.status]
         try:
-            inv, undefined = invariants(sig), None
-        except SignatureNotIntegral as exc:
+            inv, undefined = invariants.invariants(sig), None
+        except invariants.SignatureNotIntegral as exc:
             inv, undefined = None, exc
         if args.format == "records":
-            rec = (invariant_records(sig, inv) if inv is not None
+            rec = (invariants.invariant_records(sig, inv) if inv is not None
                    else f"n={sig.n} s={sig.s} invariants=non-integral")
             lines.append(f"relator={name} identity={identity} ab={sig.mod_ten} {rec}"
                          + (f" pi1={shown}" if args.pi1 else ""))
@@ -152,10 +146,12 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    from . import decompose, invariants
+
     if args.n < 0 or args.s < 0:
         print("fiber counts must be nonnegative", file=sys.stderr)
         return 2
-    report = admissible_splits(FiberSignature(args.n, args.s))
+    report = decompose.admissible_splits(invariants.FiberSignature(args.n, args.s))
     _emit(report.render() if args.format == "text" else report.records(), args.out)
     return 0
 
@@ -175,7 +171,8 @@ def cmd_registry_check(args: argparse.Namespace) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; parse_args gives a fresh Namespace per call."""
-    parser = argparse.ArgumentParser(prog="g2mcg", description=__doc__,
+    # --help shows the docstring but its last paragraph, which is about loading
+    parser = argparse.ArgumentParser(prog="g2mcg", description=__doc__.rsplit("\n\n", 1)[0],
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--registry", help="registry file (default: the packaged corpus/standard.reg)")
     parser.add_argument("--format", choices=("text", "records"), default="text")
@@ -208,11 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """One g2mcg invocation.  A process that calls main more than once reuses
-    what does not change between calls: the argument parser, the packaged
-    corpus texts and the Registry of the last --registry text read (the file
-    is read again on every call).  Relator and script files are read and
-    parsed anew on every call, and nothing derived from them is cached."""
+    """One g2mcg invocation.  The command imports its own modules as it runs
+    (see the module docstring), so the first verify or decompose call of a
+    process also loads pi1 and invariants, or decompose.  A process that
+    calls main more than once reuses what does not change between calls: the
+    argument parser, the packaged corpus texts and the Registry of the last
+    --registry text read (the file is read again on every call).  Relator
+    and script files are read and parsed anew on every call, and nothing
+    derived from them is cached."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.pi1 and args.command != "verify":

@@ -374,8 +374,10 @@ def parse_document(text: str, registry: Optional[Registry] = None) -> Document:
         # one pattern per line, chosen by the line's leading token
         head = line.split(None, 1)[0].partition(":")[0]
         if head == "start":
+            if start is not None:
+                raise ParseError(f"script {script_name} has a second start", lineno)
             m = _START_RE.fullmatch(line)
-            if m and m[1] is not None and start is None:  # a relator's word, once
+            if m and m[1] is not None:  # a relator's word
                 if m[1] not in doc.relators:
                     raise ParseError(f"start references unknown relator {m[1]!r}", lineno)
                 start, start_label = doc.relators[m[1]].word, m[1]

@@ -236,18 +236,19 @@ def _pair(move: Move, w: Word, pos: int) -> tuple[Letter, Letter]:
 
 
 def _conjugated_side(reg: Registry, side: Word, conj: Word) -> Word:
-    return reg.canonical_word(tuple(push(l, conj) for l in side) if conj else side)
+    """side pushed through conj, canonical; a side of plain letters is
+    canonical as it stands."""
+    return reg.canonical_word(tuple(push(l, conj) for l in side)) if conj else side
 
 
 def _match_rotation(
     reg: Registry, w: Word, pos: int, sides: list[Word], conj: Word
 ) -> Optional[int]:
-    """Index of the first rotation (over all listed sides) matching at pos."""
+    """Index of the first rotation (over all listed sides) matching at pos.
+    w is canonical, so its slice is compared as it stands."""
     for r, side in enumerate(sides):
         target = _conjugated_side(reg, side, conj)
-        if len(w) >= pos + len(target) and reg.canonical_word(
-            w[pos : pos + len(target)]
-        ) == target:
+        if w[pos : pos + len(target)] == target:
             return r
     return None
 

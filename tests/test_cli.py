@@ -334,15 +334,24 @@ def test_conflicting_relators_raise_a_parse_error(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("no embedded script named 'nope'; available: ")
 
 
-def test_python_dash_m_runs_the_cli():
+@pytest.mark.parametrize("argv, line", [
+    (["registry-check"], "[pass] coverage:lanterns"),
+    (["decompose", "26", "2"], "summary: Unique"),
+    (["replay", "--builtin", "x-seven"], "script x-seven: ok"),
+    (["--pi1", "verify", "CHAIN30"], "  pi1: acts by conjugation on generators: True"),
+], ids=["registry-check", "decompose", "replay", "verify"])
+def test_python_dash_m_runs_the_cli(argv, line, tmp_path):
+    # each command in a process of its own, as it imports its modules when it runs
+    chain30 = tmp_path / "chain30.mcg"
+    chain30.write_text("relator r = (c1 c2 c3 c4 c5)^6\n")
     src = str(Path(g2mcg.__file__).parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "g2mcg", "registry-check"],
+        [sys.executable, "-m", "g2mcg", *(str(chain30) if a == "CHAIN30" else a for a in argv)],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.returncode == 0, proc.stderr
-    assert "[pass]" in proc.stdout
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert line in proc.stdout.splitlines()
 
 
 def test_decompose_command(capsys):

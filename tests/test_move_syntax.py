@@ -94,6 +94,7 @@ def test_move_line_round_trip(line, move, printed):
 def test_bad_move_line(line):
     # each line is the third of its script
     message = ("unknown lantern instance 'L9'" if line == "L @0 inst=L9 dir=down"
+               else "script t has a second start" if line == "start X2"
                else f"cannot parse script line {line!r}")
     with pytest.raises(ParseError) as err:
         parse_document(_script(line), reg)
@@ -111,7 +112,12 @@ def test_each_move_has_its_own_leading_token():
     ("script t\nstartfoo\nend\n", "cannot parse script line 'startfoo' at line 2"),
     ("script t\nstart X2\nend\n", "start references unknown relator 'X2' at line 2"),
     ("relator R = c1\nscript t\nstart R\nstart R\nend\n",
-     "cannot parse script line 'start R' at line 4"),
+     "script t has a second start at line 4"),
+    # a second start is refused in either form, also after a move
+    ("script t\nstart: c1 c3\n~ commute @0\nstart label=Y: c5 c5\nend\n",
+     "script t has a second start at line 4"),
+    ("relator R = c1\nscript t\nstart: c1 c3\n~ commute @0\nstart R\nend\n",
+     "script t has a second start at line 5"),
     ("script t\nstart label=A\nend\n", "cannot parse script line 'start label=A' at line 2"),
     ("script t\nstart: c1\nfinal label=a b: c1\nend\n",
      "cannot parse script line 'final label=a b: c1' at line 3"),

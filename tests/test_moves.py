@@ -118,7 +118,8 @@ def test_lantern_rejects_wrong_block():
 
 
 def test_lantern_conjugated_block():
-    w = tuple(letter(n, conj=(letter("c2"),)) for n in ("kb", "hb", "c5"))
+    # apply_move takes a canonical word, as a replay state is
+    w = reg.canonical_word(tuple(letter(n, conj=(letter("c2"),)) for n in ("kb", "hb", "c5")))
     out = apply_move(reg, w, Lantern(0, "L2", "up", conj=(letter("c2"),)))
     expected = tuple(letter(n, conj=(letter("c2"),)) for n in ("c1", "c1", "c3", "c3"))
     assert out == reg.canonical_word(expected)
@@ -214,6 +215,23 @@ def test_a_lantern_step_matches_its_rotation_once(monkeypatch):
     undo = inverse_move(reg, w, move)
     assert len(calls) == 2 and undo == Lantern(0, "L1", "up", out=2)
     assert apply_move(reg, out, undo) == w
+
+
+def test_a_plain_lantern_step_canonicalizes_only_its_replacement(monkeypatch):
+    # a replay state and a side of plain letters are canonical as they stand
+    steps = []
+    real_apply = moves.apply_move
+    monkeypatch.setattr(moves, "apply_move", lambda reg, w, move, **kw: steps.append((w, move))
+                        or real_apply(reg, w, move, **kw))
+    assert replay(reg, corpus.scripts["x-seven"]).ok
+    monkeypatch.undo()
+    w, move = next((w, m) for w, m in steps if isinstance(m, Lantern))
+    assert move.conj == ()
+    calls = []
+    real = Registry.canonical_word
+    monkeypatch.setattr(Registry, "canonical_word", lambda self, u: calls.append(u) or real(self, u))
+    apply_move(reg, w, move)
+    assert calls == [reg.lantern_rotations[move.inst, "rhs"][move.out]]
 
 
 RELATORS = sorted(corpus.relators.values(), key=lambda r: r.label)

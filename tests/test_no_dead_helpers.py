@@ -133,3 +133,11 @@ def test_a_cli_process_loads_neither_dataclasses_nor_inspect():
         "import sys, g2mcg.cli; from g2mcg.fixtures import load_corpus; load_corpus(); "
         "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
     assert out == "[]\n"
+
+
+def test_a_replay_process_loads_neither_pi1_nor_invariants_nor_decompose():
+    # verify and decompose import those when they run
+    out = _fresh_python(
+        "import sys, g2mcg.cli; from g2mcg.fixtures import load_corpus; load_corpus(); "
+        "print(sorted({'g2mcg.pi1', 'g2mcg.decompose', 'g2mcg.invariants'} & sys.modules.keys()))")
+    assert out == "[]\n"
