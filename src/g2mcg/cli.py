@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from typing import Optional
 
@@ -56,7 +57,15 @@ def _emit(text: str, out: Optional[str]) -> None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # The reader has gone, which is not an error of the command.  Point
+            # stdout at devnull, so that the interpreter's last flush of what is
+            # still buffered does not raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 def _exit_code(verdicts: list[Verdict]) -> int:
@@ -212,7 +221,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     argument parser, the packaged corpus texts and the Registry of the last
     --registry text read (the file is read again on every call).  Relator
     and script files are read and parsed anew on every call, and nothing
-    derived from them is cached."""
+    derived from them is cached.  A stdout whose reader has closed it drops
+    the output, and the command's exit code stands."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.pi1 and args.command != "verify":

@@ -16,6 +16,15 @@ power) once, so its words share their letters.  Unicode input is accepted
 for a few names (the Greek delta and macron accents map to d, kb, hb);
 output is always ASCII.
 
+A word is read in one pass when it can be: when its tokens, parted by
+whitespace, are the forms word_str prints (ASCII names and flat [w](a),
+each with its power) or one-level groups (w)^k of them.  Each token is
+looked up in the document's item memo, and only the new ones are read.
+Every other word (nested brackets, a blank before '^', '.' or middle-dot
+separators, Unicode names, a bad character) goes whole to the exact
+stack-machine parser, which raises every syntax error; the two share the
+bound on a word's length and the check of its curve names.
+
 Script files are line oriented:
 
     relator NAME = WORD
@@ -74,11 +83,21 @@ _NAME = r"δ|[kh][\u0304\u00af]|[A-Za-z](?:(?![kh][\u0304\u00af])[A-Za-z0-9])*"
 _FLAT, _GAP = r"[A-Za-z][A-Za-z0-9]*(?![A-Za-z0-9])", r"[\s.]*"
 _ITEM = (rf"(?:{_NAME}|\[(?:{_GAP}{_FLAT}(?:{_GAP}\^-?\d+)?)*{_GAP}\]{_GAP}\({_GAP}{_FLAT}{_GAP}\))"
          rf"(?:[{_BLANK}]*\^-?\d+)?")
-# one findall tokenizes a word; at a bad character it yields an empty token
-_TOKEN_RE = re.compile(rf"[{_BLANK}]*({_ITEM}|\^-?\d+|[\[\]()]|(?=[^{_BLANK}]))")
-# single tokens, as error messages quote them; re compiles it on first use
+# the exact parser's tokens: one findall tokenizes a word; at a bad character
+# it yields an empty token.  re compiles it, like _SINGLE, on first use
+_TOKEN = rf"[{_BLANK}]*({_ITEM}|\^-?\d+|[\[\]()]|(?=[^{_BLANK}]))"
+# single tokens, as error messages quote them
 _SINGLE = rf"[{_BLANK}]*({_NAME}|\^-?\d+|[\[\]()]|(?=[^{_BLANK}]))"
 _CLOSER = {"[": "]", "(": ")"}
+# The one-pass reader's tokens: runs of text between whitespace, but that
+# [...] and (...) may hold whitespace up to their closer.  At a bracket that
+# is not closed it yields an empty token.
+_SPLIT_RE = re.compile(r"\s*([^\s\[(]\S*|\[[^\]]*\]\S*|\((?:[^()]|\([^()]*\))*\)\S*)|\s*(?=\S)")
+# The items it takes, a name or a flat conjugate [w](a) with its power, or a
+# group of those with its power, all ASCII with whitespace between letters.
+_ASCII, _POWER = r"[A-Za-z][A-Za-z0-9]*", r"(?:\^-?\d+)?"
+_EASY_ITEM = rf"(?:{_ASCII}|\[(?:\s*{_ASCII}{_POWER}(?=[\s\]]))*\s*\]\({_ASCII}\)){_POWER}"
+_EASY_RE = re.compile(rf"{_EASY_ITEM}|\((?:\s*{_EASY_ITEM}(?=[\s)]))*\s*\){_POWER}")
 MAX_LETTERS = 100_000  # per flattened word, checked before each power expands
 
 
@@ -89,10 +108,49 @@ def parse_word(text: str, registry: Optional[Registry] = None, line: int = 0, co
 
 
 def _parse_word(text: str, registry: Optional[Registry], line: int, col: int, memo: dict) -> Word:
-    tokens = _TOKEN_RE.findall(text)
+    tokens = _SPLIT_RE.findall(text)
+    if not all(map(_EASY_RE.fullmatch, set(tokens).difference(memo))):  # nor the empty token
+        return _parse_exact(text, registry, line, col, memo)
+    letters, names, _ = _read(tokens, line, memo)
+    if registry is not None:
+        curves = registry.curves.keys()
+        if not all(map(curves.__ge__, set(names))):
+            _check_curves(text, registry, line, col)
+    return letters
+
+
+def _read(tokens: list[str], line: int, memo: dict) -> tuple[Word, list[frozenset[str]], int]:
+    """Item tokens read as one word: its letters, the curve names of each item
+    and its flattened length.  A token not in ``memo`` is read where it is met
+    and the length is checked before each item's letters join, so a long line
+    reads and joins at most one item past the bound."""
+    # One plain loop joins the items: faster here than zip and chain, and
+    # tuple(letters) is allocated once at its size, where a tuple built from
+    # an iterator grows by realloc and, over many documents, fragmented the
+    # C heap (peak RSS up by a megabyte).
+    letters: list[Letter] = []
+    names: list[frozenset[str]] = []
+    size = 0
+    for tok in tokens:
+        word, item_names, n = memo.get(tok) or _item(tok, line, memo)
+        size += n
+        if size > MAX_LETTERS:  # raised below, before these letters join
+            break
+        letters += word
+        names.append(item_names)
+    _check_size(size, line)
+    return tuple(letters), names, size
+
+
+def _parse_exact(text: str, registry: Optional[Registry], line: int, col: int, memo: dict) -> Word:
+    """The stack-machine parser, which takes every word of the grammar and
+    raises every syntax error, with its column."""
+    tokens = re.findall(_TOKEN, text)
     if "" in tokens:
-        bad = next(m.start(1) for m in _TOKEN_RE.finditer(text) if not m[1])
+        bad = next(m.start(1) for m in re.finditer(_TOKEN, text) if not m[1])
         raise ParseError(f"bad character {text[bad]!r}", line, col + bad + 1)
+    # items as _item reads them: no blank before a power, '.' gaps made blanks
+    tokens = [re.sub(rf"[{_BLANK}]+\^", "^", t).replace(".", " ") for t in tokens]
     if not text.isascii():
         tokens = [_UNICODE_NAMES.get(t, t) for t in tokens]
     tokens.append("")  # end of word: no closer, name or exponent matches it
@@ -145,8 +203,7 @@ def _parse_word(text: str, registry: Optional[Registry], line: int, col: int, me
             size += n
         else:
             raise ParseError(f"unexpected token {tok!r}", line)
-        if size > MAX_LETTERS:
-            raise ParseError(f"word expands past {MAX_LETTERS} letters", line)
+        _check_size(size, line)
     if stack:
         raise ParseError("unexpected end of word", line)
     curves = registry.curves.keys() if registry is not None else None
@@ -156,31 +213,40 @@ def _parse_word(text: str, registry: Optional[Registry], line: int, col: int, me
 
 
 def _item(tok: str, line: int, memo: dict) -> tuple[Word, frozenset[str], int]:
-    """The letters, curve names and flattened length of an item token, read once
-    per ``memo``: one parse_document or parse_word call's, so that its words
-    share their letters."""
+    """The letters, curve names and flattened length of an item token, a name
+    or a flat [w](a) or, from the one-pass reader, a group, with its power,
+    read once per ``memo``: one parse_document or parse_word call's, so that
+    its words share their letters."""
     if tok in memo:
         return memo[tok]
     power = tok.rfind("^")
     if power > tok.rfind(")"):  # the item's own power follows its base, itself an item
-        base = _TOKEN_RE.match(tok, 0, power)[1]
+        base = tok[:power]
         letters, names, n = _item(_UNICODE_NAMES.get(base, base), line, memo)
         exp = int(tok[power + 1 :])
         value = _power(letters, n, exp, line), names, n * abs(exp)
-    elif tok[0] == "[":  # [w](a): the letters of w, then of a, through the same parser
-        *conj, a = _parse_word(tok[1:-1].replace("]", " ").replace("(", " "), None, line, 0, memo)
-        # w is plain letters, so [w](a) flattens to w a w^-1
-        value = (push(a, conj),), frozenset(l.curve.name for l in (*conj, a)), 2 * len(conj) + 1
+    elif tok[0] == "[":  # [w](a), w names with their powers, each an item
+        *w, a = tok[1:-1].replace("]", " ").replace("(", " ").split()
+        conj, names, n = _read(w, line, memo)
+        _check_size(n + 1, line)  # the inside, w a, is bounded as a word is
+        value = (Letter(Curve(a, conj)),), frozenset((a,)).union(*names), 2 * n + 1  # w a w^-1
+    elif tok[0] == "(":  # a group of items, not kept: the memo keeps its power
+        letters, names, n = _read(_SPLIT_RE.findall(tok[1:-1]), line, memo)
+        return letters, frozenset().union(*names), n
     else:
         value = (Letter(Curve(tok)),), frozenset((tok,)), 1
     return memo.setdefault(tok, value)
 
 
+def _check_size(size: int, line: int) -> None:
+    if size > MAX_LETTERS:
+        raise ParseError(f"word expands past {MAX_LETTERS} letters", line)
+
+
 def _power(base: Word, size: int, exp: int, line: int) -> Word:
     """base repeated |exp| times, inverted when exp < 0; ``size`` is base's
     flattened length."""
-    if size * abs(exp) > MAX_LETTERS:
-        raise ParseError(f"word expands past {MAX_LETTERS} letters", line)
+    _check_size(size * abs(exp), line)
     return base * exp if exp >= 0 else invert(base) * -exp
 
 
@@ -283,9 +349,9 @@ _SLOT_PATTERNS = {Word: ".+", Nat: r"\d+", int: r"-?\d+", str: r"\w+"}
 
 
 def _slot_value(kind, text: str, registry: Optional[Registry], lineno: int, col: int, memo: dict):
-    if kind == Word:
+    if kind is Word:
         return _parse_word(text, registry, lineno, col, memo)
-    return int(text) if kind in (int, Nat) else text
+    return int(text) if kind is int or kind is Nat else text
 
 
 def _literal_pattern(text: str) -> str:
@@ -293,8 +359,10 @@ def _literal_pattern(text: str) -> str:
 
 
 def _compile_move(cls: type) -> tuple[type, dict, re.Pattern]:
-    """The move class, its field annotations and the regex of its syntax."""
-    kinds = get_type_hints(cls)
+    """The move class, its field annotations and the regex of its syntax.  A
+    Word annotation is taken as the Word object itself, which get_type_hints
+    rebuilds, so that _slot_value tells the kinds apart by identity."""
+    kinds = {name: Word if kind == Word else kind for name, kind in get_type_hints(cls).items()}
     parts, last = [], 0
     for m in SLOT.finditer(cls.syntax):
         prefix, optional, name = m.groups()

@@ -268,11 +268,14 @@ def apply_move(reg: Registry, w: Word, move: Move, relator: Optional[bool] = Non
     invertible.  Shift and C rewrite the whole word, O(length), with no
     span check: their clause is that w is a relator, image(w) == IDENTITY,
     which ``relator`` answers when the caller knows it and a whole-word
-    image decides otherwise.
+    image decides otherwise.  A shift's rotation of w is canonical as it
+    stands; a C brings in new conjugator letters and is canonicalized.
     """
     lo, hi, rep, _ = _apply(reg, w, move, relator)
+    if isinstance(move, CyclicShift):  # a rotation of canonical letters is canonical
+        return rep
     rep = reg.canonical_word(rep)
-    if not isinstance(move, (CyclicShift, GlobalConjugate)):
+    if not isinstance(move, GlobalConjugate):
         _need(move, reg.image(w[lo:hi]) == reg.image(rep), "move broke the homology image")
     return w[:lo] + rep + w[hi:]
 

@@ -354,6 +354,23 @@ def test_python_dash_m_runs_the_cli(argv, line, tmp_path):
     assert line in proc.stdout.splitlines()
 
 
+def test_a_closed_stdout_is_not_an_error():
+    # the read end of stdout's pipe is closed before the command writes
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(g2mcg.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "g2mcg", "replay", "--builtin", "x-family"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_decompose_command(capsys):
     assert main(["decompose", "26", "2"]) == 0
     out = capsys.readouterr().out

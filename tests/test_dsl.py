@@ -1,10 +1,13 @@
 import re
+import tracemalloc
 from itertools import groupby
 from typing import Optional
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from g2mcg import dsl
 from g2mcg.dsl import (
     Document,
     ParseError,
@@ -96,6 +99,56 @@ def test_parse_word_flattens_up_to_the_bound(text, size):
 
 def test_parse_word_expands_up_to_the_bound():
     assert len(parse_word("c2 (c1)^99998 c2", reg)) == 100_000
+
+
+@pytest.mark.parametrize("text", [
+    "c1^100000 " * 50,
+    " ".join(f"c1^{100_000 - k}" for k in range(50)),
+    "(" + "c1^100000 " * 50 + ")",
+    "[" + "c1^100000 " * 50 + "](c2)",
+    "c1^100000 . " * 50,
+], ids=["repeated", "distinct", "group", "conjugator", "exact"])
+def test_a_long_line_stops_at_the_bound_before_its_letters_join(text):
+    # every item is within the bound and only their sum is past it: the reader
+    # stops one item past it, where joining them all holds 5,000,000 letters
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="expands past 100000 letters"):
+            parse_word(text, reg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_a_zero_powered_group_keeps_no_copy_of_its_inside():
+    # each inside, 100,000 letters, is kept once, as the item c1^k of the memo
+    text = " ".join(f"(c1^{100_000 - k})^0" for k in range(10))
+    tracemalloc.start()
+    try:
+        assert parse_word(text, reg) == ()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
+@pytest.mark.parametrize("text, word", [
+    ("[c1^100000](c2)^0", None),
+    ("[c1^99999 c3](c2)^0", None),
+    ("[c1^100000](c2)^0 . c3", None),
+    ("[c1^100000] . (c2)^0 c3", None),
+    ("[c1^99999](c2)^0", ()),
+    ("[c1^99999](c2)^0 . c3", (letter("c3"),)),
+], ids=["flat", "flat+1", "exact", "exact-gap", "flat-1", "exact-1"])
+def test_a_flat_conjugate_bounds_its_inside_under_a_zero_power(text, word):
+    # the inside of a flat [w](a), w a, is bounded as a word is, though ^0
+    # leaves none of its letters; on both paths
+    if word is None:
+        with pytest.raises(ParseError, match="expands past 100000 letters"):
+            parse_word(text, reg)
+    else:
+        assert parse_word(text, reg) == word
 
 
 def test_word_roundtrip_examples():
@@ -421,6 +474,60 @@ def test_parse_word_agrees_with_the_recursive_descent_parser(text, line):
     for registry in (None, reg):
         expected = _outcome(_ref_parse_word, text, registry, line)
         assert _outcome(parse_word, text, registry, line) == expected, text
+
+
+_DOC_WORD = "checkpoint: "
+# word texts that stay on one line and that no comment cuts short
+_line_texts = _texts.map(lambda text: text.replace("\n", " ").replace("#", "@"))
+
+
+def _ref_document_words(texts, registry):
+    """The words of the texts as the checkpoint lines of one script, by the
+    reference parser, which reads each after blanks as wide as the line's
+    prefix, so that its columns count from the start of the line."""
+    words = []
+    for lineno, text in enumerate(texts, 3):
+        if not text.strip():  # a checkpoint line with no word
+            raise ParseError(f"cannot parse script line {_DOC_WORD.strip()!r}", lineno)
+        words.append(_ref_parse_word(" " * len(_DOC_WORD) + text, registry, lineno))
+    return words
+
+
+def _document_words(texts, registry):
+    text = "script s\nstart: c1\n" + "".join(f"{_DOC_WORD}{t}\n" for t in texts) + "end\n"
+    return [entry.word for entry in parse_document(text, registry).scripts["s"].entries]
+
+
+@settings(max_examples=300)
+@given(st.lists(_line_texts, min_size=1, max_size=6), st.sampled_from([None, reg]))
+@example(["(c4 c5)^2", "c4 c5", "c5 (c4 c5)^2 c4"], reg)
+@example(["[c1 c2^-1](c3)^-1", "c2^-1 c1", "[c1 c2^-1](c3)"], reg)
+@example(["c1 ^2", "c1^2 c1"], reg)
+@example(["[c1]c2", "c1 c2"], reg)
+@example(["c5^2c4", "c5^2 c4"], reg)
+@example(["(c1 (c2)^2)^2", "(c2)^2 c1", "c2"], reg)
+@example(["c2", "(c2 [c3^2](nope))^2"], reg)
+@example(["[c1.c2 . c3 ^2] . ( c4 ) . ^2", "c2 . [c1.c2](c4)"], None)
+def test_a_document_reads_its_words_as_the_recursive_descent_parser(texts, registry):
+    # the words share one item memo, so an item read inside a bracket or a
+    # group is met again at top level: each word, or the first error, agrees
+    expected = _outcome(_ref_document_words, texts, registry)
+    assert _outcome(_document_words, texts, registry) == expected, texts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_runs(_letters))
+def test_canonical_text_never_takes_the_exact_parser(w):
+    w = reg.canonical_word(w)
+    with patch.object(dsl, "_parse_exact", side_effect=AssertionError("exact parser")):
+        assert parse_word(word_str(w), reg) == w
+
+
+def test_the_corpus_never_takes_the_exact_parser():
+    for name in FILES:
+        doc = parse_document(read_text(name), reg)
+        with patch.object(dsl, "_parse_exact", side_effect=AssertionError("exact parser")):
+            assert parse_document(read_text(name), reg) == doc, name
 
 
 @pytest.mark.parametrize("text, message", [
