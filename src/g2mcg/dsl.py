@@ -10,20 +10,17 @@ Letters are separated by whitespace or '.', and '^k' repeats a letter |k|
 times with the sign of k as exponent; '(w)^k' repeats a whole word.  The
 conjugate form [w](a) is the twist along the image of curve a under the
 word w.  No word may expand past MAX_LETTERS letters once flattened, each
-[w](a) spelled out as w a w^-1, as Registry.flat_word reads it.  A
-document reads each distinct item (a name or a flat [w](a), with its
-power) once, so its words share their letters.  Unicode input is accepted
-for a few names (the Greek delta and macron accents map to d, kb, hb);
-output is always ASCII.
+[w](a) spelled out as w a w^-1, as Registry.flat_word reads it, and nor
+may the inside w a of any [w](a), though a power ^0 drops it.  A document
+reads each distinct item (a name or a flat [w](a), with its power) once, so
+its words share their letters.  Unicode input is accepted for a few names
+(the Greek delta and macron accents map to d, kb, hb); output is always
+ASCII.
 
-A word is read in one pass when it can be: when its tokens, parted by
-whitespace, are the forms word_str prints (ASCII names and flat [w](a),
-each with its power) or one-level groups (w)^k of them.  Each token is
-looked up in the document's item memo, and only the new ones are read.
-Every other word (nested brackets, a blank before '^', '.' or middle-dot
-separators, Unicode names, a bad character) goes whole to the exact
-stack-machine parser, which raises every syntax error; the two share the
-bound on a word's length and the check of its curve names.
+One loop reads a word, from its runs of text between whitespace when each
+not yet in the item memo is a form word_str prints (an ASCII name or flat
+[w](a), with its power) or a group (w)^k of them, else from its exact
+tokens, whose brackets a stack reads and which raise every syntax error.
 
 Script files are line oriented:
 
@@ -47,7 +44,7 @@ ignored.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Optional, get_args, get_type_hints
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, get_args, get_type_hints
 
 from .moves import (
     MOVES,
@@ -78,20 +75,14 @@ _UNICODE_NAMES = {"δ": "d", "k\u0304": "kb", "h\u0304": "hb", "k\u00af": "kb", 
 _BLANK = r"\s.\u00b7\u22c5"  # whitespace, '.' and the middle dots separate letters
 # a name ends before a k or h that carries a macron (k̄ and k¯ spell kb)
 _NAME = r"δ|[kh][\u0304\u00af]|[A-Za-z](?:(?![kh][\u0304\u00af])[A-Za-z0-9])*"
-# An item, one token: a name or a flat conjugate [w](a), with its power.  Inside
-# its brackets names are ASCII and blanks '.' or whitespace, so w splits one way.
-_FLAT, _GAP = r"[A-Za-z][A-Za-z0-9]*(?![A-Za-z0-9])", r"[\s.]*"
-_ITEM = (rf"(?:{_NAME}|\[(?:{_GAP}{_FLAT}(?:{_GAP}\^-?\d+)?)*{_GAP}\]{_GAP}\({_GAP}{_FLAT}{_GAP}\))"
-         rf"(?:[{_BLANK}]*\^-?\d+)?")
-# the exact parser's tokens: one findall tokenizes a word; at a bad character
-# it yields an empty token.  re compiles it, like _SINGLE, on first use
-_TOKEN = rf"[{_BLANK}]*({_ITEM}|\^-?\d+|[\[\]()]|(?=[^{_BLANK}]))"
+# The exact tokens: a name or a closer with its power, a power, or an opener;
+# at a bad character, an empty token.  re compiles it, like _SINGLE, on first use.
+_TOKEN = rf"[{_BLANK}]*((?:{_NAME}|[\])])(?:[{_BLANK}]*\^-?\d+)?|\^-?\d+|[\[(]|(?=[^{_BLANK}]))"
 # single tokens, as error messages quote them
 _SINGLE = rf"[{_BLANK}]*({_NAME}|\^-?\d+|[\[\]()]|(?=[^{_BLANK}]))"
 _CLOSER = {"[": "]", "(": ")"}
-# The one-pass reader's tokens: runs of text between whitespace, but that
-# [...] and (...) may hold whitespace up to their closer.  At a bracket that
-# is not closed it yields an empty token.
+# The one-pass tokens: runs of text between whitespace, but that [...] and (...)
+# may hold whitespace up to their closer; at a bracket not closed, an empty token.
 _SPLIT_RE = re.compile(r"\s*([^\s\[(]\S*|\[[^\]]*\]\S*|\((?:[^()]|\([^()]*\))*\)\S*)|\s*(?=\S)")
 # The items it takes, a name or a flat conjugate [w](a) with its power, or a
 # group of those with its power, all ASCII with whitespace between letters.
@@ -99,6 +90,9 @@ _ASCII, _POWER = r"[A-Za-z][A-Za-z0-9]*", r"(?:\^-?\d+)?"
 _EASY_ITEM = rf"(?:{_ASCII}|\[(?:\s*{_ASCII}{_POWER}(?=[\s\]]))*\s*\]\({_ASCII}\)){_POWER}"
 _EASY_RE = re.compile(rf"{_EASY_ITEM}|\((?:\s*{_EASY_ITEM}(?=[\s)]))*\s*\){_POWER}")
 MAX_LETTERS = 100_000  # per flattened word, checked before each power expands
+# What an exact bracket or power reads as: a length past any bound, at which
+# _read's check of the bound stops, so that items pay no test for it
+_NO_ITEM = (), frozenset(), 1 << 62
 
 
 def parse_word(text: str, registry: Optional[Registry] = None, line: int = 0, col: int = 0) -> Word:
@@ -108,10 +102,10 @@ def parse_word(text: str, registry: Optional[Registry] = None, line: int = 0, co
 
 
 def _parse_word(text: str, registry: Optional[Registry], line: int, col: int, memo: dict) -> Word:
-    tokens = _SPLIT_RE.findall(text)
+    tokens, item = _SPLIT_RE.findall(text), _item
     if not all(map(_EASY_RE.fullmatch, set(tokens).difference(memo))):  # nor the empty token
-        return _parse_exact(text, registry, line, col, memo)
-    letters, names, _ = _read(tokens, line, memo)
+        tokens, item = _exact_tokens(text, line, col), _exact_item
+    letters, names, _ = _read(tokens, line, memo, item)
     if registry is not None:
         curves = registry.curves.keys()
         if not all(map(curves.__ge__, set(names))):
@@ -119,119 +113,104 @@ def _parse_word(text: str, registry: Optional[Registry], line: int, col: int, me
     return letters
 
 
-def _read(tokens: list[str], line: int, memo: dict) -> tuple[Word, list[frozenset[str]], int]:
-    """Item tokens read as one word: its letters, the curve names of each item
-    and its flattened length.  A token not in ``memo`` is read where it is met
-    and the length is checked before each item's letters join, so a long line
-    reads and joins at most one item past the bound."""
-    # One plain loop joins the items: faster here than zip and chain, and
-    # tuple(letters) is allocated once at its size, where a tuple built from
-    # an iterator grows by realloc and, over many documents, fragmented the
-    # C heap (peak RSS up by a megabyte).
-    letters: list[Letter] = []
-    names: list[frozenset[str]] = []
-    size = 0
-    for tok in tokens:
-        word, item_names, n = memo.get(tok) or _item(tok, line, memo)
-        size += n
-        if size > MAX_LETTERS:  # raised below, before these letters join
-            break
-        letters += word
-        names.append(item_names)
-    _check_size(size, line)
-    return tuple(letters), names, size
-
-
-def _parse_exact(text: str, registry: Optional[Registry], line: int, col: int, memo: dict) -> Word:
-    """The stack-machine parser, which takes every word of the grammar and
-    raises every syntax error, with its column."""
+def _exact_tokens(text: str, line: int, col: int) -> Iterator[str]:
+    """The exact tokens of a word, with no blank before a power and names in
+    ASCII, or a bad character's error."""
     tokens = re.findall(_TOKEN, text)
     if "" in tokens:
         bad = next(m.start(1) for m in re.finditer(_TOKEN, text) if not m[1])
         raise ParseError(f"bad character {text[bad]!r}", line, col + bad + 1)
-    # items as _item reads them: no blank before a power, '.' gaps made blanks
-    tokens = [re.sub(rf"[{_BLANK}]+\^", "^", t).replace(".", " ") for t in tokens]
-    if not text.isascii():
-        tokens = [_UNICODE_NAMES.get(t, t) for t in tokens]
-    tokens.append("")  # end of word: no closer, name or exponent matches it
+    gap = re.compile(rf"[{_BLANK}]+\^")  # a blank before a power
+    return iter([gap.sub("^", _UNICODE_NAMES.get(t, t)) for t in tokens])
 
-    def expect(i: int, expected: str) -> str:  # tokens[i]: expected, or a name if that is ""
-        if not tokens[i]:
-            raise ParseError("unexpected end of word", line)
-        if tokens[i] != expected and (expected or not tokens[i][0].isalpha()):
-            got = re.match(_SINGLE, tokens[i])[1]  # an item's first single token
-            what = repr(expected) if expected else "curve name"
-            raise ParseError(f"expected {what}, got {_UNICODE_NAMES.get(got, got)!r}", line)
-        return tokens[i]
 
+def _exact_item(tok: str, line: int, memo: dict) -> tuple[Word, frozenset[str], int]:
+    """An exact token read as _item reads it, or a bracket or a power as _NO_ITEM."""
+    return _item(tok, line, memo) if tok[0].isalpha() else _NO_ITEM
+
+
+def _read(tokens: Iterable[str], line: int, memo: dict, item: Callable) -> tuple[Word, list, int]:
+    """Tokens read as one word: its letters, the curve names of each item and
+    its flattened length, checked before each item's or bracket's letters
+    join, so a long line joins at most one item past the bound and its error
+    comes first.  ``item`` reads a token the memo lacks; exact tokens come as
+    an iterator, from which a ']' takes the (a) of its [w](a)."""
+    # a plain loop, then tuple(letters): a tuple built from an iterator grows
+    # by realloc, which over many documents fragmented the C heap
     letters: list[Letter] = []
-    size = 0  # the length of letters flattened
+    names: list[frozenset[str]] = []
+    size = 0
     # per open bracket: its closer, the word before it and that word's size
     stack: list[tuple[str, list[Letter], int]] = []
-    i = 0
-    while tokens[i]:
-        tok = tokens[i]
-        i += 1
-        if tok in memo:
-            word, _, n = memo[tok]
-            letters += word
+    while True:
+        for tok in tokens:
+            word, item_names, n = memo.get(tok) or item(tok, line, memo)
             size += n
-        elif tok in _CLOSER:
+            if size > MAX_LETTERS:  # past the bound, or a token that is no item
+                break
+            letters += word
+            names.append(item_names)
+        else:
+            break
+        if n != _NO_ITEM[2]:  # past the bound
+            _check_size(size, line)
+        size -= n
+        if tok in _CLOSER:  # an opener
             stack.append((_CLOSER[tok], letters, size))
             letters, size = [], 0
             continue
-        elif stack and tok == stack[-1][0]:
-            base, n = tuple(letters), size
-            _, letters, size = stack.pop()
-            if tok == "]":
-                expect(i, "(")
-                name = expect(i + 1, "")
-                if "^" in name:  # the name's power stands where ')' belongs
-                    raise ParseError(f"expected ')', got {name[name.index('^'):]!r}", line)
-                expect(i + 2, ")")
-                i += 3
-                base, n = (push(_item(name, line, memo)[0][0], base),), 2 * n + 1  # a pushed by w
-            exp = 1
-            if tokens[i][:1] == "^":
-                exp = int(tokens[i][1:])
-                i += 1
-            letters += _power(base, n, exp, line)
-            size += n * abs(exp)
-        elif tok[0].isalpha() or tok[0] == "[":
-            word, _, n = _item(tok, line, memo)
-            letters += word
-            size += n
-        else:
-            raise ParseError(f"unexpected token {tok!r}", line)
+        if not stack or tok[0] != stack[-1][0]:
+            raise ParseError(f"unexpected token {tok.partition('^')[0] or tok!r}", line)
+        base, n, a_names = tuple(letters), size, frozenset()
+        closer, letters, size = stack.pop()
+        if closer == "]":  # [w](a): (a) follows, then the power
+            _expect(tok[1:] or next(tokens, ""), "(", line)
+            name, caret, power = _expect(next(tokens, ""), "", line).partition("^")
+            tok = _expect(caret + power or next(tokens, ""), ")", line)  # a power is no ')'
+            _check_size(n + 1, line)  # the inside, w a, is bounded as a word is
+            a, a_names, _ = _item(name, line, memo)
+            base, n = (push(a[0], base),), 2 * n + 1  # a pushed by w
+        exp = int(tok[2:]) if tok[1:] else 1  # the closer's power
+        size += n * abs(exp)
         _check_size(size, line)
+        letters += _power(base, n, exp, line)
+        names.append(a_names)
     if stack:
         raise ParseError("unexpected end of word", line)
-    curves = registry.curves.keys() if registry is not None else None
-    if curves is not None and not all(curves >= memo[t][1] for t in set(tokens) if t in memo):
-        _check_curves(text, registry, line, col)
-    return tuple(letters)
+    return tuple(letters), names, size
+
+
+def _expect(tok: str, expected: str, line: int) -> str:
+    """tok, which begins with ``expected``, or is a curve name if that is ''."""
+    if not tok:
+        raise ParseError("unexpected end of word", line)
+    if tok[0] != expected if expected else not tok[0].isalpha():
+        got = re.match(_SINGLE, tok)[1]  # the token's first single token
+        what = repr(expected) if expected else "curve name"
+        raise ParseError(f"expected {what}, got {_UNICODE_NAMES.get(got, got)!r}", line)
+    return tok
 
 
 def _item(tok: str, line: int, memo: dict) -> tuple[Word, frozenset[str], int]:
     """The letters, curve names and flattened length of an item token, a name
-    or a flat [w](a) or, from the one-pass reader, a group, with its power,
-    read once per ``memo``: one parse_document or parse_word call's, so that
-    its words share their letters."""
+    or, from the one-pass tokens, a flat [w](a) or a group, with its power, read
+    once per ``memo``: one parse_document or parse_word call's, whose words share it."""
     if tok in memo:
         return memo[tok]
     power = tok.rfind("^")
     if power > tok.rfind(")"):  # the item's own power follows its base, itself an item
         base = tok[:power]
-        letters, names, n = _item(_UNICODE_NAMES.get(base, base), line, memo)
         exp = int(tok[power + 1 :])
+        # a base under ^0 is read in a memo of its own, so that none of it is kept
+        letters, names, n = _item(_UNICODE_NAMES.get(base, base), line, memo if exp else {})
         value = _power(letters, n, exp, line), names, n * abs(exp)
     elif tok[0] == "[":  # [w](a), w names with their powers, each an item
         *w, a = tok[1:-1].replace("]", " ").replace("(", " ").split()
-        conj, names, n = _read(w, line, memo)
+        conj, names, n = _read(w, line, memo, _item)
         _check_size(n + 1, line)  # the inside, w a, is bounded as a word is
         value = (Letter(Curve(a, conj)),), frozenset((a,)).union(*names), 2 * n + 1  # w a w^-1
     elif tok[0] == "(":  # a group of items, not kept: the memo keeps its power
-        letters, names, n = _read(_SPLIT_RE.findall(tok[1:-1]), line, memo)
+        letters, names, n = _read(_SPLIT_RE.findall(tok[1:-1]), line, memo, _item)
         return letters, frozenset().union(*names), n
     else:
         value = (Letter(Curve(tok)),), frozenset((tok,)), 1

@@ -238,7 +238,7 @@ def _pair(move: Move, w: Word, pos: int) -> tuple[Letter, Letter]:
 def _conjugated_side(reg: Registry, side: Word, conj: Word) -> Word:
     """side pushed through conj, canonical; a side of plain letters is
     canonical as it stands."""
-    return reg.canonical_word(tuple(push(l, conj) for l in side)) if conj else side
+    return reg.canonical_word(tuple([push(l, conj) for l in side])) if conj else side
 
 
 def _match_rotation(

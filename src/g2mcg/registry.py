@@ -96,7 +96,7 @@ class LanternInstance(NamedTuple):
     def rotations(self, side: str) -> list[Word]:
         """Every cyclic rotation of one side, "lhs" or "rhs", as a word."""
         names = getattr(self, side)
-        return [tuple(letter(n) for n in names[r:] + names[:r]) for r in range(len(names))]
+        return [tuple([letter(n) for n in names[r:] + names[:r]]) for r in range(len(names))]
 
 
 class AliasRelation(NamedTuple):
@@ -375,7 +375,7 @@ class Registry:
         return l if curve is l.curve else Letter(curve, l.exp)
 
     def canonical_word(self, w: Word) -> Word:
-        return tuple(self.canonical_letter(l) for l in w)
+        return tuple([self.canonical_letter(l) for l in w])
 
     def words_equal(self, u: Word, v: Word) -> bool:
         return self.canonical_word(u) == self.canonical_word(v)

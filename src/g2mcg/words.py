@@ -114,7 +114,7 @@ def word_str(w: Word) -> str:
 
 def invert(w: Word) -> Word:
     """Reversed sequence with flipped exponents; w * invert(w) freely reduces away."""
-    return tuple(l.inverse() for l in reversed(w))
+    return tuple([l.inverse() for l in reversed(w)])
 
 
 def free_reduce(w: Word) -> Word:

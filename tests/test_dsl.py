@@ -133,6 +133,48 @@ def test_a_zero_powered_group_keeps_no_copy_of_its_inside():
     assert peak < 12 * 2**20
 
 
+@pytest.mark.parametrize("text", [
+    " ".join(f"[c1^{100_000 - k}](c2)^0" for k in range(1, 21)),
+    " ".join(f"(c1^{100_000 - k})^0" for k in range(20)),
+], ids=["conjugate", "group"])
+def test_nothing_read_only_under_a_zero_power_is_kept(text):
+    # a base under ^0 is read once and dropped: the memo keeps none of its
+    # items, where keeping each c1^k held about 0.8 MB a token
+    tracemalloc.start()
+    try:
+        assert parse_word(text, reg) == ()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+_PAST = "expands past 100000 letters"
+
+
+@pytest.mark.parametrize("text, outcome", [
+    ("(c1^60000) (c1^60000)^0", 60_000),
+    ("( c1^60000 ) ( c1^60000 ) ^0", 60_000),
+    ("[c1^49999](c2)(c1^60000)[x", _PAST),
+    ("(c1^60000)(c1^60000)(]", _PAST),
+    ("(c1^60000 c1^50000 ]", _PAST),
+    ("[c1^99999](c2)^0", 0),
+    ("[c1^99999 c3](c4)^0", _PAST),
+    pytest.param("[[c1^49999](c2) c3](c4)^0", _PAST, id="changed-nested"),
+    pytest.param("[(c1^99999) c3](c4)^0", _PAST, id="changed-group"),
+])
+def test_the_bound_is_checked_after_each_item_before_the_next_token(text, outcome):
+    # each item's or bracket's length, with its power, counts before the next
+    # token is read, so the bound's error comes before a later syntax error,
+    # and a bracket under ^0 counts nothing.  The inside w a of every [w](a)
+    # is bounded, also of a bracketed one (the "changed" cases).
+    if outcome == _PAST:
+        with pytest.raises(ParseError, match=_PAST):
+            parse_word(text, reg)
+    else:
+        assert len(parse_word(text, reg)) == outcome
+
+
 @pytest.mark.parametrize("text, word", [
     ("[c1^100000](c2)^0", None),
     ("[c1^99999 c3](c2)^0", None),
@@ -470,6 +512,8 @@ _texts = st.one_of(
 @example("[x]c3c5^2", 0)
 @example("d[x]δ)", 0)
 @example("kb ^-2[]h̄c5^2", 0)
+@example("[c1^2c3](c2)", 0)
+@example("[x^-1c2^3](d)^2 [c1 ^2c3] (c2)", 7)
 def test_parse_word_agrees_with_the_recursive_descent_parser(text, line):
     for registry in (None, reg):
         expected = _outcome(_ref_parse_word, text, registry, line)
@@ -519,14 +563,14 @@ def test_a_document_reads_its_words_as_the_recursive_descent_parser(texts, regis
 @given(_runs(_letters))
 def test_canonical_text_never_takes_the_exact_parser(w):
     w = reg.canonical_word(w)
-    with patch.object(dsl, "_parse_exact", side_effect=AssertionError("exact parser")):
+    with patch.object(dsl, "_exact_tokens", side_effect=AssertionError("exact tokens")):
         assert parse_word(word_str(w), reg) == w
 
 
 def test_the_corpus_never_takes_the_exact_parser():
     for name in FILES:
         doc = parse_document(read_text(name), reg)
-        with patch.object(dsl, "_parse_exact", side_effect=AssertionError("exact parser")):
+        with patch.object(dsl, "_exact_tokens", side_effect=AssertionError("exact tokens")):
             assert parse_document(read_text(name), reg) == doc, name
 
 
@@ -536,6 +580,8 @@ def test_the_corpus_never_takes_the_exact_parser():
     ("[c1](c2", "unexpected end of word"),
     ("[c1] c2", "expected '(', got 'c2'"),
     ("[c1](^2)", "expected curve name, got '^2'"),
+    ("[c1]^2(c2)", "expected '(', got '^2'"),
+    ("[c1](c2^2)", "expected ')', got '^2'"),
     ("c1 # c2", "bad character '#', col 4"),
 ])
 def test_parse_word_error_messages(text, message):
