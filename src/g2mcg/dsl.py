@@ -11,16 +11,19 @@ times with the sign of k as exponent; '(w)^k' repeats a whole word.  The
 conjugate form [w](a) is the twist along the image of curve a under the
 word w.  No word may expand past MAX_LETTERS letters once flattened, each
 [w](a) spelled out as w a w^-1, as Registry.flat_word reads it, and nor
-may the inside w a of any [w](a), though a power ^0 drops it.  A document
-reads each distinct item (a name or a flat [w](a), with its power) once, so
-its words share their letters.  Unicode input is accepted for a few names
-(the Greek delta and macron accents map to d, kb, hb); output is always
-ASCII.
+may the inside w a of any [w](a), though a power ^0 drops it; the brackets
+open at one point of a word hold at most MAX_LETTERS letters between them.
+A document reads each distinct item (a name or a flat [w](a), with its
+power) once, so its words share their letters.  Unicode input is accepted
+for a few names (the Greek delta and macron accents map to d, kb, hb);
+output is always ASCII.
 
-One loop reads a word, from its runs of text between whitespace when each
-not yet in the item memo is a form word_str prints (an ASCII name or flat
-[w](a), with its power) or a group (w)^k of them, else from its exact
-tokens, whose brackets a stack reads and which raise every syntax error.
+One loop, _read, reads a word, from its runs of text between whitespace
+when each not yet in the item memo is a form word_str prints (an ASCII name
+or flat [w](a), with its power) or a group (w)^k of them, else from its
+exact tokens, whose brackets a stack reads and which raise every syntax
+error.  The same loop locates a curve the registry lacks: it reads the
+word's exact tokens again with each such name marked by its offset.
 
 Script files are line oriented:
 
@@ -44,7 +47,7 @@ ignored.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, get_args, get_type_hints
+from typing import Callable, Iterable, NamedTuple, Optional, get_args, get_type_hints
 
 from .moves import (
     MOVES,
@@ -76,10 +79,8 @@ _BLANK = r"\s.\u00b7\u22c5"  # whitespace, '.' and the middle dots separate lett
 # a name ends before a k or h that carries a macron (k̄ and k¯ spell kb)
 _NAME = r"δ|[kh][\u0304\u00af]|[A-Za-z](?:(?![kh][\u0304\u00af])[A-Za-z0-9])*"
 # The exact tokens: a name or a closer with its power, a power, or an opener;
-# at a bad character, an empty token.  re compiles it, like _SINGLE, on first use.
+# at a bad character, an empty token.  re compiles it on first use.
 _TOKEN = rf"[{_BLANK}]*((?:{_NAME}|[\])])(?:[{_BLANK}]*\^-?\d+)?|\^-?\d+|[\[(]|(?=[^{_BLANK}]))"
-# single tokens, as error messages quote them
-_SINGLE = rf"[{_BLANK}]*({_NAME}|\^-?\d+|[\[\]()]|(?=[^{_BLANK}]))"
 _CLOSER = {"[": "]", "(": ")"}
 # The one-pass tokens: runs of text between whitespace, but that [...] and (...)
 # may hold whitespace up to their closer; at a bracket not closed, an empty token.
@@ -104,7 +105,7 @@ def parse_word(text: str, registry: Optional[Registry] = None, line: int = 0, co
 def _parse_word(text: str, registry: Optional[Registry], line: int, col: int, memo: dict) -> Word:
     tokens, item = _SPLIT_RE.findall(text), _item
     if not all(map(_EASY_RE.fullmatch, set(tokens).difference(memo))):  # nor the empty token
-        tokens, item = _exact_tokens(text, line, col), _exact_item
+        tokens, item = iter(_exact_tokens(text, line, col)), _exact_item
     letters, names, _ = _read(tokens, line, memo, item)
     if registry is not None:
         curves = registry.curves.keys()
@@ -113,7 +114,7 @@ def _parse_word(text: str, registry: Optional[Registry], line: int, col: int, me
     return letters
 
 
-def _exact_tokens(text: str, line: int, col: int) -> Iterator[str]:
+def _exact_tokens(text: str, line: int, col: int) -> list[str]:
     """The exact tokens of a word, with no blank before a power and names in
     ASCII, or a bad character's error."""
     tokens = re.findall(_TOKEN, text)
@@ -121,7 +122,7 @@ def _exact_tokens(text: str, line: int, col: int) -> Iterator[str]:
         bad = next(m.start(1) for m in re.finditer(_TOKEN, text) if not m[1])
         raise ParseError(f"bad character {text[bad]!r}", line, col + bad + 1)
     gap = re.compile(rf"[{_BLANK}]+\^")  # a blank before a power
-    return iter([gap.sub("^", _UNICODE_NAMES.get(t, t)) for t in tokens])
+    return [gap.sub("^", _UNICODE_NAMES.get(t, t)) for t in tokens]
 
 
 def _exact_item(tok: str, line: int, memo: dict) -> tuple[Word, frozenset[str], int]:
@@ -139,30 +140,31 @@ def _read(tokens: Iterable[str], line: int, memo: dict, item: Callable) -> tuple
     # by realloc, which over many documents fragmented the C heap
     letters: list[Letter] = []
     names: list[frozenset[str]] = []
-    size = 0
-    # per open bracket: its closer, the word before it and that word's size
-    stack: list[tuple[str, list[Letter], int]] = []
+    size, limit = 0, MAX_LETTERS  # the letters this level holds, and may hold
+    # per open bracket: its closer, the word before it, that word's size and
+    # limit, and the memo's size, to which a closer under ^0 returns it
+    stack: list[tuple[str, list[Letter], int, int, int]] = []
     while True:
         for tok in tokens:
             word, item_names, n = memo.get(tok) or item(tok, line, memo)
             size += n
-            if size > MAX_LETTERS:  # past the bound, or a token that is no item
+            if size > limit:  # past the bound, or a token that is no item
                 break
             letters += word
             names.append(item_names)
         else:
             break
         if n != _NO_ITEM[2]:  # past the bound
-            _check_size(size, line)
+            _check_size(size, line, limit)
         size -= n
-        if tok in _CLOSER:  # an opener
-            stack.append((_CLOSER[tok], letters, size))
-            letters, size = [], 0
+        if tok in _CLOSER:  # an opener: the open brackets share one bound
+            stack.append((_CLOSER[tok], letters, size, limit, len(memo)))
+            letters, size, limit = [], 0, limit - size if len(stack) > 1 else MAX_LETTERS
             continue
         if not stack or tok[0] != stack[-1][0]:
             raise ParseError(f"unexpected token {tok.partition('^')[0] or tok!r}", line)
         base, n, a_names = tuple(letters), size, frozenset()
-        closer, letters, size = stack.pop()
+        closer, letters, size, limit, kept = stack.pop()
         if closer == "]":  # [w](a): (a) follows, then the power
             _expect(tok[1:] or next(tokens, ""), "(", line)
             name, caret, power = _expect(next(tokens, ""), "", line).partition("^")
@@ -171,8 +173,10 @@ def _read(tokens: Iterable[str], line: int, memo: dict, item: Callable) -> tuple
             a, a_names, _ = _item(name, line, memo)
             base, n = (push(a[0], base),), 2 * n + 1  # a pushed by w
         exp = int(tok[2:]) if tok[1:] else 1  # the closer's power
+        while not exp and len(memo) > kept:  # the memo grows only by setdefault
+            memo.popitem()
         size += n * abs(exp)
-        _check_size(size, line)
+        _check_size(size, line, limit)
         letters += _power(base, n, exp, line)
         names.append(a_names)
     if stack:
@@ -185,7 +189,7 @@ def _expect(tok: str, expected: str, line: int) -> str:
     if not tok:
         raise ParseError("unexpected end of word", line)
     if tok[0] != expected if expected else not tok[0].isalpha():
-        got = re.match(_SINGLE, tok)[1]  # the token's first single token
+        got = tok.partition("^")[0] or tok  # a name or a bracket, else a power
         what = repr(expected) if expected else "curve name"
         raise ParseError(f"expected {what}, got {_UNICODE_NAMES.get(got, got)!r}", line)
     return tok
@@ -217,8 +221,8 @@ def _item(tok: str, line: int, memo: dict) -> tuple[Word, frozenset[str], int]:
     return memo.setdefault(tok, value)
 
 
-def _check_size(size: int, line: int) -> None:
-    if size > MAX_LETTERS:
+def _check_size(size: int, line: int, limit: int = MAX_LETTERS) -> None:
+    if size > limit:
         raise ParseError(f"word expands past {MAX_LETTERS} letters", line)
 
 
@@ -231,30 +235,20 @@ def _power(base: Word, size: int, exp: int, line: int) -> Word:
 
 def _check_curves(text: str, registry: Registry, line: int, col: int) -> None:
     """Raise UnknownCurve at the first name of a well-formed word that the
-    registry lacks.  A name under ^0 is not in the word and does not count."""
-    tokens = [(_UNICODE_NAMES.get(m[1], m[1]), m.start(1)) for m in re.finditer(_SINGLE, text)]
-    tokens.append(("", 0))
-    names: list[tuple[str, int]] = []  # (name, offset) of each name read, less those under ^0
-    opened: list[int] = []  # per open bracket: how many names came before it
-    i = 0
-    while tokens[i][0]:
-        tok, i = tokens[i][0], i + 1
-        if tok in _CLOSER:
-            opened.append(len(names))
-            continue
-        start = opened.pop() if tok in ("]", ")") else len(names)
-        if tok == "]":  # [w](a) is one item: w's names, then a
-            names.append(tokens[i + 1])
-            i += 3
-        elif tok != ")":
-            names.append(tokens[i - 1])
-        if tokens[i][0][:1] == "^":
-            if int(tokens[i][0][1:]) == 0:
-                del names[start:]
-            i += 1
-    for name, at in names:
-        if name not in registry.curves:
-            raise UnknownCurve(name, line, col + at + 1)
+    registry lacks, if the word keeps it: a name under ^0 does not count.
+    _read reads the exact tokens again, each such name spelled Q\\0<offset>,
+    which no registry holds, so the letters hold the markers the word keeps."""
+    tokens = _exact_tokens(text, line, col)
+    for i, m in enumerate(re.finditer(_TOKEN, text)):
+        name, caret, power = tokens[i].partition("^")
+        if name[:1].isalpha() and _UNICODE_NAMES.get(name, name) not in registry.curves:
+            tokens[i] = f"Q\0{m.start(1)}{caret}{power}"
+    letters = _read(iter(tokens), line, {}, _exact_item)[0]
+    kept = [l.curve.name for l in registry.flat_word(letters) if l.curve.name[:2] == "Q\0"]
+    if kept:
+        at = min(int(name[2:]) for name in kept)
+        name = re.match(_NAME, text[at:])[0]
+        raise UnknownCurve(_UNICODE_NAMES.get(name, name), line, col + at + 1)
 
 
 def parse_relator(text: str, registry: Optional[Registry] = None) -> PositiveRelator:
@@ -270,20 +264,8 @@ def _relator(w: Word, label: str, line: int) -> PositiveRelator:
 # -- serialization ------------------------------------------------------------
 
 
-def serialize(value) -> str:
-    """Serialize a word, relator, script, or document to canonical ASCII."""
-    if isinstance(value, PositiveRelator):
-        return word_str(value.word)
-    if isinstance(value, MoveScript):
-        return _serialize_script(value)
-    if isinstance(value, Document):
-        return serialize_document(value)
-    if type(value) is tuple:  # a word; a record is a tuple subclass
-        return word_str(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _serialize_script(script: MoveScript) -> str:
+def serialize(script: MoveScript) -> str:
+    """A script as the text parse_document reads back, in canonical ASCII."""
     lines = [f"script {script.name}"]
     label = f" label={script.start_label}" if script.start_label else ""
     lines.append(f"start{label}: {word_str(script.start)}")
@@ -296,15 +278,6 @@ def _serialize_script(script: MoveScript) -> str:
             lines.append(describe(entry))
     lines.append("end")
     return "\n".join(lines)
-
-
-def serialize_document(doc: "Document") -> str:
-    chunks = []
-    for name, rel in doc.relators.items():
-        chunks.append(f"relator {name} = {word_str(rel.word)}")
-    for script in doc.scripts.values():
-        chunks.append(_serialize_script(script))
-    return "\n\n".join(chunks) + "\n"
 
 
 # -- script / document parsing --------------------------------------------------

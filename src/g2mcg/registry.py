@@ -8,9 +8,9 @@ conjugated-copy curves Y1, Y2, Yc.  Each curve carries a separating flag
 and an integer homology class in the basis (a1, b1, a2, b2).
 
 The standard atlas is data, kept in one place: the packaged text file
-corpus/standard.reg, in the format of Registry.serialize and
-Registry.parse.  standard_registry() parses that file; a --registry file
-in the same format replaces it.
+corpus/standard.reg, in the format Registry.parse reads, which is the
+only definition of that format.  standard_registry() parses that file; a
+--registry file in the same format replaces it.
 
 validate() certifies every class in the file, each identity once, by exact
 checks whose Verdicts are proved or refuted (inconclusive only for a defn:
@@ -480,26 +480,12 @@ class Registry:
             "expected exactly the three standard lantern instances")
         return checks
 
-    # -- text serialization ------------------------------------------------------
-
-    def serialize(self) -> str:
-        lines = ["# genus-2 curve registry"]
-        for c in self.curves.values():
-            sep = "sep" if c.separating else "nonsep"
-            h = ",".join(str(x) for x in c.homology)
-            line = f"{c.name} {sep} h=({h})"
-            if c.defn is not None:
-                line += f" def={c.defn!r}"
-            lines.append(line)
-        for inst in self.lanterns.values():
-            lines.append(
-                f"{inst.ident}: {' '.join(inst.lhs)} = {' '.join(inst.rhs)}"
-            )
-        return "\n".join(lines) + "\n"
-
     @staticmethod
     def parse(text: str) -> "Registry":
-        """Read the text of serialize(); a malformed line raises ParseError."""
+        """The registry a text spells, in the format that this reader alone
+        defines: per line a '#' comment, a curve ``NAME sep|nonsep
+        h=(a1,b1,a2,b2) [def=[w](a)]`` or a lantern ``IDENT: NAMES = NAMES``.
+        A malformed line raises ParseError."""
         from .dsl import ParseError, parse_word
 
         curves: dict[str, CurveData] = {}

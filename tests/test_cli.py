@@ -407,8 +407,7 @@ def test_registry_check_standard(capsys):
 
 
 def test_registry_check_corrupted(tmp_path, capsys):
-    reg = standard_registry()
-    text = reg.serialize().replace("d sep h=(0,0,0,0)", "d nonsep h=(0,0,0,0)")
+    text = read_text("standard.reg").replace("d sep h=(0,0,0,0)", "d nonsep h=(0,0,0,0)")
     p = tmp_path / "bad.reg"
     p.write_text(text)
     assert main(["--registry", str(p), "registry-check"]) == 1
@@ -439,9 +438,8 @@ def test_every_subcommand_honours_the_records_format(x0_file, capsys, argv):
 
 
 def test_registry_check_missing_lantern(tmp_path):
-    reg = standard_registry()
     lines = [
-        l for l in reg.serialize().splitlines() if not l.startswith("L3:")
+        l for l in read_text("standard.reg").splitlines() if not l.startswith("L3:")
     ]
     p = tmp_path / "partial.reg"
     p.write_text("\n".join(lines))

@@ -19,10 +19,11 @@ from pathlib import Path
 import pytest
 
 from g2mcg.cli import main
-from g2mcg.dsl import parse_document, serialize
+from g2mcg.dsl import parse_document, parse_word, serialize
 from g2mcg.fixtures import FILES, load_corpus, read_text
 from g2mcg.moves import replay
 from g2mcg.registry import PROVED, Registry, standard_registry
+from g2mcg.words import word_str
 
 GOLDEN = Path(__file__).with_name("golden") / "corpus_replay.txt"
 GOLDEN_VERIFY = GOLDEN.with_name("corpus_verify.txt")
@@ -61,8 +62,13 @@ def test_corpus_verify_matches_golden():
 
 @pytest.mark.parametrize("name", FILES)
 def test_serialize_is_a_fixed_point(name):
-    once = serialize(parse_document(read_text(name), reg))
-    assert serialize(parse_document(once, reg)) == once
+    doc = parse_document(read_text(name), reg)
+    for script in doc.scripts.values():
+        once = serialize(script)
+        assert serialize(parse_document(once, reg).scripts[script.name]) == once
+    for rel in doc.relators.values():
+        once = word_str(rel.word)
+        assert word_str(parse_word(once, reg)) == once
 
 
 # Text edits of standard.reg made by the CLI tests, and classes that the

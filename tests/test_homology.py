@@ -3,7 +3,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from g2mcg import homology as hom
 from g2mcg.dsl import parse_word
-from g2mcg.fixtures import load_corpus
+from g2mcg.fixtures import load_corpus, read_text
 from g2mcg.invariants import fiber_signature
 from g2mcg.moves import replay
 from g2mcg.registry import Registry, standard_registry
@@ -178,7 +178,7 @@ def test_image_equals_the_transvection_products_on_the_corpus():
 
 
 def test_replaying_the_corpus_takes_no_matrix_product(monkeypatch):
-    fresh = Registry.parse(reg.serialize())  # no letter cached yet
+    fresh = Registry.parse(read_text("standard.reg"))  # no letter cached yet
     corpus = load_corpus(fresh)
     calls = []
     mat_mul = hom.mat_mul

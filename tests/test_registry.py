@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from g2mcg import homology as hom
 from g2mcg.dsl import ParseError, parse_document, parse_word
+from g2mcg.fixtures import read_text
 from g2mcg.registry import PROVED, Registry, UnknownCurve, standard_registry
 from g2mcg.words import Curve, Letter, letter
 
@@ -28,7 +29,7 @@ def test_validate_multiplies_no_matrices(monkeypatch):
     calls = []
     real = hom.mat_mul
     monkeypatch.setattr(hom, "mat_mul", lambda a, b: calls.append(1) or real(a, b))
-    assert failed(Registry.parse(reg.serialize())) == set()  # cold caches
+    assert failed(Registry.parse(read_text("standard.reg"))) == set()  # cold caches
     assert calls == []
 
 
@@ -224,28 +225,12 @@ def test_canonical_curve_agrees_with_the_fixed_point_reference(c):
     first = reg.canonical_curve(c)
     assert first == _ref_canonical_curve(reg, c)
     assert reg.canonical_curve(first) == first
-    assert Registry.parse(reg.serialize()).canonical_curve(c) == first
+    assert Registry.parse(read_text("standard.reg")).canonical_curve(c) == first
 
 
 def test_canonical_curve_agrees_with_the_reference_on_the_corpus():
     for c in corpus_curves():
         assert reg.canonical_curve(c) == _ref_canonical_curve(reg, c), c
-
-
-def test_serialization_roundtrip():
-    text = reg.serialize()
-    again = Registry.parse(text)
-    assert again.curves == reg.curves
-    assert again.lanterns == reg.lanterns
-    assert failed(again) == set()
-
-
-def test_registry_file_fixture_matches_builtin():
-    # The built-in atlas is the packaged file, and serializes back to it.
-    from importlib import resources
-
-    shipped = resources.files("g2mcg").joinpath("corpus", "standard.reg").read_bytes()
-    assert reg.serialize().encode("utf-8") == shipped
 
 
 def test_replace_changes_one_curve_or_drops_one_lantern():
@@ -271,8 +256,8 @@ def test_replace_changes_one_curve_or_drops_one_lantern():
     "c1 nonsep h=(1,0,0,0) def=[c3](c2) c4",
     "c1 is a curve",
     # a second line for a curve or a lantern would silently replace the first
-    pytest.param(reg.serialize() + "x nonsep h=(1,0,1,0)\n", id="duplicate curve"),
-    pytest.param(reg.serialize() + "L1: c1 c1 c3 c3 = kb hb c5\n", id="duplicate lantern"),
+    pytest.param(read_text("standard.reg") + "x nonsep h=(1,0,1,0)\n", id="duplicate curve"),
+    pytest.param(read_text("standard.reg") + "L1: c1 c1 c3 c3 = kb hb c5\n", id="duplicate lantern"),
 ])
 def test_parse_rejects_malformed_lines(text):
     with pytest.raises(ParseError):
@@ -288,7 +273,7 @@ _BAD_B2 = "B2 nonsep h=(1,0,1,0) def=[c3^-1 @](x)"
     ("checkpoint", "script s\nstart: c1\ncheckpoint label=m: c1 . c2 ^\nend\n", (3, 29)),
     ("final", "script s\nstart: c1\nfinal: h\u00af c1 @\nend\n", (3, 14)),
     ("move", "script s\nstart: c1\nC by=c1 · @\nend\n", (3, 11)),
-    ("def", standard_registry().serialize().replace("B2 nonsep h=(1,0,1,0) def=[c3^-1](x)", _BAD_B2),
+    ("def", read_text("standard.reg").replace("B2 nonsep h=(1,0,1,0) def=[c3^-1](x)", _BAD_B2),
      (15, 34)),
 ], ids=["relator", "start", "checkpoint", "final", "move", "def"])
 def test_a_bad_character_gives_its_raw_column_in_every_word_slot(slot, text, where):
@@ -343,7 +328,7 @@ def test_a_canonical_curve_is_its_own_canonical_form():
     # with an empty cache must agree
     for c in corpus_curves():
         first = reg.canonical_curve(c)
-        assert Registry.parse(reg.serialize()).canonical_curve(first) == first
+        assert Registry.parse(read_text("standard.reg")).canonical_curve(first) == first
 
 
 def test_canonical_letter_returns_a_canonical_letter_itself():
