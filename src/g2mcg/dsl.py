@@ -14,9 +14,10 @@ word w.  No word may expand past MAX_LETTERS letters once flattened, each
 may the inside w a of any [w](a), though a power ^0 drops it; the brackets
 open at one point of a word hold at most MAX_LETTERS letters between them.
 A document reads each distinct item (a name or a flat [w](a), with its
-power) once, so its words share their letters.  Unicode input is accepted
-for a few names (the Greek delta and macron accents map to d, kb, hb);
-output is always ASCII.
+power) once, so its words share their letters, and checks each curve name
+against the registry once, when the item that names it is first read.
+Unicode input is accepted for a few names (the Greek delta and macron
+accents map to d, kb, hb); output is always ASCII.
 
 One loop, _read, reads a word, from its runs of text between whitespace
 when each not yet in the item memo is a form word_str prints (an ASCII name
@@ -47,6 +48,7 @@ ignored.
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Optional, get_args, get_type_hints
 
 from .moves import (
@@ -103,13 +105,25 @@ def parse_word(text: str, registry: Optional[Registry] = None, line: int = 0, co
 
 
 def _parse_word(text: str, registry: Optional[Registry], line: int, col: int, memo: dict) -> Word:
+    """The word of ``text``, whose items ``memo`` shares with the other words
+    of its document.  Only the names of the items this word adds to the memo
+    are checked against the registry: an item an earlier word added was
+    checked then, and if that word did not keep it, as it stood under ^0, its
+    letters hold none of its names.
+
+    The entries this word added are the last len(memo) - known, as the memo
+    changes in two places only: _item's setdefault adds an entry at its end,
+    and a closer under ^0 in _read pops back to the size the memo had when
+    its bracket opened, so never below ``known``."""
     tokens, item = _SPLIT_RE.findall(text), _item
     if not all(map(_EASY_RE.fullmatch, set(tokens).difference(memo))):  # nor the empty token
         tokens, item = iter(_exact_tokens(text, line, col)), _exact_item
-    letters, names, _ = _read(tokens, line, memo, item)
+    known = len(memo)
+    letters = _read(tokens, line, memo, item)[0]
+    assert len(memo) >= known, "the memo popped entries of an earlier word"
     if registry is not None:
-        curves = registry.curves.keys()
-        if not all(map(curves.__ge__, set(names))):
+        added = islice(reversed(memo.values()), len(memo) - known)
+        if not registry.curves.keys() >= frozenset().union(*[names for _, names, _ in added]):
             _check_curves(text, registry, line, col)
     return letters
 
@@ -130,28 +144,26 @@ def _exact_item(tok: str, line: int, memo: dict) -> tuple[Word, frozenset[str], 
     return _item(tok, line, memo) if tok[0].isalpha() else _NO_ITEM
 
 
-def _read(tokens: Iterable[str], line: int, memo: dict, item: Callable) -> tuple[Word, list, int]:
-    """Tokens read as one word: its letters, the curve names of each item and
-    its flattened length, checked before each item's or bracket's letters
-    join, so a long line joins at most one item past the bound and its error
-    comes first.  ``item`` reads a token the memo lacks; exact tokens come as
-    an iterator, from which a ']' takes the (a) of its [w](a)."""
+def _read(tokens: Iterable[str], line: int, memo: dict, item: Callable) -> tuple[Word, int]:
+    """Tokens read as one word: its letters and its flattened length, checked
+    before each item's or bracket's letters join, so a long line joins at most
+    one item past the bound and its error comes first.  ``item`` reads a token
+    the memo lacks, into the memo; exact tokens come as an iterator, from which
+    a ']' takes the (a) of its [w](a)."""
     # a plain loop, then tuple(letters): a tuple built from an iterator grows
     # by realloc, which over many documents fragmented the C heap
     letters: list[Letter] = []
-    names: list[frozenset[str]] = []
     size, limit = 0, MAX_LETTERS  # the letters this level holds, and may hold
     # per open bracket: its closer, the word before it, that word's size and
     # limit, and the memo's size, to which a closer under ^0 returns it
     stack: list[tuple[str, list[Letter], int, int, int]] = []
     while True:
         for tok in tokens:
-            word, item_names, n = memo.get(tok) or item(tok, line, memo)
+            word, _, n = memo.get(tok) or item(tok, line, memo)
             size += n
             if size > limit:  # past the bound, or a token that is no item
                 break
             letters += word
-            names.append(item_names)
         else:
             break
         if n != _NO_ITEM[2]:  # past the bound
@@ -163,25 +175,24 @@ def _read(tokens: Iterable[str], line: int, memo: dict, item: Callable) -> tuple
             continue
         if not stack or tok[0] != stack[-1][0]:
             raise ParseError(f"unexpected token {tok.partition('^')[0] or tok!r}", line)
-        base, n, a_names = tuple(letters), size, frozenset()
+        base, n = tuple(letters), size
         closer, letters, size, limit, kept = stack.pop()
         if closer == "]":  # [w](a): (a) follows, then the power
             _expect(tok[1:] or next(tokens, ""), "(", line)
             name, caret, power = _expect(next(tokens, ""), "", line).partition("^")
             tok = _expect(caret + power or next(tokens, ""), ")", line)  # a power is no ')'
             _check_size(n + 1, line)  # the inside, w a, is bounded as a word is
-            a, a_names, _ = _item(name, line, memo)
+            a = _item(name, line, memo)[0]
             base, n = (push(a[0], base),), 2 * n + 1  # a pushed by w
         exp = int(tok[2:]) if tok[1:] else 1  # the closer's power
-        while not exp and len(memo) > kept:  # the memo grows only by setdefault
+        while not exp and len(memo) > kept:  # back to its size at the opener, no further
             memo.popitem()
         size += n * abs(exp)
         _check_size(size, line, limit)
         letters += _power(base, n, exp, line)
-        names.append(a_names)
     if stack:
         raise ParseError("unexpected end of word", line)
-    return tuple(letters), names, size
+    return tuple(letters), size
 
 
 def _expect(tok: str, expected: str, line: int) -> str:
@@ -198,7 +209,10 @@ def _expect(tok: str, expected: str, line: int) -> str:
 def _item(tok: str, line: int, memo: dict) -> tuple[Word, frozenset[str], int]:
     """The letters, curve names and flattened length of an item token, a name
     or, from the one-pass tokens, a flat [w](a) or a group, with its power, read
-    once per ``memo``: one parse_document or parse_word call's, whose words share it."""
+    once per ``memo``: one parse_document or parse_word call's, whose words share it.
+    Its names are those of its letters that no other item in the memo holds: a
+    name's own, the a of a [w](a) (each of w is an item), none for a group (each
+    of its items is one), and a power's base's."""
     if tok in memo:
         return memo[tok]
     power = tok.rfind("^")
@@ -210,15 +224,15 @@ def _item(tok: str, line: int, memo: dict) -> tuple[Word, frozenset[str], int]:
         value = _power(letters, n, exp, line), names, n * abs(exp)
     elif tok[0] == "[":  # [w](a), w names with their powers, each an item
         *w, a = tok[1:-1].replace("]", " ").replace("(", " ").split()
-        conj, names, n = _read(w, line, memo, _item)
+        conj, n = _read(w, line, memo, _item)
         _check_size(n + 1, line)  # the inside, w a, is bounded as a word is
-        value = (Letter(Curve(a, conj)),), frozenset((a,)).union(*names), 2 * n + 1  # w a w^-1
+        value = (Letter(Curve(a, conj)),), frozenset((a,)), 2 * n + 1  # w a w^-1
     elif tok[0] == "(":  # a group of items, not kept: the memo keeps its power
-        letters, names, n = _read(_SPLIT_RE.findall(tok[1:-1]), line, memo, _item)
-        return letters, frozenset().union(*names), n
+        letters, n = _read(_SPLIT_RE.findall(tok[1:-1]), line, memo, _item)
+        return letters, frozenset(), n
     else:
         value = (Letter(Curve(tok)),), frozenset((tok,)), 1
-    return memo.setdefault(tok, value)
+    return memo.setdefault(tok, value)  # the memo's only insert: at its end
 
 
 def _check_size(size: int, line: int, limit: int = MAX_LETTERS) -> None:

@@ -61,7 +61,7 @@ class InvariantSet(NamedTuple):
 
 def fiber_signature(reg: Registry, r: PositiveRelator | Word) -> FiberSignature:
     w = r.word if isinstance(r, PositiveRelator) else r
-    s = sum(1 for l in w if reg.separating(l.curve))
+    s = reg.count_separating(w)
     return FiberSignature(len(w) - s, s)
 
 

@@ -424,13 +424,14 @@ class ReplayReport:
 
 
 def _tally(reg: Registry, w: Word) -> tuple[int, int]:
-    """(inverse letters, separating letters) of w: a word with no inverse
-    letter has the signature (n,s) = (len(w) - separating, separating)."""
-    inverse = separating = 0
+    """(inverse letters, separating letters) of w, with no method call a
+    letter; a loop, as most calls count a move's span of a few letters.  A
+    word with no inverse letter has the signature (n,s) = (len(w) -
+    separating, separating)."""
+    inverse = 0
     for l in w:
         inverse += l.exp != 1
-        separating += reg.separating(l.curve)
-    return inverse, separating
+    return inverse, reg.count_separating(w)
 
 
 def _rewritten_span(old: Word, new: Word) -> tuple[int, int, int]:

@@ -235,6 +235,18 @@ class Registry:
     def separating(self, curve: Curve) -> bool:
         return self.data(curve.name).separating
 
+    def count_separating(self, w: Word) -> int:
+        """The letters of w whose curve is separating, by one dict lookup a
+        letter; the first name the registry lacks raises UnknownCurve, as
+        separating does."""
+        curves, n = self.curves, 0
+        try:
+            for l in w:
+                n += curves[l.curve.name].separating
+        except KeyError as exc:
+            raise UnknownCurve(exc.args[0]) from None
+        return n
+
     def homology_class(self, curve: Curve) -> Vec:
         """The class of w(a): the image of w applied to a's class."""
         v = self.data(curve.name).homology
@@ -375,7 +387,9 @@ class Registry:
         return l if curve is l.curve else Letter(curve, l.exp)
 
     def canonical_word(self, w: Word) -> Word:
-        return tuple([self.canonical_letter(l) for l in w])
+        """Each letter's normal form; a plain letter is its own, and takes no call."""
+        canonical = self.canonical_letter
+        return tuple([canonical(l) if l.curve.conj else l for l in w])
 
     def words_equal(self, u: Word, v: Word) -> bool:
         return self.canonical_word(u) == self.canonical_word(v)

@@ -621,6 +621,110 @@ def test_unknown_curve_under_zero_power_is_dropped():
         parse_word("c2 [c1](nope)", reg)
 
 
+@pytest.mark.parametrize("first, again, raised_by", [
+    ("c1 zz", "c1 zz", "first"),  # the first occurrence raises, not a later one
+    ("c1 zz", "c1 zz^0", "first"),
+    ("c2 [zz](c1)^0", "c2 [zz](c1)", "again"),  # one-pass: the base under ^0 is read apart
+    ("c2 [zz]( c1 )^0", "[zz](c1)", "again"),  # exact: the bracket's items are popped
+    ("[c1 zz^0](c2)", "zz", "again"),
+    ("(c1 zz)^0 c2", "c2 (c1 zz)^2", "again"),
+    ("(c1 zz^0)^2", "(c1 zz^0)^2 c1.zz", "again"),
+])
+def test_an_unknown_curve_raises_where_a_word_first_keeps_it(first, again, raised_by):
+    text = f"script s\nstart: {first}\ncheckpoint: {again}\nfinal: {again}\nend\n"
+    line, prefix, word = (2, "start: ", first) if raised_by == "first" else (3, "checkpoint: ", again)
+    col = len(prefix) + word.rindex("zz") + 1
+    with pytest.raises(UnknownCurve) as err:
+        parse_document(text, reg)
+    assert (err.value.name, err.value.line, err.value.col) == ("zz", line, col)
+    parse_document(text.replace("zz", "c3"), reg)  # well-formed once zz is a known name
+
+
+# Word texts whose items hold names the registry lacks under ^0, inside [w](a)
+# and inside groups, on the one-pass tokens and, through a '.', a blank before
+# a power, a blank inside (a) or a Unicode name, on the exact tokens.
+_REUSE_NAMES = st.sampled_from(["c1", "c2", "c3", "d", "x", "kb", "zz", "nope"] * 4 + ["δ", "k\u0304"])
+_REUSE_POWERS = st.sampled_from(["", "", "", "^0", "^0", "^2", "^-1"] * 3 + [" ^0"])
+_REUSE_BLANKS = st.sampled_from([" "] * 8 + ["  ", ".", " . "])
+
+
+def _reuse_word(items):
+    return st.builds(lambda items, blank: blank.join(items), st.lists(items, min_size=1, max_size=3),
+                     _REUSE_BLANKS)
+
+
+_reuse_texts = _reuse_word(st.recursive(
+    st.builds(str.__add__, _REUSE_NAMES, _REUSE_POWERS),
+    lambda inner: st.builds(
+        str.format, st.sampled_from(["[{0}]({1}){2}"] * 4 + ["[{0}]( {1} ){2}"] + ["({0}){2}"] * 3),
+        _reuse_word(inner), _REUSE_NAMES, _REUSE_POWERS,
+    ),
+    max_leaves=6,
+))
+
+
+@st.composite
+def _reusing_documents(draw):
+    """(relator texts, script word texts): each drawn from one small pool, so
+    that texts recur, the script's first word its start and last its final."""
+    pool = draw(st.lists(_reuse_texts, min_size=1, max_size=4))
+    texts = st.sampled_from(pool)
+    return draw(st.lists(texts, max_size=2)), draw(st.lists(texts, min_size=1, max_size=5))
+
+
+def _reuse_document(relators, words):
+    lines = [f"relator r{i} = {t}" for i, t in enumerate(relators)] + ["script s"]
+    lines += [f"start: {words[0]}"] + [f"checkpoint: {t}" for t in words[1:-1]]
+    return "\n".join(lines + [f"final: {t}" for t in words[1:][-1:]] + ["end"])
+
+
+def _ref_reuse_words(relators, words, registry):
+    """The document's words by the reference parser, which reads each line's
+    word on its own and checks every name it keeps, though parse_document
+    checks each name once per document."""
+    out = []
+    for lineno, line in enumerate(_reuse_document(relators, words).splitlines(), 1):
+        prefix, colon, text = line.partition(": " if line[:1] != "r" else " = ")
+        if not colon:
+            continue
+        w = _ref_parse_word(" " * len(prefix + colon) + text, registry, lineno)
+        if line[:1] == "r" and any(l.exp != 1 for l in w):
+            raise ParseError("relator contains inverse letters", lineno)
+        out.append(w)
+    return out
+
+
+def _reuse_words(relators, words, registry):
+    doc = parse_document(_reuse_document(relators, words), registry)
+    script = doc.scripts["s"]
+    return [r.word for r in doc.relators.values()] + [script.start] + [e.word for e in script.entries]
+
+
+def _located_outcome(parse, *args):
+    try:
+        return parse(*args)
+    except (ParseError, UnknownCurve) as exc:
+        return type(exc), str(exc), exc.line, exc.col
+
+
+@settings(max_examples=400, deadline=None)
+@given(_reusing_documents(), st.sampled_from([None, reg]))
+@example(([], ["c1 [zz](c2)^0", "c1 [zz](c2)^0"]), reg)
+@example((["c2 [zz](c1)^0"], ["c2", "c2 [zz](c1)"]), reg)
+@example(([], ["c2 [zz]( c1 )^0", "[zz](c1)"]), reg)
+@example(([], ["(c1 nope)^0", "(c1 nope)^2"]), reg)
+@example(([], ["[c1 zz ^0](c2)", "[c1 zz^0](c2)", "zz"]), reg)
+@example((["c1 zz^0"], ["c1 zz^0", "δ.zz"]), reg)
+@example(([], ["c2", "[c1](nope)^2"]), reg)
+def test_a_document_that_reuses_its_word_texts_reads_as_the_reference(doc, registry):
+    # each name is checked once per document; the words, or the first error
+    # with its line and column, are the reference's, which reads and checks
+    # every line on its own
+    relators, words = doc
+    expected = _located_outcome(_ref_reuse_words, relators, words, registry)
+    assert _located_outcome(_reuse_words, relators, words, registry) == expected, doc
+
+
 # -- parse_document on arbitrary text -------------------------------------------
 
 _CORPUS_LINES = sorted({line for name in FILES for line in read_text(name).splitlines()})

@@ -24,8 +24,8 @@ from g2mcg.moves import (
     inverse_move,
     replay,
 )
-from g2mcg.invariants import FiberSignature, invariants
-from g2mcg.registry import Registry, standard_registry
+from g2mcg.invariants import FiberSignature, fiber_signature, invariants
+from g2mcg.registry import Registry, UnknownCurve, standard_registry
 from g2mcg.words import letter
 
 reg = standard_registry()
@@ -614,17 +614,18 @@ def test_replay_takes_one_whole_word_image_for_all_its_shifts(monkeypatch, start
 
 def test_a_shift_step_recounts_no_separating_letter(monkeypatch):
     # a rotation keeps the inverse and separating counts, so a replay of
-    # shifts asks for as many separating flags as one of no move: the start's
+    # shifts counts as many letters' separating flags as one of no move: the
+    # start's.  Every count goes through Registry.count_separating.
     w = reg.canonical_word(corpus.relators["X0"].word)
     shifts = (CyclicShift(3), CyclicShift(5), CyclicShift(len(w) - 1))
     calls = []
-    separating = Registry.separating
+    count_separating = Registry.count_separating
 
-    def counted(self, curve):
-        calls.append(curve)
-        return separating(self, curve)
+    def counted(self, letters):
+        calls.extend(letters)
+        return count_separating(self, letters)
 
-    monkeypatch.setattr(Registry, "separating", counted)
+    monkeypatch.setattr(Registry, "count_separating", counted)
     replay(reg, MoveScript("none", w, ()))
     at_start = len(calls)
     del calls[:]
@@ -632,6 +633,40 @@ def test_a_shift_step_recounts_no_separating_letter(monkeypatch):
     assert report.ok and len(calls) == at_start == len(w)
     monkeypatch.undo()
     assert_replay_matches_reference(MoveScript("shifts", w, shifts))
+
+
+def _tally_per_letter(registry, w):
+    """(inverse, separating) of w through Registry.data, one letter at a
+    time, and the fiber signature of w read from them."""
+    inverse = sum(l.exp != 1 for l in w)
+    separating = sum(bool(registry.data(l.curve.name).separating) for l in w)
+    return (inverse, separating), FiberSignature(len(w) - separating, separating)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except UnknownCurve as exc:
+        return UnknownCurve, exc.name
+
+
+_tally_names = st.sampled_from(["c1", "c2", "c5", "d", "h", "x", "kb", "B0", "zz", "nope"])
+_tally_letters = st.builds(
+    letter, _tally_names, st.sampled_from([1, -1]),
+    st.lists(st.builds(letter, _tally_names, st.sampled_from([1, -1])), max_size=2).map(tuple),
+)
+# flags that differ from the atlas's: the counts read each registry's own
+_tally_registries = (reg, reg.replace("c1", separating=True), reg.replace("d", separating=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_tally_letters, max_size=40).map(tuple), st.sampled_from(_tally_registries))
+def test_tally_and_fiber_signature_agree_with_a_per_letter_reference(w, registry):
+    # the first name the registry lacks raises, a conjugator's names count
+    # for nothing, and a letter counts by its own curve's flag
+    expected = _outcome(_tally_per_letter, registry, w)
+    counted = _outcome(lambda: (moves._tally(registry, w), fiber_signature(registry, w)))
+    assert counted == expected
 
 
 # c1 and c3 stay declared disjoint, but their classes now meet: canonical_curve
