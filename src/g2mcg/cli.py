@@ -29,7 +29,6 @@ from .registry import (
     PROVED,
     REFUTED,
     Registry,
-    UnknownCurve,
     Verdict,
     standard_registry,
 )
@@ -230,7 +229,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ParseError, UnknownCurve, OSError, UnicodeDecodeError) as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,8 +14,9 @@ word w.  No word may expand past MAX_LETTERS letters once flattened, each
 may the inside w a of any [w](a), though a power ^0 drops it; the brackets
 open at one point of a word hold at most MAX_LETTERS letters between them.
 A document reads each distinct item (a name or a flat [w](a), with its
-power) once, so its words share their letters, and checks each curve name
-against the registry once, when the item that names it is first read.
+power) once, so its words share their letters.  Every curve name a word
+writes is checked against the registry, one under ^0 too; a run of text the
+document has read before is not checked again.
 Unicode input is accepted for a few names (the Greek delta and macron
 accents map to d, kb, hb); output is always ASCII.
 
@@ -23,8 +24,7 @@ One loop, _read, reads a word, from its runs of text between whitespace
 when each not yet in the item memo is a form word_str prints (an ASCII name
 or flat [w](a), with its power) or a group (w)^k of them, else from its
 exact tokens, whose brackets a stack reads and which raise every syntax
-error.  The same loop locates a curve the registry lacks: it reads the
-word's exact tokens again with each such name marked by its offset.
+error.  A curve the registry lacks is located by a scan of the word's names.
 
 Script files are line oriented:
 
@@ -48,7 +48,6 @@ ignored.
 from __future__ import annotations
 
 import re
-from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Optional, get_args, get_type_hints
 
 from .moves import (
@@ -63,17 +62,8 @@ from .moves import (
     Nat,
     describe,
 )
-from .registry import Registry, UnknownCurve
+from .registry import ParseError, Registry, UnknownCurve
 from .words import Curve, Letter, PositiveRelator, Word, invert, push, word_str
-
-
-class ParseError(ValueError):
-    def __init__(self, message: str, line: int = 0, col: int = 0) -> None:
-        where = f" at line {line}" if line else ""
-        where += f", col {col}" if col else ""
-        super().__init__(message + where)
-        self.line = line
-        self.col = col
 
 
 _UNICODE_NAMES = {"δ": "d", "k\u0304": "kb", "h\u0304": "hb", "k\u00af": "kb", "h\u00af": "hb"}
@@ -92,10 +82,11 @@ _SPLIT_RE = re.compile(r"\s*([^\s\[(]\S*|\[[^\]]*\]\S*|\((?:[^()]|\([^()]*\))*\)
 _ASCII, _POWER = r"[A-Za-z][A-Za-z0-9]*", r"(?:\^-?\d+)?"
 _EASY_ITEM = rf"(?:{_ASCII}|\[(?:\s*{_ASCII}{_POWER}(?=[\s\]]))*\s*\]\({_ASCII}\)){_POWER}"
 _EASY_RE = re.compile(rf"{_EASY_ITEM}|\((?:\s*{_EASY_ITEM}(?=[\s)]))*\s*\){_POWER}")
+_ASCII_RE = re.compile(_ASCII)  # the curve names in them
 MAX_LETTERS = 100_000  # per flattened word, checked before each power expands
 # What an exact bracket or power reads as: a length past any bound, at which
 # _read's check of the bound stops, so that items pay no test for it
-_NO_ITEM = (), frozenset(), 1 << 62
+_NO_ITEM = (), 1 << 62
 
 
 def parse_word(text: str, registry: Optional[Registry] = None, line: int = 0, col: int = 0) -> Word:
@@ -106,25 +97,18 @@ def parse_word(text: str, registry: Optional[Registry] = None, line: int = 0, co
 
 def _parse_word(text: str, registry: Optional[Registry], line: int, col: int, memo: dict) -> Word:
     """The word of ``text``, whose items ``memo`` shares with the other words
-    of its document.  Only the names of the items this word adds to the memo
-    are checked against the registry: an item an earlier word added was
-    checked then, and if that word did not keep it, as it stood under ^0, its
-    letters hold none of its names.
-
-    The entries this word added are the last len(memo) - known, as the memo
-    changes in two places only: _item's setdefault adds an entry at its end,
-    and a closer under ^0 in _read pops back to the size the memo had when
-    its bracket opened, so never below ``known``."""
+    of its document.  The names of the tokens new to the memo are checked
+    against the registry, or on the exact tokens all of the word's: a token
+    in the memo was checked with the word that put it there."""
     tokens, item = _SPLIT_RE.findall(text), _item
-    if not all(map(_EASY_RE.fullmatch, set(tokens).difference(memo))):  # nor the empty token
-        tokens, item = iter(_exact_tokens(text, line, col)), _exact_item
-    known = len(memo)
+    new = set(tokens).difference(memo)
+    if not all(map(_EASY_RE.fullmatch, new)):  # nor the empty token
+        tokens, item, new = iter(_exact_tokens(text, line, col)), _exact_item, None
     letters = _read(tokens, line, memo, item)[0]
-    assert len(memo) >= known, "the memo popped entries of an earlier word"
-    if registry is not None:
-        added = islice(reversed(memo.values()), len(memo) - known)
-        if not registry.curves.keys() >= frozenset().union(*[names for _, names, _ in added]):
-            _check_curves(text, registry, line, col)
+    if registry is not None and (
+        new is None or not registry.curves.keys() >= set(_ASCII_RE.findall(" ".join(new)))
+    ):
+        _check_curves(text, registry, line, col)
     return letters
 
 
@@ -139,7 +123,7 @@ def _exact_tokens(text: str, line: int, col: int) -> list[str]:
     return [gap.sub("^", _UNICODE_NAMES.get(t, t)) for t in tokens]
 
 
-def _exact_item(tok: str, line: int, memo: dict) -> tuple[Word, frozenset[str], int]:
+def _exact_item(tok: str, line: int, memo: dict) -> tuple[Word, int]:
     """An exact token read as _item reads it, or a bracket or a power as _NO_ITEM."""
     return _item(tok, line, memo) if tok[0].isalpha() else _NO_ITEM
 
@@ -159,14 +143,14 @@ def _read(tokens: Iterable[str], line: int, memo: dict, item: Callable) -> tuple
     stack: list[tuple[str, list[Letter], int, int, int]] = []
     while True:
         for tok in tokens:
-            word, _, n = memo.get(tok) or item(tok, line, memo)
+            word, n = memo.get(tok) or item(tok, line, memo)
             size += n
             if size > limit:  # past the bound, or a token that is no item
                 break
             letters += word
         else:
             break
-        if n != _NO_ITEM[2]:  # past the bound
+        if n != _NO_ITEM[1]:  # past the bound
             _check_size(size, line, limit)
         size -= n
         if tok in _CLOSER:  # an opener: the open brackets share one bound
@@ -206,13 +190,10 @@ def _expect(tok: str, expected: str, line: int) -> str:
     return tok
 
 
-def _item(tok: str, line: int, memo: dict) -> tuple[Word, frozenset[str], int]:
-    """The letters, curve names and flattened length of an item token, a name
-    or, from the one-pass tokens, a flat [w](a) or a group, with its power, read
-    once per ``memo``: one parse_document or parse_word call's, whose words share it.
-    Its names are those of its letters that no other item in the memo holds: a
-    name's own, the a of a [w](a) (each of w is an item), none for a group (each
-    of its items is one), and a power's base's."""
+def _item(tok: str, line: int, memo: dict) -> tuple[Word, int]:
+    """The letters and flattened length of an item token, a name or, from the
+    one-pass tokens, a flat [w](a) or a group, with its power, read once per
+    ``memo``: one parse_document or parse_word call's, whose words share it."""
     if tok in memo:
         return memo[tok]
     power = tok.rfind("^")
@@ -220,18 +201,17 @@ def _item(tok: str, line: int, memo: dict) -> tuple[Word, frozenset[str], int]:
         base = tok[:power]
         exp = int(tok[power + 1 :])
         # a base under ^0 is read in a memo of its own, so that none of it is kept
-        letters, names, n = _item(_UNICODE_NAMES.get(base, base), line, memo if exp else {})
-        value = _power(letters, n, exp, line), names, n * abs(exp)
+        letters, n = _item(_UNICODE_NAMES.get(base, base), line, memo if exp else {})
+        value = _power(letters, n, exp, line), n * abs(exp)
     elif tok[0] == "[":  # [w](a), w names with their powers, each an item
         *w, a = tok[1:-1].replace("]", " ").replace("(", " ").split()
         conj, n = _read(w, line, memo, _item)
         _check_size(n + 1, line)  # the inside, w a, is bounded as a word is
-        value = (Letter(Curve(a, conj)),), frozenset((a,)), 2 * n + 1  # w a w^-1
+        value = (Letter(Curve(a, conj)),), 2 * n + 1  # w a w^-1
     elif tok[0] == "(":  # a group of items, not kept: the memo keeps its power
-        letters, n = _read(_SPLIT_RE.findall(tok[1:-1]), line, memo, _item)
-        return letters, frozenset(), n
+        return _read(_SPLIT_RE.findall(tok[1:-1]), line, memo, _item)
     else:
-        value = (Letter(Curve(tok)),), frozenset((tok,)), 1
+        value = (Letter(Curve(tok)),), 1
     return memo.setdefault(tok, value)  # the memo's only insert: at its end
 
 
@@ -249,20 +229,11 @@ def _power(base: Word, size: int, exp: int, line: int) -> Word:
 
 def _check_curves(text: str, registry: Registry, line: int, col: int) -> None:
     """Raise UnknownCurve at the first name of a well-formed word that the
-    registry lacks, if the word keeps it: a name under ^0 does not count.
-    _read reads the exact tokens again, each such name spelled Q\\0<offset>,
-    which no registry holds, so the letters hold the markers the word keeps."""
-    tokens = _exact_tokens(text, line, col)
-    for i, m in enumerate(re.finditer(_TOKEN, text)):
-        name, caret, power = tokens[i].partition("^")
-        if name[:1].isalpha() and _UNICODE_NAMES.get(name, name) not in registry.curves:
-            tokens[i] = f"Q\0{m.start(1)}{caret}{power}"
-    letters = _read(iter(tokens), line, {}, _exact_item)[0]
-    kept = [l.curve.name for l in registry.flat_word(letters) if l.curve.name[:2] == "Q\0"]
-    if kept:
-        at = min(int(name[2:]) for name in kept)
-        name = re.match(_NAME, text[at:])[0]
-        raise UnknownCurve(_UNICODE_NAMES.get(name, name), line, col + at + 1)
+    registry lacks, one under ^0 too."""
+    for m in re.finditer(_NAME, text):
+        name = _UNICODE_NAMES.get(m[0], m[0])
+        if name not in registry.curves:
+            raise UnknownCurve(name, line, col + m.start() + 1)
 
 
 def parse_relator(text: str, registry: Optional[Registry] = None) -> PositiveRelator:

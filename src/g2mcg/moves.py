@@ -361,6 +361,7 @@ def _apply(reg: Registry, w: Word, move: Move,
 
     if isinstance(move, Alias):
         _need(move, move.rel in reg.aliases, f"unknown alias relation {move.rel}")
+        _need(move, move.direction in ("fwd", "rev"), f"unknown direction {move.direction!r}")
         rel = reg.aliases[move.rel]
         src, dst = (rel.lhs, rel.rhs) if move.direction == "fwd" else (rel.rhs, rel.lhs)
         span = w[move.pos : move.pos + len(src)]

@@ -61,17 +61,21 @@ from .words import (
 )
 
 
-class UnknownCurve(KeyError):
+class ParseError(ValueError):
+    def __init__(self, message: str, line: int = 0, col: int = 0) -> None:
+        where = f" at line {line}" if line else ""
+        where += f", col {col}" if col else ""
+        super().__init__(message + where)
+        self.line = line
+        self.col = col
+
+
+class UnknownCurve(ParseError):
     """A curve name the registry lacks, at ``line`` and ``col`` of its text when known."""
 
     def __init__(self, name: str, line: int = 0, col: int = 0) -> None:
-        super().__init__(name)
-        self.name, self.line, self.col = name, line, col
-
-    def __str__(self) -> str:  # KeyError would quote the bare name
-        from .dsl import ParseError  # dsl imports this module
-
-        return str(ParseError(f"unknown curve {self.name!r}", self.line, self.col))
+        super().__init__(f"unknown curve {name!r}", line, col)
+        self.name = name
 
 
 class CurveData(NamedTuple):
@@ -500,7 +504,7 @@ class Registry:
         defines: per line a '#' comment, a curve ``NAME sep|nonsep
         h=(a1,b1,a2,b2) [def=[w](a)]`` or a lantern ``IDENT: NAMES = NAMES``.
         A malformed line raises ParseError."""
-        from .dsl import ParseError, parse_word
+        from .dsl import parse_word
 
         curves: dict[str, CurveData] = {}
         lanterns: dict[str, LanternInstance] = {}

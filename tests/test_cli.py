@@ -41,6 +41,13 @@ def test_verify_fails_on_single_letter(tmp_path, capsys):
     assert "image != identity" in capsys.readouterr().out
 
 
+def test_verify_says_why_the_invariants_are_undefined(tmp_path, capsys):
+    p = tmp_path / "r.mcg"
+    p.write_text("relator r = c1 d d")  # (n,s) = (1,2): chi_h is not integral
+    assert main(["verify", str(p)]) == 1
+    assert "  invariants undefined: sigma+e = -2 is not divisible by 4\n" in capsys.readouterr().out
+
+
 def test_verify_matsumoto(tmp_path, capsys):
     p = tmp_path / "m.mcg"
     p.write_text("(B0 B1 B2 d)^2")
@@ -242,6 +249,13 @@ def test_replay_file_with_illegal_swap(tmp_path, capsys):
     )
     assert main(["replay", str(p)]) == 1
     assert "not declared disjoint" in capsys.readouterr().out
+
+
+def test_replay_of_a_file_without_scripts_exits_2(tmp_path, capsys):
+    p = tmp_path / "r.mcg"
+    p.write_text("relator r = c1 d d\n")
+    assert main(["replay", str(p)]) == 2
+    assert capsys.readouterr().err == "no scripts found\n"
 
 
 def test_replay_missing_builtin(capsys):

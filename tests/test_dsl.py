@@ -327,6 +327,8 @@ def test_script_errors():
         parse_document("L @0 inst=L9 dir=down")
     with pytest.raises(ParseError):
         parse_document("script x\nstart: c1\nL @0 inst=L9 dir=down\nend", reg)
+    with pytest.raises(ParseError, match="^bad relator definition at line 1$"):
+        parse_document("relator r c1")
 
 
 @pytest.mark.parametrize("body, message", [
@@ -443,7 +445,6 @@ class _RefWordParser:
             letters.extend(self._item())
 
     def _item(self) -> Word:
-        mark = len(self.names)
         tok = self.peek()
         tok = self.take_name() if tok and tok[0].isalpha() else self.take()
         if tok == "[":
@@ -465,8 +466,6 @@ class _RefWordParser:
         exp = 1
         if self.peek() is not None and self.peek().startswith("^"):
             exp = int(self.take()[1:])
-        if exp == 0:  # the names under ^0 are not in the word
-            del self.names[mark:]
         if exp >= 0:
             out = base * exp
         else:
@@ -615,8 +614,10 @@ def test_two_documents_share_no_conjugate_letter():
     assert not shared
 
 
-def test_unknown_curve_under_zero_power_is_dropped():
-    assert parse_word("[nope](c1)^0 c2", reg) == (letter("c2"),)
+def test_unknown_curve_under_zero_power_is_an_error():
+    assert parse_word("[c3](c1)^0 c2", reg) == (letter("c2"),)
+    with pytest.raises(UnknownCurve, match="^unknown curve 'nope', col 2$"):
+        parse_word("[nope](c1)^0 c2", reg)
     with pytest.raises(UnknownCurve, match="nope"):
         parse_word("c2 [c1](nope)", reg)
 
@@ -624,16 +625,16 @@ def test_unknown_curve_under_zero_power_is_dropped():
 @pytest.mark.parametrize("first, again, raised_by", [
     ("c1 zz", "c1 zz", "first"),  # the first occurrence raises, not a later one
     ("c1 zz", "c1 zz^0", "first"),
-    ("c2 [zz](c1)^0", "c2 [zz](c1)", "again"),  # one-pass: the base under ^0 is read apart
-    ("c2 [zz]( c1 )^0", "[zz](c1)", "again"),  # exact: the bracket's items are popped
-    ("[c1 zz^0](c2)", "zz", "again"),
-    ("(c1 zz)^0 c2", "c2 (c1 zz)^2", "again"),
-    ("(c1 zz^0)^2", "(c1 zz^0)^2 c1.zz", "again"),
+    ("c2 [zz](c1)^0", "c2 [zz](c1)", "first"),  # one-pass tokens: a name under ^0 raises too
+    ("c2 [zz]( c1 )^0", "[zz](c1)", "first"),  # exact tokens: likewise
+    ("[c1 zz^0](c2)", "zz", "first"),
+    ("(c1 zz)^0 c2", "c2 (c1 zz)^2", "first"),
+    ("(c1 zz^0)^2", "(c1 zz^0)^2 c1.zz", "first"),
 ])
 def test_an_unknown_curve_raises_where_a_word_first_keeps_it(first, again, raised_by):
     text = f"script s\nstart: {first}\ncheckpoint: {again}\nfinal: {again}\nend\n"
     line, prefix, word = (2, "start: ", first) if raised_by == "first" else (3, "checkpoint: ", again)
-    col = len(prefix) + word.rindex("zz") + 1
+    col = len(prefix) + word.index("zz") + 1
     with pytest.raises(UnknownCurve) as err:
         parse_document(text, reg)
     assert (err.value.name, err.value.line, err.value.col) == ("zz", line, col)
@@ -680,7 +681,7 @@ def _reuse_document(relators, words):
 
 def _ref_reuse_words(relators, words, registry):
     """The document's words by the reference parser, which reads each line's
-    word on its own and checks every name it keeps, though parse_document
+    word on its own and checks every name it writes, though parse_document
     checks each name once per document."""
     out = []
     for lineno, line in enumerate(_reuse_document(relators, words).splitlines(), 1):

@@ -11,6 +11,7 @@ from g2mcg.moves import (
     CentralSlide,
     Checkpoint,
     Commute,
+    Contract,
     CyclicShift,
     Expand,
     Final,
@@ -161,6 +162,11 @@ def test_alias_moves():
         apply_move(reg, w, Alias(0, "B2def", "fwd"))
 
 
+def test_apply_move_refuses_what_is_no_move():
+    with pytest.raises(TypeError, match="unknown move 'c1'"):
+        apply_move(reg, parse_word("c1"), "c1")
+
+
 def test_central_slide():
     tau = parse_word("c1 c2 c3 c4 c5^2 c4 c3 c2 c1")
     w = tau + parse_word("B0 B1")
@@ -197,6 +203,8 @@ def test_every_move_is_invertible_along_the_corpus():
         ("c1 c3", Braid(0, "fwd")),  # neither forward braid pattern
         ("c1 c2", Commute(0)),  # the curves intersect
         ("c1 c2", CyclicShift(1)),  # not a relator
+        ("c1 c2", Contract(0, 2)),  # no conjugate pattern w a w^-1
+        ("(c1 c2)^6", Alias(0, "chain", "sideways")),  # no such direction
     ],
 )
 def test_inverse_move_refuses_a_move_that_does_not_apply(text, move):

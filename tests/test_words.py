@@ -15,6 +15,7 @@ from g2mcg.words import (
     invert,
     letter,
     make_curve,
+    power,
 )
 
 NAMES = ["c1", "c2", "c3", "c4", "c5", "x", "d"]
@@ -57,6 +58,7 @@ def test_invert_involution(w):
 @given(words_st)
 def test_word_times_inverse_cancels(w):
     assert free_reduce(concat(w, invert(w))) == ()
+    assert free_reduce(concat(power(w, 2), power(w, -2))) == ()
 
 
 def test_invert_example():
