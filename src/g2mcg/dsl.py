@@ -118,7 +118,7 @@ def _exact_tokens(text: str, line: int, col: int) -> list[str]:
     tokens = re.findall(_TOKEN, text)
     if "" in tokens:
         bad = next(m.start(1) for m in re.finditer(_TOKEN, text) if not m[1])
-        raise ParseError(f"bad character {text[bad]!r}", line, col + bad + 1)
+        raise ParseError(f"bad character {text[bad]!r}", *_where(text, line, col, bad))
     gap = re.compile(rf"[{_BLANK}]+\^")  # a blank before a power
     return [gap.sub("^", _UNICODE_NAMES.get(t, t)) for t in tokens]
 
@@ -233,7 +233,16 @@ def _check_curves(text: str, registry: Registry, line: int, col: int) -> None:
     for m in re.finditer(_NAME, text):
         name = _UNICODE_NAMES.get(m[0], m[0])
         if name not in registry.curves:
-            raise UnknownCurve(name, line, col + m.start() + 1)
+            raise UnknownCurve(name, *_where(text, line, col, m.start()))
+
+
+def _where(text: str, line: int, col: int, at: int) -> tuple[int, int]:
+    """The line and column of text[at]: past a newline of a text that spans
+    lines, the line it is on and its column within that line."""
+    newline = text.rfind("\n", 0, at)
+    if newline < 0:
+        return line, col + at + 1
+    return max(line, 1) + text.count("\n", 0, at), at - newline
 
 
 def parse_relator(text: str, registry: Optional[Registry] = None) -> PositiveRelator:

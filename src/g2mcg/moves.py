@@ -3,16 +3,17 @@
 Every move application checks a legality clause before rewriting, then
 checks that the homology image is preserved.  A move rewrites a span
 w[lo:hi] of a canonical word as rep, and costs O(span), not O(word length):
-only rep is canonicalized, only the span's Sp(4,Z) images are compared, and
-replay updates the (n,s) signature by the span's letters.  Cyclic shifts
-and global conjugation (C) rewrite the whole word, O(length), and apply
-only to relators, a clause that is their image check too.  Replay decides
-that clause by a whole-word image once, and again only after a C: every
-other move keeps the image, and a shift conjugates it.  An illegal move, or
-one that breaks the image, raises IllegalMove carrying the failed clause;
-replay never silently skips a step.  A checkpoint passes when its word's
-canonical form is the (canonical) replay state; a word written exactly as
-the state is not canonicalized.  The moves are the classes in MOVES.
+rep is built from the span alone and is the only part canonicalized, only
+the span's Sp(4,Z) images are compared, and replay updates the (n,s)
+signature by the span's letters.  Cyclic shifts and global conjugation (C)
+rewrite the whole word, O(length), and apply only to relators, a clause
+that is their image check too.  Replay decides that clause by a whole-word
+image once, and again only after a C: every other move keeps the image,
+and a shift conjugates it.  An illegal move, or one that breaks the image,
+raises IllegalMove carrying the failed clause; replay never silently skips
+a step.  A checkpoint passes when its word's canonical form is the
+(canonical) replay state; a word written exactly as the state is not
+canonicalized.  The moves are the classes in MOVES.
 """
 
 from __future__ import annotations
@@ -25,19 +26,7 @@ from typing import Literal, NamedTuple, NewType, Optional, Union
 
 from . import homology as hom
 from .registry import Registry
-from .words import (
-    Curve,
-    Letter,
-    Word,
-    conjugate,
-    contract_subword,
-    cyclic_shift,
-    expand_letter,
-    invert,
-    make_curve,
-    push,
-    word_str,
-)
+from .words import Curve, Letter, Word, free_reduce, invert, make_curve, push, word_str
 
 
 class IllegalMove(ValueError):
@@ -341,23 +330,30 @@ def _apply(reg: Registry, w: Word, move: Move,
             relator = reg.image(w) == hom.IDENTITY
         if isinstance(move, CyclicShift):
             _need(move, relator, "cyclic shift requires a relator")
-            return 0, len(w), cyclic_shift(w, move.k), CyclicShift(-move.k % max(len(w), 1))
+            k = move.k % max(len(w), 1)
+            return 0, len(w), w[k:] + w[:k], CyclicShift(-move.k % max(len(w), 1))
         _need(move, relator, "global conjugation requires a relator")
-        return 0, len(w), conjugate(w, invert(move.by)), GlobalConjugate(invert(move.by))
+        # free_reduce compares letters as written: by in normal form, as w is
+        by = reg.canonical_word(move.by)
+        return 0, len(w), free_reduce(invert(by) + w + by), GlobalConjugate(invert(by))
 
     if isinstance(move, Expand):
         _need(move, 0 <= move.pos < len(w), f"no letter at {move.pos}")
         l = w[move.pos]
         _need(move, l.curve.is_conjugate, f"{l!r} is not in conjugate form")
-        rep = expand_letter(l)
+        u = l.curve.conj
+        rep = u + (Letter(Curve(l.curve.name), l.exp),) + invert(u)
         return move.pos, move.pos + 1, rep, Contract(move.pos, move.pos + len(rep))
 
     if isinstance(move, Contract):
-        try:
-            out = contract_subword(w, move.lo, move.hi)
-        except ValueError as exc:
-            raise IllegalMove(move, str(exc)) from None
-        return move.lo, move.hi, out[move.lo : move.lo + 1], Expand(move.lo)
+        lo, hi = move.lo, move.hi
+        span = w[lo:hi]
+        _need(move, 0 <= lo < hi <= len(w) and len(span) % 2 == 1,
+              f"span [{lo}:{hi}] cannot read u.t.u^-1")
+        m = len(span) // 2
+        _need(move, span[m + 1 :] == invert(span[:m]),
+              f"span [{lo}:{hi}] tail is not the inverse of its head")
+        return lo, hi, (push(span[m], span[:m]),), Expand(lo)
 
     if isinstance(move, Alias):
         _need(move, move.rel in reg.aliases, f"unknown alias relation {move.rel}")

@@ -6,7 +6,7 @@ pattern matching for rewrite moves uniform).  A curve is either a plain
 named curve (the chain curves c1..c5 plus the special curves of the
 registry) or a conjugate curve w(a): the image of a plain curve a under
 the mapping class of a word w.  Twists along conjugate curves satisfy
-t_{w(a)} = w t_a w^-1, which is what expand_letter / contract_subword
+t_{w(a)} = w t_a w^-1, which is what the expand and contract moves
 convert between.
 
 Everything here is immutable and purely structural: two conjugate curves
@@ -25,19 +25,11 @@ from itertools import chain
 from typing import NamedTuple
 
 
-class NotConjugateForm(ValueError):
-    """Raised when a plain letter is asked to expand as w t_a w^-1."""
-
-
-class SpanNotConjugatePattern(ValueError):
-    """Raised when a span does not read u . t_a^e . u^-1."""
-
-
 class Curve(NamedTuple):
     """A simple closed curve: a plain name, optionally pushed around by a word.
 
     ``conj`` is the conjugating word and the inner curve ``name`` is always
-    plain.  Code that pushes a conjugate curve further (contract_subword,
+    plain.  Code that pushes a conjugate curve further (the contract move,
     the Hurwitz move, a conjugated lantern side, a twisted fiber sum) calls
     push, which keeps it that way by building u(v(a)) as (u.v)(a).  The
     tuple (name, conj): equal and hashed by value, the hash of its fields.
@@ -128,11 +120,6 @@ def free_reduce(w: Word) -> Word:
     return tuple(out)
 
 
-def conjugate(w: Word, by: Word) -> Word:
-    """free_reduce(by . w . by^-1)."""
-    return free_reduce(tuple(by) + tuple(w) + invert(by))
-
-
 def concat(*ws: Word) -> Word:
     return tuple(chain.from_iterable(ws))
 
@@ -141,38 +128,6 @@ def power(w: Word, k: int) -> Word:
     if k < 0:
         return power(invert(w), -k)
     return concat(*([w] * k))
-
-
-def expand_letter(l: Letter) -> Word:
-    """Rewrite a twist along w(a) as the word w . t_a^e . w^-1."""
-    if not l.curve.is_conjugate:
-        raise NotConjugateForm(f"{l!r} is a plain letter")
-    u = l.curve.conj
-    return concat(u, (Letter(Curve(l.curve.name), l.exp),), invert(u))
-
-
-def contract_subword(w: Word, lo: int, hi: int) -> Word:
-    """Replace the span w[lo:hi], which must read u . t_a^e . u^-1, by t_{u(a)}^e.
-
-    The span length must be odd.
-    """
-    span = w[lo:hi]
-    if not 0 <= lo < hi <= len(w) or len(span) % 2 == 0:
-        raise SpanNotConjugatePattern(f"span [{lo}:{hi}] cannot read u.t.u^-1")
-    m = len(span) // 2
-    u, mid, tail = span[:m], span[m], span[m + 1 :]
-    if tail != invert(u):
-        raise SpanNotConjugatePattern(
-            f"span [{lo}:{hi}] tail is not the inverse of its head"
-        )
-    return w[:lo] + (push(mid, u),) + w[hi:]
-
-
-def cyclic_shift(w: Word, k: int) -> Word:
-    if not w:
-        return w
-    k %= len(w)
-    return w[k:] + w[:k]
 
 
 class PositiveRelator(NamedTuple("_RelatorFields", [("word", Word), ("label", str)])):

@@ -218,6 +218,22 @@ def test_verify_reports_an_unknown_curve_where_its_name_stands(tmp_path, capsys)
     assert capsys.readouterr().err == "error: unknown curve 'zz' at line 1, col 16\n"
 
 
+@pytest.mark.parametrize("text, error", [
+    ("c1 c2\nc3 nope\n", "unknown curve 'nope' at line 2, col 4"),
+    ("c1 c2\nc3\nc4 c5$\n", "bad character '$' at line 3, col 6"),
+    ("# a comment line\n  c1 [nope](c2)\n", "unknown curve 'nope' at line 2, col 7"),
+    # a word on one line reads as before, as do errors with no column
+    ("c1 c2 nope\n", "unknown curve 'nope', col 7"),
+    ("c1 $\n", "bad character '$', col 4"),
+    ("c1\nc2 ]\n", "unexpected token ']'"),
+])
+def test_verify_locates_an_error_in_a_bare_word_on_its_own_line(tmp_path, capsys, text, error):
+    p = tmp_path / "bare.mcg"
+    p.write_text(text)
+    assert main(["verify", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_replay_reports_a_curve_the_registry_lacks(tmp_path, capsys):
     # x's line is gone and L1 names k in its place; the script still says x
     lines = [

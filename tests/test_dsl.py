@@ -393,6 +393,7 @@ def _ref_ascii(text: str) -> tuple[str, list[int]]:
 
 def _ref_tokenize(text: str, line: int = 0) -> list[tuple[str, int]]:
     """Each token with the index in text of its first character."""
+    text_in = text
     text, where = _ref_ascii(text)
     tokens = []
     pos = 0
@@ -402,11 +403,21 @@ def _ref_tokenize(text: str, line: int = 0) -> list[tuple[str, int]]:
             rest = text[pos:].strip()
             if rest:
                 bad = len(text) - len(text[pos:].lstrip())
-                raise ParseError(f"bad character {rest[0]!r}", line, where[bad] + 1)
+                where_bad = _ref_where(text_in, line, where[bad])
+                raise ParseError(f"bad character {rest[0]!r}", *where_bad)
             break
         tokens.append((m.group(1), where[m.start(1)]))
         pos = m.end()
     return tokens
+
+
+def _ref_where(text: str, line: int, at: int) -> tuple[int, int]:
+    """The line and column of text[at], counted in the lines of a text that
+    spans lines: the first is ``line`` (line 1 if that is 0)."""
+    lines = text[:at].split("\n")
+    if len(lines) == 1:
+        return line, at + 1
+    return max(line, 1) + len(lines) - 1, len(lines[-1]) + 1
 
 
 class _RefWordParser:
@@ -480,7 +491,7 @@ def _ref_parse_word(text: str, registry=None, line: int = 0) -> Word:
         raise ParseError(f"trailing token {parser.peek()!r}", line)
     for name, at in parser.names:
         if registry is not None and name not in registry.curves:
-            raise UnknownCurve(name, line, at + 1)
+            raise UnknownCurve(name, *_ref_where(text, line, at))
     return w
 
 
@@ -520,6 +531,8 @@ _texts = st.one_of(
 @example("[c1 [zz](c2)^0](c3) nope", 7)
 @example("(δ nope)^0 k̄ Zq", 0)
 @example("[zzc1B0c1]h̄^-2c1]", 0)
+@example("\nc1c1", 0)
+@example("c1\nc2 nope\n$", 7)
 def test_parse_word_agrees_with_the_recursive_descent_parser(text, line):
     for registry in (None, reg):
         expected = _outcome(_ref_parse_word, text, registry, line)
@@ -622,22 +635,21 @@ def test_unknown_curve_under_zero_power_is_an_error():
         parse_word("c2 [c1](nope)", reg)
 
 
-@pytest.mark.parametrize("first, again, raised_by", [
-    ("c1 zz", "c1 zz", "first"),  # the first occurrence raises, not a later one
-    ("c1 zz", "c1 zz^0", "first"),
-    ("c2 [zz](c1)^0", "c2 [zz](c1)", "first"),  # one-pass tokens: a name under ^0 raises too
-    ("c2 [zz]( c1 )^0", "[zz](c1)", "first"),  # exact tokens: likewise
-    ("[c1 zz^0](c2)", "zz", "first"),
-    ("(c1 zz)^0 c2", "c2 (c1 zz)^2", "first"),
-    ("(c1 zz^0)^2", "(c1 zz^0)^2 c1.zz", "first"),
+@pytest.mark.parametrize("first, again", [
+    ("c1 zz", "c1 zz"),  # the first occurrence raises, not a later one
+    ("c1 zz", "c1 zz^0"),
+    ("c2 [zz](c1)^0", "c2 [zz](c1)"),  # one-pass tokens: a name under ^0 raises too
+    ("c2 [zz]( c1 )^0", "[zz](c1)"),  # exact tokens: likewise
+    ("[c1 zz^0](c2)", "zz"),
+    ("(c1 zz)^0 c2", "c2 (c1 zz)^2"),
+    ("(c1 zz^0)^2", "(c1 zz^0)^2 c1.zz"),
 ])
-def test_an_unknown_curve_raises_where_a_word_first_keeps_it(first, again, raised_by):
+def test_an_unknown_curve_raises_at_its_first_word(first, again):
     text = f"script s\nstart: {first}\ncheckpoint: {again}\nfinal: {again}\nend\n"
-    line, prefix, word = (2, "start: ", first) if raised_by == "first" else (3, "checkpoint: ", again)
-    col = len(prefix) + word.index("zz") + 1
     with pytest.raises(UnknownCurve) as err:
         parse_document(text, reg)
-    assert (err.value.name, err.value.line, err.value.col) == ("zz", line, col)
+    col = len("start: ") + first.index("zz") + 1
+    assert (err.value.name, err.value.line, err.value.col) == ("zz", 2, col)
     parse_document(text.replace("zz", "c3"), reg)  # well-formed once zz is a known name
 
 

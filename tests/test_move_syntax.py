@@ -119,6 +119,7 @@ def test_each_move_has_its_own_leading_token():
     ("relator R = c1\nscript t\nstart: c1 c3\n~ commute @0\nstart R\nend\n",
      "script t has a second start at line 5"),
     ("script t\nstart label=A\nend\n", "cannot parse script line 'start label=A' at line 2"),
+    ("script t\n~ commute @0\nend\n", "script t has no start at line 3"),
     ("script t\nstart: c1\nfinal label=a b: c1\nend\n",
      "cannot parse script line 'final label=a b: c1' at line 3"),
 ])

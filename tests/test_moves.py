@@ -132,6 +132,15 @@ def test_global_conjugate_cycles_a_relator():
     assert out == rel[2:] + rel[:2]
 
 
+@pytest.mark.parametrize("by", ["c1^-1", "[c4](c1)^-1"])
+def test_global_conjugate_reads_its_conjugator_in_normal_form(by):
+    # [c4](c1) is c1, as c4 and c1 are disjoint: both scripts cancel c1 c1^-1
+    text = (f"relator R = (c1 c2 c3 c4 c5^2 c4 c3 c2 c1)^2\nscript s\nstart R\nC by={by}\n"
+            "final: c1^2 c2 c3 c4 c5^2 c4 c3 c2 c1^2 c2 c3 c4 c5^2 c4 c3 c2\nend\n")
+    report = replay(reg, parse_document(text, reg).scripts["s"])
+    assert report.ok, report.render()
+
+
 def test_global_conjugate_requires_relator():
     with pytest.raises(IllegalMove):
         apply_move(reg, parse_word("c1 c2"), GlobalConjugate(parse_word("c1")))

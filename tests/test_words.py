@@ -1,22 +1,23 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from g2mcg.fixtures import load_corpus
+from g2mcg.moves import Contract, Expand, GlobalConjugate, IllegalMove, apply_move, inverse_move
+from g2mcg.registry import standard_registry
 from g2mcg.words import (
     Curve,
     Letter,
-    NotConjugateForm,
     PositiveRelator,
-    SpanNotConjugatePattern,
     concat,
-    conjugate,
-    contract_subword,
-    expand_letter,
     free_reduce,
     invert,
     letter,
     make_curve,
     power,
 )
+
+reg = standard_registry()
+corpus = load_corpus(reg)
 
 NAMES = ["c1", "c2", "c3", "c4", "c5", "x", "d"]
 
@@ -67,55 +68,67 @@ def test_invert_example():
 
 
 def test_conjugate_definition():
-    assert conjugate(lw("c2"), lw("c1")) == lw("c1", "c2", "c1'")
-    assert conjugate(lw("c2"), ()) == lw("c2")
+    # C by=u rewrites the relator w as u^-1 w u, freely reduced
+    w = power(lw("c1", "c2", "c3", "c4", "c5", "c5", "c4", "c3", "c2", "c1"), 2)
+    assert apply_move(reg, w, GlobalConjugate(lw("c2'"))) == lw("c2") + w + lw("c2'")
+    assert apply_move(reg, w, GlobalConjugate(lw("c1'"))) == lw("c1") + w[:-1]
+    assert apply_move(reg, w, GlobalConjugate(())) == w
 
 
-@given(words_st, words_st)
-def test_conjugate_roundtrip(w, a):
-    assert conjugate(conjugate(w, a), invert(a)) == free_reduce(w)
+# letters on chain curves pushed by short words, most of them not in normal form
+chain_st, signs_st = st.sampled_from(["c1", "c2", "c3", "c4", "c5"]), st.sampled_from([1, -1])
+conj_letters_st = st.builds(
+    letter, chain_st, signs_st,
+    st.lists(st.builds(letter, chain_st, signs_st), max_size=2).map(tuple),
+)
+
+
+@given(st.sampled_from(sorted(corpus.relators)), st.lists(conj_letters_st, max_size=4).map(tuple))
+def test_conjugate_roundtrip(name, by):
+    w = reg.canonical_word(corpus.relators[name].word)
+    out = apply_move(reg, w, GlobalConjugate(by))
+    assert apply_move(reg, out, inverse_move(reg, w, GlobalConjugate(by))) == w
 
 
 def test_expand_letter():
     l = letter("x", 1, conj=lw("c3'"))
-    assert expand_letter(l) == lw("c3'", "x", "c3")
-    base = letter("c1")
-    with pytest.raises(NotConjugateForm):
-        expand_letter(base)
+    assert apply_move(reg, (l,), Expand(0)) == lw("c3'", "x", "c3")
+    with pytest.raises(IllegalMove, match="is not in conjugate form"):
+        apply_move(reg, lw("c1"), Expand(0))
 
 
 def test_expand_contract_roundtrip():
     l = letter("x", -1, conj=lw("c3'", "c2"))
-    w = lw("c1") + expand_letter(l) + lw("c5")
-    back = contract_subword(w, 1, 1 + 2 * len(l.curve.conj) + 1)
+    w = lw("c1") + apply_move(reg, (l,), Expand(0)) + lw("c5")
+    back = apply_move(reg, w, Contract(1, 1 + 2 * len(l.curve.conj) + 1))
     assert back == lw("c1") + (l,) + lw("c5")
 
 
 def test_contract_single_letter_span():
     w = lw("c1")
-    assert contract_subword(w, 0, 1) == w  # empty conjugator
+    assert apply_move(reg, w, Contract(0, 1)) == w  # empty conjugator
 
 
 def test_contract_examples():
-    assert contract_subword(lw("c3'", "x", "c3"), 0, 3) == (
+    assert apply_move(reg, lw("c3'", "x", "c3"), Contract(0, 3)) == (
         letter("x", 1, conj=lw("c3'")),
     )
-    assert contract_subword(lw("c5", "c4", "c5'"), 0, 3) == (
+    assert apply_move(reg, lw("c5", "c4", "c5'"), Contract(0, 3)) == (
         letter("c4", 1, conj=lw("c5")),
     )
 
 
 def test_contract_rejects_bad_spans():
-    with pytest.raises(SpanNotConjugatePattern):
-        contract_subword(lw("c1", "c2"), 0, 2)  # even length
-    with pytest.raises(SpanNotConjugatePattern):
-        contract_subword(lw("c1", "c2", "c3"), 0, 3)  # tail not inverse of head
+    with pytest.raises(IllegalMove, match=r"span \[0:2\] cannot read u.t.u\^-1"):
+        apply_move(reg, lw("c1", "c2"), Contract(0, 2))  # even length
+    with pytest.raises(IllegalMove, match="tail is not the inverse of its head"):
+        apply_move(reg, lw("c1", "c2", "c3"), Contract(0, 3))
 
 
 def test_contract_flattens_nested_conjugates():
     inner = letter("x", 1, conj=lw("c2"))
     w = lw("c3") + (inner,) + lw("c3'")
-    out = contract_subword(w, 0, 3)
+    out = apply_move(reg, w, Contract(0, 3))
     assert out == (letter("x", 1, conj=lw("c3", "c2")),)
 
 
