@@ -52,7 +52,6 @@ from typing import Callable, Iterable, NamedTuple, Optional, get_args, get_type_
 
 from .moves import (
     MOVES,
-    SLOT,
     Checkpoint,
     Entry,
     Final,
@@ -60,6 +59,7 @@ from .moves import (
     Move,
     MoveScript,
     Nat,
+    _template,
     describe,
 )
 from .registry import ParseError, Registry, UnknownCurve
@@ -250,9 +250,10 @@ def parse_relator(text: str, registry: Optional[Registry] = None) -> PositiveRel
 
 
 def _relator(w: Word, label: str, line: int) -> PositiveRelator:
-    if any(l.exp != 1 for l in w):
-        raise ParseError("relator contains inverse letters", line)
-    return PositiveRelator(w, label)
+    try:
+        return PositiveRelator(w, label)
+    except ValueError:  # its one rule: no inverse letter
+        raise ParseError("relator contains inverse letters", line) from None
 
 
 # -- serialization ------------------------------------------------------------
@@ -309,17 +310,16 @@ def _compile_move(cls: type) -> tuple[type, dict, re.Pattern]:
     Word annotation is taken as the Word object itself, which get_type_hints
     rebuilds, so that _slot_value tells the kinds apart by identity."""
     kinds = {name: Word if kind == Word else kind for name, kind in get_type_hints(cls).items()}
-    parts, last = [], 0
-    for m in SLOT.finditer(cls.syntax):
-        prefix, optional, name = m.groups()
+    text, slots = _template(cls.syntax)
+    literals = text.split("{}")
+    parts = [_literal_pattern(literals[0])]
+    for (prefix, optional, name), literal in zip(slots, literals[1:]):
         name = optional or name
         values = _SLOT_PATTERNS.get(kinds[name]) or "|".join(map(re.escape, get_args(kinds[name])))
         slot = f"(?P<{name}>{values})"
         if optional:
             slot = f"(?:{_literal_pattern(prefix)}{slot})?"
-        parts += [_literal_pattern(cls.syntax[last : m.start()]), slot]
-        last = m.end()
-    parts.append(_literal_pattern(cls.syntax[last:]))
+        parts += [slot, _literal_pattern(literal)]
     return cls, kinds, re.compile("".join(parts))
 
 

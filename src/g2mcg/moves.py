@@ -8,12 +8,12 @@ the span's Sp(4,Z) images are compared, and replay updates the (n,s)
 signature by the span's letters.  Cyclic shifts and global conjugation (C)
 rewrite the whole word, O(length), and apply only to relators, a clause
 that is their image check too.  Replay decides that clause by a whole-word
-image once, and again only after a C: every other move keeps the image,
-and a shift conjugates it.  An illegal move, or one that breaks the image,
-raises IllegalMove carrying the failed clause; replay never silently skips
-a step.  A checkpoint passes when its word's canonical form is the
-(canonical) replay state; a word written exactly as the state is not
-canonicalized.  The moves are the classes in MOVES.
+image at most once: every other move keeps the image, and a shift or a C
+conjugates it.  An illegal move, or one that breaks the image, raises
+IllegalMove carrying the failed clause; replay never silently skips a step.
+A checkpoint passes when its word's canonical form is the (canonical)
+replay state; a word written exactly as the state is not canonicalized.
+The moves are the classes in MOVES.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Literal, NamedTuple, NewType, Optional, Union
 
 from . import homology as hom
 from .registry import Registry
-from .words import Curve, Letter, Word, free_reduce, invert, make_curve, push, word_str
+from .words import Curve, Letter, Word, free_reduce, invert, push, word_str
 
 
 class IllegalMove(ValueError):
@@ -205,10 +205,10 @@ def _braid_fwd(reg: Registry, move: Move, p: Letter, q: Letter) -> tuple[Letter,
     for conj, plain, exp in ((p.curve, q.curve, -1), (q.curve, p.curve, 1)):
         if (
             len(conj.conj) == 1
-            and not plain.is_conjugate
+            and not plain.conj
             and conj.name == plain.name
             and conj.conj[0].exp == exp
-            and not conj.conj[0].curve.is_conjugate
+            and not conj.conj[0].curve.conj
             and reg.braid_adjacent(conj.conj[0].curve.name, plain.name)
         ):
             a, b = Letter(conj.conj[0].curve), Letter(Curve(plain.name))
@@ -257,15 +257,15 @@ def apply_move(reg: Registry, w: Word, move: Move, relator: Optional[bool] = Non
     invertible.  Shift and C rewrite the whole word, O(length), with no
     span check: their clause is that w is a relator, image(w) == IDENTITY,
     which ``relator`` answers when the caller knows it and a whole-word
-    image decides otherwise.  A shift's rotation of w is canonical as it
-    stands; a C brings in new conjugator letters and is canonicalized.
+    image decides otherwise.  Their results are canonical as they stand: a
+    shift's letters are w's, and a C's are w's and those of its conjugator,
+    which it reads in normal form.
     """
     lo, hi, rep, _ = _apply(reg, w, move, relator)
-    if isinstance(move, CyclicShift):  # a rotation of canonical letters is canonical
+    if isinstance(move, (CyclicShift, GlobalConjugate)):
         return rep
     rep = reg.canonical_word(rep)
-    if not isinstance(move, GlobalConjugate):
-        _need(move, reg.image(w[lo:hi]) == reg.image(rep), "move broke the homology image")
+    _need(move, reg.image(w[lo:hi]) == reg.image(rep), "move broke the homology image")
     return w[:lo] + rep + w[hi:]
 
 
@@ -299,17 +299,17 @@ def _apply(reg: Registry, w: Word, move: Move,
         _need(move, p.exp == 1 and q.exp == 1, "braid patterns take positive letters")
         if move.form == "fwd":
             # rev1 undoes (a^-1(b), b) -> (b, a), rev2 undoes (b, a(b)) -> (a, b)
-            undo = Braid(move.pos, "rev1" if p.curve.is_conjugate else "rev2")
+            undo = Braid(move.pos, "rev1" if p.curve.conj else "rev2")
             return move.pos, move.pos + 2, _braid_fwd(reg, move, p, q), undo
         _need(move, move.form in ("rev1", "rev2"), f"unknown braid form {move.form!r}")
-        _need(move, not p.curve.is_conjugate and not q.curve.is_conjugate,
+        _need(move, not p.curve.conj and not q.curve.conj,
               f"{move.form} takes two plain letters")
         _need(move, reg.braid_adjacent(p.curve.name, q.curve.name),
               f"{p.curve.name},{q.curve.name} are not braid-adjacent")
         if move.form == "rev1":  # (b, a) -> (a^-1(b), b)
-            rep = (Letter(make_curve(p.curve.name, (Letter(q.curve, -1),))), Letter(p.curve))
+            rep = (Letter(Curve(p.curve.name, (Letter(q.curve, -1),))), Letter(p.curve))
         else:  # (a, b) -> (b, a(b))
-            rep = (Letter(q.curve), Letter(make_curve(q.curve.name, (Letter(p.curve, 1),))))
+            rep = (Letter(q.curve), Letter(Curve(q.curve.name, (Letter(p.curve, 1),))))
         return move.pos, move.pos + 2, rep, Braid(move.pos, "fwd")
 
     if isinstance(move, Lantern):
@@ -340,7 +340,7 @@ def _apply(reg: Registry, w: Word, move: Move,
     if isinstance(move, Expand):
         _need(move, 0 <= move.pos < len(w), f"no letter at {move.pos}")
         l = w[move.pos]
-        _need(move, l.curve.is_conjugate, f"{l!r} is not in conjugate form")
+        _need(move, l.curve.conj, f"{l!r} is not in conjugate form")
         u = l.curve.conj
         rep = u + (Letter(Curve(l.curve.name), l.exp),) + invert(u)
         return move.pos, move.pos + 1, rep, Contract(move.pos, move.pos + len(rep))
@@ -458,10 +458,10 @@ def replay(reg: Registry, script: MoveScript) -> ReplayReport:
         return None if inverse else (len(state) - separating, separating)
 
     # Whether image(state) is the identity: None while unknown, so that the
-    # next shift or C decides it by a whole-word image, and True once a
-    # shift has passed that clause.  It stays true, as every other move keeps
-    # the image (its span check) and a shift conjugates it.  A C makes it
-    # unknown again: it brings in conjugator letters no span check covers.
+    # next shift or C decides it by a whole-word image, and True once one has
+    # passed that clause.  It stays true, as every other move keeps the image
+    # (its span check), and a shift or a C conjugates it: free_reduce(by^-1 w
+    # by) has the image of by^-1 w by, the identity when w's is.
     relator: Optional[bool] = None
 
     if script.start_label:
@@ -494,11 +494,9 @@ def replay(reg: Registry, script: MoveScript) -> ReplayReport:
             continue
         try:
             new = apply_move(reg, state, entry, relator=relator)
-            if isinstance(entry, CyclicShift):
-                relator = True  # a rotation also keeps both counts
-            else:
-                if isinstance(entry, GlobalConjugate):
-                    relator = None
+            if isinstance(entry, (CyclicShift, GlobalConjugate)):
+                relator = True
+            if not isinstance(entry, CyclicShift):  # a rotation keeps both counts
                 lo, hi, new_hi = _rewritten_span(state, new)
                 (inv0, sep0), (inv1, sep1) = _tally(reg, state[lo:hi]), _tally(reg, new[lo:new_hi])
                 inverse += inv1 - inv0

@@ -120,12 +120,8 @@ def _dehn_rewrite(w: str) -> str:
     return w
 
 
-def is_trivial(w: str) -> bool:
-    return dehn_reduce(w) == ""
-
-
 def elements_equal(u: str, v: str) -> bool:
-    return is_trivial(u + inverse(v))
+    return dehn_reduce(u + inverse(v)) == ""
 
 
 # -- cyclic words and conjugacy ---------------------------------------------------

@@ -50,15 +50,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import homology as hom
 from .homology import Mat, Vec
-from .words import (
-    Curve,
-    Letter,
-    Word,
-    concat,
-    invert,
-    letter,
-    power,
-)
+from .words import Curve, Letter, Word, invert, letter
 
 
 class ParseError(ValueError):
@@ -139,8 +131,8 @@ def _word(names: str) -> Word:
 # tau = t1 t2 t3 t4 t5^2 t4 t3 t2 t1, the hyperelliptic involution word.
 TAU: Word = _word("c1 c2 c3 c4 c5 c5 c4 c3 c2 c1")
 # The Matsumoto relator (B0 B1 B2 d)^2 and its conjugated form c1^2 (Y1 Y2 Yc)^2.
-MATSUMOTO: Word = power(_word("B0 B1 B2 d"), 2)
-MATSUMOTO_CONJ: Word = concat(_word("c1 c1"), power(_word("Y1 Y2 Yc"), 2))
+MATSUMOTO: Word = _word("B0 B1 B2 d") * 2
+MATSUMOTO_CONJ: Word = _word("c1 c1") + _word("Y1 Y2 Yc") * 2
 
 
 def _std_disjoint(lanterns: Iterable[LanternInstance]) -> set[frozenset[str]]:
@@ -206,7 +198,7 @@ class Registry:
         )
 
     def _std_aliases(self) -> list[AliasRelation]:
-        out = [AliasRelation("chain", _word("d"), power(_word("c1 c2"), 6))]
+        out = [AliasRelation("chain", _word("d"), _word("c1 c2") * 6)]
         if "B2" in self.curves and self.curves["B2"].defn is not None:
             out.append(AliasRelation("B2def", _word("B2"), (Letter(self.curves["B2"].defn),)))
         out.append(AliasRelation("matconj", MATSUMOTO, MATSUMOTO_CONJ))
@@ -236,13 +228,10 @@ class Registry:
         except KeyError:
             raise UnknownCurve(name) from None
 
-    def separating(self, curve: Curve) -> bool:
-        return self.data(curve.name).separating
-
     def count_separating(self, w: Word) -> int:
         """The letters of w whose curve is separating, by one dict lookup a
         letter; the first name the registry lacks raises UnknownCurve, as
-        separating does."""
+        data does."""
         curves, n = self.curves, 0
         try:
             for l in w:
@@ -329,7 +318,7 @@ class Registry:
         conjugator flattened first, spelled out as u t_a^e u^-1."""
         out: list[Letter] = []
         for l in w:
-            if l.curve.is_conjugate:
+            if l.curve.conj:
                 u = self.flat_word(l.curve.conj)
                 out.extend(u)
                 out.append(Letter(Curve(l.curve.name), l.exp))
@@ -440,7 +429,7 @@ class Registry:
                     add(
                         f"defn:{c.name}",
                         self.homology_class(c.defn) == c.homology
-                        and self.separating(c.defn) == c.separating,
+                        and self.data(c.defn.name).separating == c.separating,
                         f"definition of {c.name} disagrees with stored data",
                     )
 
@@ -448,9 +437,9 @@ class Registry:
             for i in range(1, 5):
                 a, b = f"c{i}", f"c{i+1}"
                 same(f"eq02:{a},{b}", _word(f"{a} {b} {a}"), _word(f"{b} {a} {b}"))
-            same("eq03:tau^2", power(TAU, 2))
+            same("eq03:tau^2", TAU * 2)
             add("eq03:tau=-I", self.image(TAU) == hom.mat_neg(hom.IDENTITY))
-            same("eq04:(c1..c5)^6", power(_word(" ".join(BASE_NAMES)), 6))
+            same("eq04:(c1..c5)^6", _word(" ".join(BASE_NAMES)) * 6)
 
         for inst in self.lanterns.values():
             lhs, rhs = inst.rotations("lhs")[0], inst.rotations("rhs")[0]

@@ -21,26 +21,22 @@ and code that takes either tells a word by its type.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import NamedTuple
 
 
 class Curve(NamedTuple):
     """A simple closed curve: a plain name, optionally pushed around by a word.
 
-    ``conj`` is the conjugating word and the inner curve ``name`` is always
-    plain.  Code that pushes a conjugate curve further (the contract move,
-    the Hurwitz move, a conjugated lantern side, a twisted fiber sum) calls
-    push, which keeps it that way by building u(v(a)) as (u.v)(a).  The
-    tuple (name, conj): equal and hashed by value, the hash of its fields.
+    ``conj`` is the conjugating word, empty for a plain curve, and the inner
+    curve ``name`` is always plain.  Code that pushes a conjugate curve
+    further (the contract move, the Hurwitz move, a conjugated lantern side,
+    a twisted fiber sum) calls push, which keeps it that way by building
+    u(v(a)) as (u.v)(a).  The tuple (name, conj): equal and hashed by value,
+    the hash of its fields.
     """
 
     name: str
     conj: "Word" = ()
-
-    @property
-    def is_conjugate(self) -> bool:
-        return len(self.conj) > 0
 
     def __repr__(self) -> str:
         if not self.conj:
@@ -77,18 +73,13 @@ class Letter(NamedTuple("_LetterFields", [("curve", Curve), ("exp", int)])):
 Word = tuple[Letter, ...]
 
 
-def make_curve(name: str, conj: Word = ()) -> Curve:
-    """The curve conj(name), as given: push pushes a conjugate curve further."""
-    return Curve(name, tuple(conj))
-
-
 def letter(name: str, exp: int = 1, conj: Word = ()) -> Letter:
-    return Letter(make_curve(name, conj), exp)
+    return Letter(Curve(name, conj), exp)
 
 
 def push(l: Letter, by: Word) -> Letter:
     """The letter l with its curve pushed by the word ``by``: u(v(a)) is (u.v)(a)."""
-    return Letter(Curve(l.curve.name, concat(by, l.curve.conj)), l.exp)
+    return Letter(Curve(l.curve.name, by + l.curve.conj), l.exp)
 
 
 def word_str(w: Word) -> str:
@@ -118,16 +109,6 @@ def free_reduce(w: Word) -> Word:
         else:
             out.append(l)
     return tuple(out)
-
-
-def concat(*ws: Word) -> Word:
-    return tuple(chain.from_iterable(ws))
-
-
-def power(w: Word, k: int) -> Word:
-    if k < 0:
-        return power(invert(w), -k)
-    return concat(*([w] * k))
 
 
 class PositiveRelator(NamedTuple("_RelatorFields", [("word", Word), ("label", str)])):

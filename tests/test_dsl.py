@@ -20,7 +20,7 @@ from g2mcg.fixtures import FILES, load_corpus, read_text
 from g2mcg.invariants import FiberSignature, fiber_signature
 from g2mcg.moves import Braid, Commute, GlobalConjugate, Hurwitz, Lantern
 from g2mcg.registry import UnknownCurve, standard_registry
-from g2mcg.words import Curve, Letter, Word, letter, make_curve, word_str
+from g2mcg.words import Curve, Letter, Word, letter, word_str
 
 reg = standard_registry()
 
@@ -466,7 +466,7 @@ class _RefWordParser:
             if not name[0].isalpha():
                 raise ParseError(f"expected curve name, got {name!r}", self.line)
             self.expect(")")
-            base: Word = (Letter(make_curve(name, conj)),)
+            base: Word = (Letter(Curve(name, conj)),)
         elif tok == "(":
             base = self.parse(closers=(")",))
             self.expect(")")

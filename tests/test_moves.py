@@ -141,6 +141,23 @@ def test_global_conjugate_reads_its_conjugator_in_normal_form(by):
     assert report.ok, report.render()
 
 
+# letters on chain curves pushed by short words, most of them not in normal form
+_chain, _signs = st.sampled_from(["c1", "c2", "c3", "c4", "c5"]), st.sampled_from([1, -1])
+_chain_letters = st.builds(
+    letter, _chain, _signs, st.lists(st.builds(letter, _chain, _signs), max_size=2).map(tuple),
+)
+
+
+@given(st.sampled_from(sorted(corpus.relators)), st.lists(_chain_letters, max_size=4).map(tuple))
+def test_global_conjugate_returns_a_canonical_word(name, by):
+    # apply_move returns a C's rewrite as it stands: the relator's letters
+    # and those of the conjugator, read in normal form, are all canonical
+    w = reg.canonical_word(corpus.relators[name].word)
+    out = apply_move(reg, w, GlobalConjugate(by))
+    assert out == reg.canonical_word(out)
+    assert reg.image(out) == hom.IDENTITY
+
+
 def test_global_conjugate_requires_relator():
     with pytest.raises(IllegalMove):
         apply_move(reg, parse_word("c1 c2"), GlobalConjugate(parse_word("c1")))
@@ -508,7 +525,7 @@ def reference_apply(w, move, reg=reg):
 def reference_signature(w, reg=reg):
     if any(l.exp != 1 for l in w):
         return None
-    n = sum(1 for l in w if not reg.separating(l.curve))
+    n = sum(1 for l in w if not reg.data(l.curve.name).separating)
     return (n, len(w) - n)
 
 
@@ -599,7 +616,8 @@ def test_walk_replay_from_a_non_relator_matches_the_whole_word_engine(data):
     # makes it one again: every shift and C fails, at the same step as in
     # the whole-word engine.
     w = fiber_sum(data)
-    p = data.draw(st.sampled_from([p for p, l in enumerate(w) if not reg.separating(l.curve)]))
+    nonseparating = [p for p, l in enumerate(w) if not reg.data(l.curve.name).separating]
+    p = data.draw(st.sampled_from(nonseparating))
     report = assert_replay_matches_reference(walk_script(data, w[:p] + w[p + 1 :]))
     assert not any(s.ok and s.text.startswith(("shift", "C ")) for s in report.steps)
 
@@ -627,6 +645,26 @@ def test_replay_takes_one_whole_word_image_for_all_its_shifts(monkeypatch, start
     assert report.ok == (start == "X0")
     monkeypatch.undo()
     assert_replay_matches_reference(MoveScript("shifts", w, entries))
+
+
+def test_a_shift_after_a_c_takes_no_second_whole_word_image(monkeypatch):
+    # a C keeps image(state) the identity, so replay knows the shift after it
+    # starts from a relator; neither move has a span check, so every image
+    # replay computes is of a whole word
+    w = reg.canonical_word(corpus.relators["X0"].word)
+    entries = (GlobalConjugate(parse_word("c1 [c2](c3)")), CyclicShift(3))
+    calls = []
+    image = Registry.image
+
+    def counted(self, u):
+        calls.append(u)
+        return image(self, u)
+
+    monkeypatch.setattr(Registry, "image", counted)
+    report = replay(reg, MoveScript("c then shift", w, entries))
+    assert report.ok and calls == [w]
+    monkeypatch.undo()
+    assert_replay_matches_reference(MoveScript("c then shift", w, entries))
 
 
 def test_a_shift_step_recounts_no_separating_letter(monkeypatch):

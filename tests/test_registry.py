@@ -123,7 +123,7 @@ def test_canonicalization_orders_commuting_conjugators():
 def _ref_flat(w):
     out = []
     for l in w:
-        if l.curve.is_conjugate:
+        if l.curve.conj:
             u = _ref_flat(l.curve.conj)
             out += u + [Letter(Curve(l.curve.name), l.exp)]
             out += [Letter(m.curve, -m.exp) for m in reversed(u)]
