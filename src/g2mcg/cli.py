@@ -156,10 +156,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     from . import decompose, invariants
 
-    if args.n < 0 or args.s < 0:
-        print("fiber counts must be nonnegative", file=sys.stderr)
+    try:
+        report = decompose.admissible_splits(invariants.FiberSignature(args.n, args.s))
+    except ValueError as exc:  # a negative count, or a lattice past MAX_SPLITS
+        print(exc, file=sys.stderr)
         return 2
-    report = decompose.admissible_splits(invariants.FiberSignature(args.n, args.s))
     _emit(report.render() if args.format == "text" else report.records(), args.out)
     return 0
 

@@ -27,6 +27,8 @@ from typing import Callable, NamedTuple, Optional
 
 from .invariants import FiberSignature, format_homeo
 
+MAX_SPLITS = 250_000  # the most lattice points admissible_splits visits
+
 
 class ConstraintRule(NamedTuple):
     ident: str
@@ -162,11 +164,14 @@ def admissible_splits(sig: FiberSignature) -> DecompositionReport:
     first summand there obeys the law, and its complement needs no check of
     its own, as the difference of two classes that are 0 in Z/10.  Trivial
     and out-of-order pairs are skipped on the counts, so a FiberSignature is
-    built only for the summands of a listed candidate.
+    built only for the summands of a listed candidate.  A lattice of more
+    than MAX_SPLITS points raises ValueError, with nothing built.
     """
     report = DecompositionReport(sig)
     if sig.mod_ten != 0:
         return report
+    if (points := (sig.s // 2 + 1) * (sig.n // 10 + 1)) > MAX_SPLITS:
+        raise ValueError(f"({sig.n},{sig.s}) spans {points} lattice points, past {MAX_SPLITS}")
     for s1 in range(sig.s // 2 + 1):
         s2 = sig.s - s1
         for n1 in range(-2 * s1 % 10, sig.n + 1, 10):

@@ -30,19 +30,18 @@ Script files are line oriented:
 
     relator NAME = WORD
     script NAME
-    start NAME | start [label=L]: WORD
-    MOVE
-    checkpoint [label=L]: WORD
-    final [label=L]: WORD
+    start NAME | start [label=NAME]: WORD
+    ENTRY
     end
 
-A MOVE line follows the ``syntax`` template of a class in ``moves.MOVES``,
-which also prints the move back (``moves.describe``).  A script line is
-parsed by its leading token, the text before its first blank or ':', which
-picks the one pattern it is matched against: start, checkpoint and final,
-or the move whose syntax begins with that token.  Positions are 0-based
-letter indices into the current word.  Blank lines and '#' comments are
-ignored.
+An ENTRY line, a move, ``checkpoint [label=NAME]: WORD`` or ``final
+[label=NAME]: WORD``, follows the ``syntax`` template of its class in
+``moves.ENTRIES``, which also prints the entry back (``moves.describe``).
+A NAME holds word characters and ( ) + -.  A script line is parsed by its
+leading token, the text before its first blank or ':', which picks the one
+pattern it is matched against: start's, or that of the entry whose syntax
+begins with that token.  Positions are 0-based letter indices into the
+current word.  Blank lines and '#' comments are ignored.
 """
 
 from __future__ import annotations
@@ -50,18 +49,7 @@ from __future__ import annotations
 import re
 from typing import Callable, Iterable, NamedTuple, Optional, get_args, get_type_hints
 
-from .moves import (
-    MOVES,
-    Checkpoint,
-    Entry,
-    Final,
-    Lantern,
-    Move,
-    MoveScript,
-    Nat,
-    _template,
-    describe,
-)
+from .moves import ENTRIES, Entry, Label, MoveScript, Nat, _template, describe
 from .registry import ParseError, Registry, UnknownCurve
 from .words import Curve, Letter, PositiveRelator, Word, invert, push, word_str
 
@@ -264,13 +252,7 @@ def serialize(script: MoveScript) -> str:
     lines = [f"script {script.name}"]
     label = f" label={script.start_label}" if script.start_label else ""
     lines.append(f"start{label}: {word_str(script.start)}")
-    for entry in script.entries:
-        if isinstance(entry, (Checkpoint, Final)):
-            kind = "final" if isinstance(entry, Final) else "checkpoint"
-            lab = f" label={entry.label}" if entry.label else ""
-            lines.append(f"{kind}{lab}: {word_str(entry.word)}")
-        else:
-            lines.append(describe(entry))
+    lines += map(describe, script.entries)
     lines.append("end")
     return "\n".join(lines)
 
@@ -286,13 +268,13 @@ class Document(NamedTuple):
     scripts: dict[str, MoveScript]
 
 
-_CHECK_RE = re.compile(r"(?:checkpoint|final)(?:\s+label=([\w()+-]+))?\s*:\s*(.+)")
-# start NAME (group 1), or start [label=L]: WORD (groups 2 and 3)
-_START_RE = re.compile(r"start(?:\s+([\w()+-]+)|(?:\s+label=([\w()+-]+))?\s*:\s*(.+))")
+_LABEL = r"[\w()+-]+"  # a relator, script or checkpoint name
+# start NAME (group 1), or start [label=NAME]: WORD (groups 2 and 3)
+_START_RE = re.compile(rf"start(?:\s+({_LABEL})|(?:\s+label=({_LABEL}))?\s*:\s*(.+))")
 
 
 # The values a slot takes, by its field's annotation; a Literal takes its choices.
-_SLOT_PATTERNS = {Word: ".+", Nat: r"\d+", int: r"-?\d+", str: r"\w+"}
+_SLOT_PATTERNS = {Word: ".+", Nat: r"\d+", int: r"-?\d+", str: r"\w+", Label: _LABEL}
 
 
 def _slot_value(kind, text: str, registry: Optional[Registry], lineno: int, col: int, memo: dict):
@@ -302,11 +284,13 @@ def _slot_value(kind, text: str, registry: Optional[Registry], lineno: int, col:
 
 
 def _literal_pattern(text: str) -> str:
-    return r"\s+".join(map(re.escape, text.split(" ")))
+    """The regex of a syntax's literal text: ': ' reads a colon with or
+    without blanks around it, and a space any run of blanks."""
+    return r"\s*:\s*".join(r"\s+".join(map(re.escape, part.split(" "))) for part in text.split(": "))
 
 
-def _compile_move(cls: type) -> tuple[type, dict, re.Pattern]:
-    """The move class, its field annotations and the regex of its syntax.  A
+def _compile_entry(cls: type) -> tuple[type, dict, re.Pattern]:
+    """The entry class, its field annotations and the regex of its syntax.  A
     Word annotation is taken as the Word object itself, which get_type_hints
     rebuilds, so that _slot_value tells the kinds apart by identity."""
     kinds = {name: Word if kind == Word else kind for name, kind in get_type_hints(cls).items()}
@@ -323,18 +307,17 @@ def _compile_move(cls: type) -> tuple[type, dict, re.Pattern]:
     return cls, kinds, re.compile("".join(parts))
 
 
-# Each move by the first token of its syntax, which a blank ends on input.
-_MOVE_SYNTAX = {cls.syntax.split(" ", 1)[0]: _compile_move(cls) for cls in MOVES}
+# Each entry by the leading token of its syntax, which a blank, an optional
+# part or a colon ends.
+_ENTRY_SYNTAX = {re.split(r"[ \[:]", cls.syntax, 1)[0]: _compile_entry(cls) for cls in ENTRIES}
 
 
-def _parse_move(line: str, syntax: tuple, lineno: int, registry: Optional[Registry],
-                indent: int, memo: dict) -> Optional[Move]:
+def _parse_entry(line: str, syntax: tuple, lineno: int, registry: Optional[Registry],
+                 indent: int, memo: dict) -> Optional[Entry]:
     cls, kinds, pattern = syntax
     m = pattern.fullmatch(line)
     if m is None:
         return None
-    if cls is Lantern and registry is not None and m["inst"] not in registry.lanterns:
-        raise ParseError(f"unknown lantern instance {m['inst']!r}", lineno)
     return cls(**{
         name: _slot_value(kinds[name], text, registry, lineno, indent + m.start(name), memo)
         for name, text in m.groupdict().items()
@@ -358,7 +341,7 @@ def parse_document(text: str, registry: Optional[Registry] = None) -> Document:
 
         if script_name is None:
             if line.startswith("relator "):
-                m = re.match(r"^relator\s+([\w()+-]+)\s*=\s*(.+)$", line)
+                m = re.match(rf"relator\s+({_LABEL})\s*=\s*(.+)$", line)
                 if not m:
                     raise ParseError("bad relator definition", lineno)
                 name, body = m.groups()
@@ -367,7 +350,7 @@ def parse_document(text: str, registry: Optional[Registry] = None) -> Document:
                 w = _parse_word(body, registry, lineno, indent + m.start(2), memo)
                 doc.relators[name] = _relator(w, name, lineno)
                 continue
-            m = re.match(r"^script\s+([\w()+-]+)$", line)
+            m = re.match(rf"script\s+({_LABEL})$", line)
             if m:
                 script_name = m.group(1)
                 if script_name in doc.scripts:
@@ -400,16 +383,10 @@ def parse_document(text: str, registry: Optional[Registry] = None) -> Document:
                 start_label = m[2] or ""
                 start = _parse_word(m[3], registry, lineno, indent + m.start(3), memo)
                 continue
-        elif head in ("checkpoint", "final"):
-            m = _CHECK_RE.fullmatch(line)
-            if m:
-                w = _parse_word(m[2], registry, lineno, indent + m.start(2), memo)
-                entries.append((Final if head == "final" else Checkpoint)(w, m[1] or ""))
-                continue
-        elif head in _MOVE_SYNTAX:
-            move = _parse_move(line, _MOVE_SYNTAX[head], lineno, registry, indent, memo)
-            if move is not None:
-                entries.append(move)
+        elif head in _ENTRY_SYNTAX:
+            entry = _parse_entry(line, _ENTRY_SYNTAX[head], lineno, registry, indent, memo)
+            if entry is not None:
+                entries.append(entry)
                 continue
         raise ParseError(f"cannot parse script line {line!r}", lineno)
 

@@ -38,14 +38,17 @@ class IllegalMove(ValueError):
 
 # A non-negative integer: a letter position, a block length or a rotation.
 Nat = NewType("Nat", int)
+# A checkpoint's name, which may hold ( ) + - as relator and script names do.
+Label = NewType("Label", str)
 
 
-# Each move class spells its line once, in ``syntax``: literal text with one
+# Each entry class spells its line once, in ``syntax``: literal text with one
 # {field} slot per field, read and printed by the field's annotation (Nat and
-# int as numbers, Literal as one of its choices, str as a name, Word as a
-# word).  A space stands for any run of blanks on input.  A part in brackets
-# is optional: input may leave it out, so the field keeps its default, and
-# output leaves it out when its word is empty.
+# int as numbers, Literal as one of its choices, str as a word character run,
+# Label as a name, Word as a word).  A space stands for any run of blanks on
+# input, and ': ' for a colon with or without blanks around it.  A part in
+# brackets is optional: input may leave it out, so the field keeps its
+# default, and output leaves it out when its value is an empty word or label.
 SLOT = re.compile(r"\[([^\]{]*)\{(\w+)\}\]|\{(\w+)\}")
 
 
@@ -141,16 +144,19 @@ Move = Union[MOVES]
 
 
 class Checkpoint(NamedTuple):
+    syntax = "checkpoint[ label={label}]: {word}"
     word: Word
-    label: str = ""
+    label: Label = ""
 
 
 class Final(NamedTuple):
+    syntax = "final[ label={label}]: {word}"
     word: Word
-    label: str = ""
+    label: Label = ""
 
 
-Entry = Union[Move, Checkpoint, Final]
+ENTRIES = (*MOVES, Checkpoint, Final)
+Entry = Union[ENTRIES]
 
 
 def _same_record(a: tuple, b: object) -> bool:
@@ -164,7 +170,7 @@ def _other_record(a: tuple, b: object) -> bool:
 # Entries are tuples, so equal fields would make Commute(3) == Expand(3):
 # equality also asks for the same class.  Set on the classes once made, so
 # the hash stays tuple.__hash__, the hash of the fields.
-for _entry in (*MOVES, Checkpoint, Final):
+for _entry in ENTRIES:
     _entry.__eq__, _entry.__ne__ = _same_record, _other_record
 
 
@@ -175,14 +181,15 @@ class MoveScript(NamedTuple):
     start_label: str = ""
 
 
-def describe(move: Move) -> str:
-    """The move's line: its syntax template filled in, words by word_str."""
-    text, slots = _template(move.syntax)
+def describe(entry: Entry) -> str:
+    """The entry's line: its syntax template filled in, words by word_str,
+    without an optional part whose value is the empty word or label."""
+    text, slots = _template(entry.syntax)
     values = []
     for prefix, optional, name in slots:
-        value = getattr(move, optional or name)
+        value = getattr(entry, optional or name)
         is_word = type(value) is tuple
-        values.append("" if optional and value == () else
+        values.append("" if optional and value in ((), "") else
                       (prefix or "") + (word_str(value) if is_word else str(value)))
     return text.format(*values)
 
@@ -473,7 +480,7 @@ def replay(reg: Registry, script: MoveScript) -> ReplayReport:
         if isinstance(entry, (Checkpoint, Final)):
             expected = entry.word if entry.word == state else reg.canonical_word(entry.word)
             ok = state == expected
-            kind = "final" if isinstance(entry, Final) else "checkpoint"
+            kind = entry.syntax.partition("[")[0]
             label = f" label={entry.label}" if entry.label else ""
             step = StepResult(
                 index,

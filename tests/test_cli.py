@@ -12,8 +12,9 @@ import pytest
 import g2mcg
 from g2mcg import cli, fixtures
 from g2mcg.cli import main
-from g2mcg.dsl import ParseError, parse_document
+from g2mcg.dsl import ParseError, parse_document, serialize
 from g2mcg.fixtures import FILES, SCRIPTS, load_corpus, read_text, script_text
+from g2mcg.moves import Lantern
 from g2mcg.registry import INCONCLUSIVE, Registry, standard_registry
 from g2mcg.words import Curve, letter, word_str
 
@@ -130,6 +131,33 @@ def test_verify_pi1_agrees_with_every_bench_answer(tmp_path):
     assert len(distinct) > 100
     wrong = [op["id"] for argv, op in distinct.items() if main(list(argv)) != op["expect"]["exit"]]
     assert wrong == []
+
+
+def test_serialize_gives_back_every_long_replay_script(tmp_path):
+    # the benchmark writes its long-replay scripts with serialize
+    reg_path = tmp_path / "standard.reg"
+    reg_path.write_text(read_text("standard.reg"))
+    ops = load_workloads().build("long-replay", 1, tmp_path / "work", str(reg_path))
+    reg = Registry.parse(reg_path.read_text())
+    paths = sorted({Path(op["argv"][-1]) for op in ops})
+    assert len(paths) == 20
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        (script,) = parse_document(text, reg).scripts.values()
+        assert serialize(script) + "\n" == text, path.name
+
+
+def test_an_unknown_lantern_instance_fails_its_replay_step(tmp_path, capsys):
+    # the move decides its instance when it applies, as alias does its relation
+    p = tmp_path / "l9.mcg"
+    p.write_text("relator M = (B0 B1 B2 d)^2\nscript t\nstart M\nL @0 inst=L9 dir=down\nend\n")
+    (script,) = parse_document(p.read_text(), standard_registry()).scripts.values()
+    assert script.entries == (Lantern(0, "L9", "down"),)
+    assert main(["replay", str(p)]) == 1
+    out = capsys.readouterr().out
+    assert "  [FAIL]   1 L @0 inst=L9 dir=down out=0  unknown lantern instance L9\n" in out
+    assert main(["verify", str(p)]) == 0
+    assert capsys.readouterr().out.startswith("M: image = identity, ab class 0, (n,s) = (6,2)\n")
 
 
 def test_verify_pi1_refutes_an_uncapped_torelli_product(tmp_path, capsys):
@@ -430,6 +458,13 @@ def test_decompose_trivial(capsys):
 
 def test_decompose_rejects_negative(capsys):
     assert main(["decompose", "-1", "0"]) == 2
+
+
+def test_decompose_refuses_a_lattice_past_its_bound_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["decompose", "20000", "20000"]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == "(20000,20000) spans 20012001 lattice points, past 250000\n"
 
 
 def test_registry_check_standard(capsys):

@@ -325,8 +325,6 @@ def test_script_errors():
         parse_document("script x\nstart nope\nend")
     with pytest.raises(ParseError):
         parse_document("L @0 inst=L9 dir=down")
-    with pytest.raises(ParseError):
-        parse_document("script x\nstart: c1\nL @0 inst=L9 dir=down\nend", reg)
     with pytest.raises(ParseError, match="^bad relator definition at line 1$"):
         parse_document("relator r c1")
 

@@ -1,4 +1,6 @@
-"""Every move line parses to its move and prints back as the same line."""
+"""Every entry line parses to its entry and prints back as the same line."""
+
+import re
 
 import pytest
 
@@ -12,6 +14,7 @@ from g2mcg.moves import (
     Commute,
     Contract,
     CyclicShift,
+    ENTRIES,
     Expand,
     Final,
     GlobalConjugate,
@@ -30,9 +33,9 @@ def W(text):
     return parse_word(text, reg)
 
 
-# (line, parsed move, printed line when it differs from the input): each
+# (line, parsed entry, printed line when it differs from the input): each
 # optional part appears once present and once absent.  Output always spells
-# out= and dir=, and leaves out an empty conj=.
+# out= and dir=, and leaves out an empty conj= and an empty label=.
 CASES = [
     ("~ commute @0", Commute(0), None),
     ("H @3 left", Hurwitz(3, "left"), None),
@@ -55,6 +58,11 @@ CASES = [
     ("alias @2 rel=B2def dir=rev", Alias(2, "B2def", "rev"), None),
     ("alias @6 rel=chain", Alias(6, "chain"), "alias @6 rel=chain dir=fwd"),
     ("central @8 len=10 to=2", CentralSlide(8, 10, 2), None),
+    ("checkpoint: c1 c2", Checkpoint(W("c1 c2")), None),
+    ("checkpoint label=X3: c1^2 [c2](c3)", Checkpoint(W("c1 c1 [c2](c3)"), "X3"), None),
+    ("final: c2", Final(W("c2")), None),
+    ("final label=(Z4+b)-1: c1 c2", Final(W("c1 c2"), "(Z4+b)-1"), None),
+    ("checkpoint :c1 c2", Checkpoint(W("c1 c2")), "checkpoint: c1 c2"),
 ]
 
 REJECTED = [
@@ -62,7 +70,6 @@ REJECTED = [
     "~ commute @-1",
     "H @0 sideways",
     "B @0 back",
-    "L @0 inst=L9 dir=down",
     "L @0 inst=L1 dir=sideways",
     "L @0 inst=L1 dir=down out=-1",
     "contract @3",
@@ -93,8 +100,7 @@ def test_move_line_round_trip(line, move, printed):
 ])
 def test_bad_move_line(line):
     # each line is the third of its script
-    message = ("unknown lantern instance 'L9'" if line == "L @0 inst=L9 dir=down"
-               else "script t has a second start" if line == "start X2"
+    message = ("script t has a second start" if line == "start X2"
                else f"cannot parse script line {line!r}")
     with pytest.raises(ParseError) as err:
         parse_document(_script(line), reg)
@@ -102,10 +108,13 @@ def test_bad_move_line(line):
 
 
 def test_each_move_has_its_own_leading_token():
-    # a script line is matched against the one move its leading token names
-    heads = [cls.syntax.split(" ", 1)[0] for cls in MOVES]
-    assert len(set(heads)) == len(heads) == 10
-    assert not {"start", "checkpoint", "final", "end"} & set(heads)
+    # a script line is matched against the one entry, a move, checkpoint or
+    # final, its leading token names; a blank, an optional part or a colon
+    # ends the token
+    heads = [re.split(r"[ \[:]", cls.syntax, 1)[0] for cls in ENTRIES]
+    assert len(set(heads)) == len(heads) == 12
+    assert heads[10:] == ["checkpoint", "final"]
+    assert not {"start", "end", "relator", "script"} & set(heads)
 
 
 @pytest.mark.parametrize("text, message", [
