@@ -5,6 +5,10 @@
     g2mcg decompose <n> <s>        enumerate fiber-sum splits of a signature
     g2mcg registry-check           validate the curve registry
 
+With --pi1, verify also asks pi1 about each relator the image and ab class
+leave open.  One they refute is refuted already, and pi1 could not change
+its exit code 1, so its pi1 check is skipped.
+
 Exit codes: 0 success; 1 a verify or registry-check Verdict refuted or
 inconclusive, or a failed replay step; 2 parse or usage error.
 
@@ -102,7 +106,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         identity = reg.image(rel.word) == hom.IDENTITY
         verdicts += Verdict.decided("image", identity), Verdict.decided("ab", sig.mod_ten == 0)
         if args.pi1:
-            inner = pi1.relator_verdict(reg, rel.word)
+            # pi1 runs only on a relator the image and ab class leave open:
+            # once either refutes, the exit code is 1 whatever pi1 answers
+            refuter = "image" if not identity else "ab class" if sig.mod_ten else None
+            inner = (Verdict("pi1", INCONCLUSIVE, f"the {refuter} refutes") if refuter
+                     else pi1.relator_verdict(reg, rel.word))
             verdicts.append(inner)
             shown = pi1_shown[inner.status]
         try:
@@ -187,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "records"), default="text")
     parser.add_argument("--pi1", action="store_true",
                         help="prove or refute that each relator acts on pi1 as an inner "
-                             "automorphism (verify only); one it cannot decide is skipped "
+                             "automorphism (verify only); it runs only on relators the image "
+                             "and ab class leave open, and one it cannot decide is skipped "
                              "and fails")
     parser.add_argument("--out", help="write output to this path instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)

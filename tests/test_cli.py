@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import g2mcg
-from g2mcg import cli, fixtures
+from g2mcg import cli, fixtures, pi1
 from g2mcg.cli import main
 from g2mcg.dsl import ParseError, parse_document, serialize
 from g2mcg.fixtures import FILES, SCRIPTS, load_corpus, read_text, script_text
@@ -75,14 +75,65 @@ def test_verify_pi1_rejects_td5(tmp_path):
     assert main(["--pi1", "verify", str(p)]) != 0
 
 
-@pytest.mark.parametrize("text", ["(c1 c2)^30 (c2 c3)^6", "(c1 c2)^12 (c2 c3)^12"])
+# t_d^a t_d''^b with a, b > 0 is no relator, yet its image is the identity:
+# the ab class 2(a + b) mod 10 refutes it, and where that is 0 only pi1 does
+_TORELLI = {
+    "(c1 c2)^30 (c2 c3)^6": "skipped (the ab class refutes)",
+    "(c1 c2)^12 (c2 c3)^12": "skipped (the ab class refutes)",
+    "(c1 c2)^6 (c2 c3)^6": "skipped (the ab class refutes)",
+    "(c1 c2)^24 (c2 c3)^6": "acts by conjugation on generators: False",
+    "(c1 c2)^18 (c2 c3)^12": "acts by conjugation on generators: False",
+}
+
+
+@pytest.mark.parametrize("text", list(_TORELLI))
 def test_verify_pi1_refutes_torelli_products(tmp_path, capsys, text):
-    # t_d^5 t_d'' and t_d^2 t_d''^2, not relators: the action is decided not
-    # inner, where a capped closure of cyclic forms could only give up
     p = tmp_path / "torelli.mcg"
     p.write_text(text)
     assert main(["--pi1", "verify", str(p)]) == 1
-    assert "  pi1: acts by conjugation on generators: False" in capsys.readouterr().out
+    assert f"  pi1: {_TORELLI[text]}\n" in capsys.readouterr().out
+
+
+_SKIPS = "relator r = (c1 c2 c3 c4 c5)^6\nrelator i = c1 c2\nrelator t = (c1 c2)^6 (c2 c3)^6\n"
+
+
+@pytest.mark.parametrize("fmt, shown", [
+    ("text", ["  pi1: acts by conjugation on generators: True\n",
+              "  pi1: skipped (the image refutes)\n", "  pi1: skipped (the ab class refutes)\n"]),
+    ("records", ["relator=r identity=True ab=0 n=30 s=0 e=26 sigma=-18 c1sq=-2 chi_h=2 pi1=True\n",
+                 "relator=i identity=False ab=2 n=2 s=0 invariants=non-integral pi1=skipped\n",
+                 "relator=t identity=True ab=4 n=24 s=0 invariants=non-integral pi1=skipped\n"]),
+])
+def test_verify_pi1_runs_only_on_relators_the_image_and_ab_class_leave_open(
+        tmp_path, capsys, monkeypatch, fmt, shown):
+    asked = []
+    verdict = pi1.relator_verdict
+
+    def counted(reg, w):
+        asked.append(w)
+        return verdict(reg, w)
+
+    monkeypatch.setattr(pi1, "relator_verdict", counted)
+    p = tmp_path / "skips.mcg"
+    p.write_text(_SKIPS)
+    assert main(["--format", fmt, "--pi1", "verify", str(p)]) == 1
+    out = capsys.readouterr().out
+    assert len(asked) == 1
+    assert all(line in out for line in shown)
+
+
+def test_plain_verify_prints_no_pi1_line(tmp_path, capsys):
+    p = tmp_path / "skips.mcg"
+    p.write_text(_SKIPS)
+    assert main(["verify", str(p)]) == 1
+    assert capsys.readouterr().out == (
+        "r: image = identity, ab class 0, (n,s) = (30,0)\n"
+        "  e=26 sigma=-18 c1^2=-2 chi_h=2\n"
+        "i: image != identity, ab class 2, (n,s) = (2,0)\n"
+        "  invariants undefined: 3n+s = 6 is not divisible by 5 for (n,s)=(2,0)\n"
+        "t: image = identity, ab class 4, (n,s) = (24,0)\n"
+        "  invariants undefined: 3n+s = 72 is not divisible by 5 for (n,s)=(24,0)\n"
+    )
 
 
 @pytest.mark.parametrize("text, status, verdict", [
@@ -158,14 +209,6 @@ def test_an_unknown_lantern_instance_fails_its_replay_step(tmp_path, capsys):
     assert "  [FAIL]   1 L @0 inst=L9 dir=down out=0  unknown lantern instance L9\n" in out
     assert main(["verify", str(p)]) == 0
     assert capsys.readouterr().out.startswith("M: image = identity, ab class 0, (n,s) = (6,2)\n")
-
-
-def test_verify_pi1_refutes_an_uncapped_torelli_product(tmp_path, capsys):
-    # t_d t_d'': both closures of the first generator not conjugate stay under the cap
-    p = tmp_path / "torelli.mcg"
-    p.write_text("(c1 c2)^6 (c2 c3)^6")
-    assert main(["--pi1", "verify", str(p)]) == 1
-    assert "  pi1: acts by conjugation on generators: False" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("text", ["relator r = c1^3000000", "relator r = ((c1)^1000)^1000"])

@@ -1,11 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from g2mcg import pi1
 from g2mcg.dsl import parse_word
 from g2mcg.fixtures import load_corpus
+from g2mcg.homology import IDENTITY
+from g2mcg.invariants import fiber_signature
 from g2mcg.moves import Checkpoint, Final, apply_move
 from g2mcg.registry import INCONCLUSIVE, PROVED, REFUTED, Verdict, standard_registry
 from g2mcg.words import Curve, Letter, invert, letter
@@ -183,6 +185,23 @@ def test_td5_is_not_equal_to_the_identity():
 ])
 def test_only_a_proved_verdict_carries_a_certificate(text, verdict):
     assert pi1.relator_verdict(reg, parse_word(text)) == verdict
+
+
+_CHAIN6 = parse_word("(c1 c2 c3 c4 c5)^6")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(BASE).map(letter), max_size=40).map(tuple),
+    st.integers(0, len(_CHAIN6) - 1).map(lambda i: _CHAIN6[:i] + _CHAIN6[i + 1 :]),
+))
+@example(parse_word("(c1 c2)^6 (c2 c3)^6"))
+@example(parse_word("(c1 c2)^30 (c2 c3)^6"))
+@example(parse_word("(c1 c2)^12 (c2 c3)^12"))
+def test_pi1_refutes_every_word_the_image_or_ab_class_refutes(w):
+    # so verify --pi1, which skips pi1 on such a word, hides no answer pi1 gives
+    if reg.image(w) != IDENTITY or fiber_signature(reg, w).mod_ten:
+        assert pi1.relator_verdict(reg, w).status == REFUTED
 
 
 def test_braid_words_act_identically():
