@@ -5,9 +5,10 @@
     g2mcg decompose <n> <s>        enumerate fiber-sum splits of a signature
     g2mcg registry-check           validate the curve registry
 
-With --pi1, verify also asks pi1 about each relator the image and ab class
-leave open.  One they refute is refuted already, and pi1 could not change
-its exit code 1, so its pi1 check is skipped.
+verify checks each relator's Sp(4,Z) image, its ab class in Z/10 and, if
+both hold, its action on pi1 of the surface, inner exactly when the word is
+a relator of Mod(S2).  Where the image or ab class refutes, the pi1 verdict
+is inconclusive and names it.
 
 Exit codes: 0 success; 1 a verify or registry-check Verdict refuted or
 inconclusive, or a failed replay step; 2 parse or usage error.
@@ -31,7 +32,6 @@ from .moves import replay
 from .registry import (
     INCONCLUSIVE,
     PROVED,
-    REFUTED,
     Registry,
     Verdict,
     standard_registry,
@@ -81,7 +81,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     from . import homology as hom, invariants, pi1
 
-    pi1_shown = {PROVED: "True", REFUTED: "False", INCONCLUSIVE: "skipped"}
     reg = _load_registry(args.registry)
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
@@ -104,15 +103,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for name, rel in relators.items():
         sig = invariants.fiber_signature(reg, rel)
         identity = reg.image(rel.word) == hom.IDENTITY
-        verdicts += Verdict.decided("image", identity), Verdict.decided("ab", sig.mod_ten == 0)
-        if args.pi1:
-            # pi1 runs only on a relator the image and ab class leave open:
-            # once either refutes, the exit code is 1 whatever pi1 answers
-            refuter = "image" if not identity else "ab class" if sig.mod_ten else None
-            inner = (Verdict("pi1", INCONCLUSIVE, f"the {refuter} refutes") if refuter
-                     else pi1.relator_verdict(reg, rel.word))
-            verdicts.append(inner)
-            shown = pi1_shown[inner.status]
+        # pi1 runs only on a relator the image and ab class leave open; where
+        # either refutes, the exit code is 1 by an inconclusive verdict naming it
+        refuter = "image" if not identity else "ab class" if sig.mod_ten else None
+        inner = (Verdict("pi1", INCONCLUSIVE, f"the {refuter} refutes") if refuter
+                 else pi1.relator_verdict(reg, rel.word))
+        verdicts.append(inner)
         try:
             inv, undefined = invariants.invariants(sig), None
         except invariants.SignatureNotIntegral as exc:
@@ -120,16 +116,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.format == "records":
             rec = (invariants.invariant_records(sig, inv) if inv is not None
                    else f"n={sig.n} s={sig.s} invariants=non-integral")
-            lines.append(f"relator={name} identity={identity} ab={sig.mod_ten} {rec}"
-                         + (f" pi1={shown}" if args.pi1 else ""))
+            lines.append(f"relator={name} identity={identity} ab={sig.mod_ten} {rec} "
+                         f"pi1={inner.status}")
         else:
             lines.append(f"{name}: image {'=' if identity else '!='} identity, "
                          f"ab class {sig.mod_ten}, (n,s) = ({sig.n},{sig.s})")
             lines.append(f"  e={inv.e} sigma={inv.sigma} c1^2={inv.c1sq} chi_h={inv.chi_h}"
                          if inv is not None else f"  invariants undefined: {undefined}")
-            if args.pi1:
-                lines.append(f"  pi1: skipped ({inner.detail})" if inner.status == INCONCLUSIVE
-                             else f"  pi1: acts by conjugation on generators: {shown}")
+            lines.append(f"  pi1: {inner.status}"
+                         + (f" ({inner.detail})" if inner.status == INCONCLUSIVE else ""))
     _emit("\n".join(lines), args.out)
     return _exit_code(verdicts)
 
@@ -193,11 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--registry", help="registry file (default: the packaged corpus/standard.reg)")
     parser.add_argument("--format", choices=("text", "records"), default="text")
-    parser.add_argument("--pi1", action="store_true",
-                        help="prove or refute that each relator acts on pi1 as an inner "
-                             "automorphism (verify only); it runs only on relators the image "
-                             "and ab class leave open, and one it cannot decide is skipped "
-                             "and fails")
+    # ignored, as verify always asks pi1: the pi1-verify benchmark still passes it
+    parser.add_argument("--pi1", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--out", help="write output to this path instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -223,20 +215,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """One g2mcg invocation.  The command imports its own modules as it runs
-    (see the module docstring), so the first verify or decompose call of a
-    process also loads pi1 and invariants, or decompose.  A process that
-    calls main more than once reuses what does not change between calls: the
-    argument parser, the packaged corpus texts and the Registry of the last
-    --registry text read (the file is read again on every call).  Relator
-    and script files are read and parsed anew on every call, and nothing
-    derived from them is cached.  A stdout whose reader has closed it drops
-    the output, and the command's exit code stands."""
+    """One g2mcg invocation, its command importing its modules as the module
+    docstring says.  A process that calls main more than once reuses what
+    does not change between calls: the argument parser, the packaged corpus
+    texts and the Registry of the last --registry text read (the file is
+    read again on every call).  Relator and script files are read and parsed
+    anew on every call, and nothing derived from them is cached.  A stdout
+    whose reader has closed it drops the output, and its exit code stands."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.pi1 and args.command != "verify":
-        print(f"error: --pi1 applies to verify only, not {args.command}", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (ParseError, OSError, UnicodeDecodeError) as exc:

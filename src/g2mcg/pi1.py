@@ -14,7 +14,7 @@ inverse, so one table gives each segment's complement.
 A twist word is a relator in Mod(S2) exactly when its action on the surface
 group is inner (Dehn-Nielsen-Baer; Farb-Margalit, Primer, ch. 8), which
 ``inner_conjugator`` decides exactly; ``relator_verdict`` says so as a
-Verdict, inconclusive when a curve has no action table entry.  The
+Verdict, inconclusive when a curve has no action.  The
 relator's pieces have length one, so the presentation is C'(1/7) and a
 cyclically Dehn-reduced conjugate of a generator is the generator itself
 (Lyndon-Schupp, ch. V); the centralizer of a generator is the cyclic group
@@ -26,11 +26,12 @@ picture: each chain twist inserts the based twist-curve word into the
 generators crossing it once, and the middle chain curve, whose based
 representative is b a^-1 b^-1 c, additionally conjugates the second
 meridian because every arc from the basepoint to it crosses the twist
-annulus.  The table is accepted because the whole genus-2 presentation
+annulus, and d, based as the first handle's commutator abAB, conjugates a
+and b by it.  The table is accepted because the whole genus-2 presentation
 holds for it exactly: braid relations for adjacent twists, commutation
 for distant ones, the involution word squaring to the identity, the
-30-twist chain relator acting as the identity, and every abelianized
-action equal to the homology transvection.
+30-twist chain relator acting as the identity, t_d acting as (c1 c2)^6,
+and every abelianized action equal to the homology transvection.
 
 ``word_action`` keeps the images of the generators and of their inverses
 in one dict and applies the letters of the flat word one at a time, each
@@ -57,14 +58,14 @@ from typing import Optional
 from . import homology as hom
 from .homology import Mat
 from .registry import INCONCLUSIVE, PROVED, REFUTED, Registry, Verdict
-from .words import Word
+from .words import Letter, Word
 
 GENS = "abcd"
 RELATOR = "abABcdCD"
 
 
 class MissingAutomorphism(KeyError):
-    """A letter's curve has no registered surface-group action."""
+    """A letter's curve has no surface-group action, in the table or by its definition."""
 
 
 def inverse(w: str) -> str:
@@ -202,7 +203,7 @@ Aut = dict[str, str]
 
 _IDENTITY: Aut = {g: g for g in GENS}
 
-# Per chain curve: the based curve word g its twist inserts, and the
+# Per chain curve and d: the based curve word g its twist inserts, and the
 # generators it moves, as templates in g and its inverse G.  The left-handed
 # twist inserts the reversed curve: g and G trade places.
 _TWIST_SPEC: dict[str, tuple[str, dict[str, str]]] = {
@@ -211,6 +212,7 @@ _TWIST_SPEC: dict[str, tuple[str, dict[str, str]]] = {
     "c3": ("bABc", {"b": "{g}b", "c": "{g}c{G}", "d": "d{G}"}),
     "c4": ("d", {"c": "c{g}"}),
     "c5": ("C", {"d": "d{g}"}),
+    "d": ("abAB", {"a": "{g}a{G}", "b": "{g}b{G}"}),
 }
 
 
@@ -272,16 +274,26 @@ def _product(img: dict[str, str], pieces: _Pieces) -> str:
     return u
 
 
+def _defined_steps(reg: Registry, l: Letter, within: tuple[str, ...] = ()) -> list:
+    """The steps of u t_a^e u^-1 for a letter t^e of a curve u(a) not in the table;
+    MissingAutomorphism names an undefined curve, or one met ``within`` its own expansion."""
+    name = l.curve.name
+    defn = reg.curves[name].defn if name in reg.curves else None
+    if defn is None or name in within:
+        raise MissingAutomorphism(name)
+    return [s for m in reg.flat_word((Letter(defn, l.exp),))
+            for s in (_STEPS if m.exp == 1 else _STEPS_INV).get(m.curve.name)
+            or _defined_steps(reg, m, (*within, name))]
+
+
 def word_action(reg: Registry, w: Word) -> Aut:
     """Automorphism of the word: rightmost letter acts first, matching the
     matrix convention image(uv) = image(u) image(v) on column vectors.  The
-    letters of reg.flat_word(w), all plain, act by their twist steps;
-    MissingAutomorphism names the first of them with none."""
+    letters of reg.flat_word(w), all plain, act by their twist steps, or their
+    definition's; MissingAutomorphism names the first curve with no action."""
     img = {x: x for x in GENS + GENS.upper()}
     for l in reg.flat_word(w):
-        steps = (_STEPS if l.exp == 1 else _STEPS_INV).get(l.curve.name)
-        if steps is None:
-            raise MissingAutomorphism(l.curve.name)
+        steps = (_STEPS if l.exp == 1 else _STEPS_INV).get(l.curve.name) or _defined_steps(reg, l)
         for x, inv_x, pieces in steps:
             u = _product(img, pieces)
             if x != "g":  # the image of g stays freely reduced only
@@ -329,10 +341,10 @@ def inner_conjugator(phi: Aut) -> Optional[str]:
 def relator_verdict(reg: Registry, w: Word) -> Verdict:
     """Whether w is a relator of Mod(S2): proved, with z of phi(g) = z g z^-1
     as certificate, when w acts by an inner phi; refuted when phi is not
-    inner; inconclusive when a letter's curve has no action table entry."""
+    inner; inconclusive when a letter's curve has no action."""
     try:
         phi = word_action(reg, w)
     except MissingAutomorphism as exc:
-        return Verdict("pi1", INCONCLUSIVE, f"no action table for curve {exc}")
+        return Verdict("pi1", INCONCLUSIVE, f"no action for curve {exc}")
     z = inner_conjugator(phi)
     return Verdict("pi1", REFUTED) if z is None else Verdict("pi1", PROVED, z)

@@ -13,9 +13,8 @@ only definition of that format.  standard_registry() parses that file; a
 --registry file in the same format replaces it.
 
 validate() certifies every class in the file, each identity once, by exact
-checks whose Verdicts are proved or refuted (inconclusive only for a defn:
-or lantern: check that names a curve the registry lacks, as it compares
-nothing):
+checks whose Verdicts are proved or refuted (inconclusive when a defn: or
+lantern: check names a missing curve, as it compares nothing):
   - the chain c1 -> a1, c2 -> b1, c3 -> a2 - a1, c4 -> b2, c5 -> a2:
     eq02:*, eq03:*, eq04:* and disjoint:ci,cj, the genus-2 presentation;
   - the lantern interior curves x, k and kb: lantern:*:image, the two
@@ -25,7 +24,9 @@ nothing):
   - B0, B1, Y1 and Y2: relator:matsumoto and relator:matsumoto-conj, both
     Matsumoto words map to the identity, and symbol:lambda(B0)=c1, the
     handle-swapping involution composed with c4^-1 c3^-1 c2^-1 c1^-1
-    takes B0 to c1 up to sign.
+    takes B0 to c1 up to sign;
+  - every curve but the chain and d: defn:*, its def= u(a) has the class
+    and flag stored, and pi1 acts on the curve through it.
 disjoint:ci,cj, central:0 and alias:chain also cover chain curves two or
 more apart commuting, tau commuting with every curve of the registry (17
 on standard.reg), and d = (c1 c2)^6.
@@ -208,7 +209,7 @@ class Registry:
         self, name: Optional[str] = None, *, drop_lantern: Optional[str] = None, **fields
     ) -> "Registry":
         """A new registry, with empty caches, in which curve ``name`` takes the
-        given CurveData ``fields`` (homology=, separating=) and lantern
+        given CurveData ``fields`` (homology=, separating=, defn=) and lantern
         ``drop_lantern`` is left out; perturbation tests build broken atlases
         this way."""
         if name is not None and name not in self.curves:

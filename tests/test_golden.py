@@ -2,11 +2,12 @@
 not drift.
 
 One golden file holds the rendered replay report of every corpus script,
-one the stdout and exit code of ``verify`` and ``--pi1 verify``, in text
-and records form, on every corpus file, and one the registry-check
-verdicts of the packaged registry and of the perturbed registries the
-tests build.  After a deliberate change, rewrite all three with
-``PYTHONPATH=src python tests/test_golden.py``.
+one the stdout and exit code of ``verify``, in text and records form, on
+every corpus file, and one the registry-check verdicts of the packaged
+registry and of the perturbed registries the tests build.  After a
+deliberate change, rewrite all three with
+``PYTHONPATH=src python tests/test_golden.py``.  The ``--pi1`` flag is
+ignored, and verify prints the same with it as without it.
 """
 
 import contextlib
@@ -41,23 +42,38 @@ def test_corpus_replay_matches_golden():
     assert corpus_renders() == GOLDEN.read_text(encoding="utf-8")
 
 
+def _run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _corpus_path(name: str) -> str:
+    return str(resources.files("g2mcg").joinpath("corpus").joinpath(name))
+
+
 def verify_outputs() -> str:
-    """Per corpus file, flags and format: the exit code and stdout of verify."""
+    """Per corpus file and format: the exit code and stdout of verify."""
     chunks = []
     for name in FILES:
-        path = str(resources.files("g2mcg").joinpath("corpus").joinpath(name))
-        for flags in ([], ["--pi1"]):
-            for fmt in ("text", "records"):
-                argv = ["--format", fmt, *flags, "verify"]
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    code = main([*argv, path])
-                chunks.append(f"== {' '.join(argv)} {name}: exit {code}\n{out.getvalue()}")
+        for fmt in ("text", "records"):
+            argv = ["--format", fmt, "verify"]
+            code, out = _run([*argv, _corpus_path(name)])
+            chunks.append(f"== {' '.join(argv)} {name}: exit {code}\n{out}")
     return "".join(chunks)
 
 
 def test_corpus_verify_matches_golden():
     assert verify_outputs() == GOLDEN_VERIFY.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+@pytest.mark.parametrize("name", FILES)
+def test_the_ignored_pi1_flag_changes_no_verify_output(name, fmt):
+    # the pi1-verify benchmark still passes --pi1
+    argv = ["--format", fmt, "verify", _corpus_path(name)]
+    assert _run(["--pi1", *argv]) == _run(argv)
 
 
 @pytest.mark.parametrize("name", FILES)

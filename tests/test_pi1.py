@@ -10,7 +10,7 @@ from g2mcg.homology import IDENTITY
 from g2mcg.invariants import fiber_signature
 from g2mcg.moves import Checkpoint, Final, apply_move
 from g2mcg.registry import INCONCLUSIVE, PROVED, REFUTED, Verdict, standard_registry
-from g2mcg.words import Curve, Letter, invert, letter
+from g2mcg.words import Curve, Letter, invert, letter, word_str
 
 reg = standard_registry()
 corpus = load_corpus(reg)
@@ -106,11 +106,57 @@ def test_apply_word_empty_is_reduction():
 
 
 def test_missing_automorphism():
+    # x and B0 with no definition have no action at all
+    bare = reg.replace("x", defn=None).replace("B0", defn=None)
     with pytest.raises(pi1.MissingAutomorphism):
-        pi1.word_action(reg, (letter("x"),))
+        pi1.word_action(bare, (letter("x"),))
     # the first letter of the flattened word x B0 x^-1 without an action
     with pytest.raises(pi1.MissingAutomorphism, match="'x'"):
-        pi1.word_action(reg, parse_word("[x](B0)"))
+        pi1.word_action(bare, parse_word("[x](B0)"))
+
+
+@pytest.mark.parametrize("name", ["x", "B2"])
+def test_a_definition_that_reaches_its_curve_again_has_no_action(name):
+    # x = [c4](x) reaches x, and B2 = [c3^-1](x) reaches it through x
+    cyclic = reg.replace("x", defn=Curve("x", (letter("c4"),)))
+    with pytest.raises(pi1.MissingAutomorphism, match="'x'"):
+        pi1.word_action(cyclic, (letter(name),))
+    assert pi1.relator_verdict(cyclic, parse_word(f"[{name}](c1) [{name}](c1)^-1")) == Verdict(
+        "pi1", INCONCLUSIVE, "no action for curve 'x'")
+
+
+def test_d_acts_as_the_chain_word_of_its_handle():
+    # the table entry of d against (c1 c2)^6, generator by generator
+    assert pi1.word_action(reg, (letter("d"),)) == aut_of("(c1 c2)^6")
+    assert pi1.relator_verdict(reg, parse_word("d^-1 (c1 c2)^6")).status == PROVED
+
+
+@pytest.mark.parametrize("name", sorted(reg.curves))
+def test_every_curve_acts_on_homology_by_its_image(name):
+    w = (letter(name),)
+    assert pi1.ab_matrix(pi1.word_action(reg, w)) == reg.image(w)
+
+
+def _same_class_swaps():
+    """Each corpus relator with one plain letter swapped for another curve
+    of the same homology class and separating flag."""
+    for rel in corpus.relators.values():
+        for p, l in enumerate(rel.word):
+            if l.curve.conj:
+                continue
+            data = reg.data(l.curve.name)
+            for other in reg.curves.values():
+                same = (other.homology, other.separating) == (data.homology, data.separating)
+                if same and other.name != data.name:
+                    yield rel.word[:p] + (letter(other.name, l.exp),) + rel.word[p + 1 :]
+
+
+def test_pi1_refutes_every_same_class_swap_that_the_image_passes():
+    swaps = list(_same_class_swaps())
+    assert len(set(swaps)) == 102
+    for w in swaps:
+        assert reg.image(w) == IDENTITY and fiber_signature(reg, w).mod_ten == 0
+        assert pi1.relator_verdict(reg, w) == Verdict("pi1", REFUTED), word_str(w)
 
 
 def test_conjugate_curve_letters_act():
@@ -181,7 +227,7 @@ def test_td5_is_not_equal_to_the_identity():
     ("(c1 c2)^-12", Verdict("pi1", REFUTED)),
     ("(c1 c2)^30 (c2 c3)^6", Verdict("pi1", REFUTED)),  # Torelli products
     ("(c1 c2)^12 (c2 c3)^12", Verdict("pi1", REFUTED)),
-    ("(B0 B1 B2 d)^2", Verdict("pi1", INCONCLUSIVE, "no action table for curve 'B0'")),
+    ("(B0 B1 B2 d)^2", Verdict("pi1", PROVED, "")),
 ])
 def test_only_a_proved_verdict_carries_a_certificate(text, verdict):
     assert pi1.relator_verdict(reg, parse_word(text)) == verdict
@@ -298,14 +344,24 @@ def _ref_compose(outer, inner):
 
 def _ref_word_action(w):
     out = {g: g for g in pi1.GENS}
-    for l in w:
+    for l in _ref_expand(w):
         out = _ref_compose(out, _ref_letter_action(l))
     return out
 
 
+def _ref_expand(w):
+    # a plain letter of a curve with no table entry, spelled out in place by
+    # its definition flattened, as word_action does
+    for l in w:
+        if l.curve.conj or l.curve.name in pi1.TWIST_TABLE:
+            yield l
+        else:
+            yield from _ref_expand(reg.flat_word((Letter(reg.data(l.curve.name).defn, l.exp),)))
+
+
 def _ref_letter_action(l):
     if l.curve.conj:
-        inner = _ref_letter_action(Letter(Curve(l.curve.name), l.exp))
+        inner = _ref_word_action((Letter(Curve(l.curve.name), l.exp),))
         u = _ref_word_action(l.curve.conj)
         uinv = _ref_word_action(tuple(m.inverse() for m in reversed(l.curve.conj)))
         return _ref_compose(u, _ref_compose(inner, uinv))
@@ -364,18 +420,14 @@ def test_word_action_agrees_with_full_compose_on_the_corpus():
     # As on random words: byte for byte over the flat letters, and as group
     # elements against the nested reference, which may spell images another
     # way (on c4 c4 [c3](c4) it gives d -> CbaB where word_action gives dCDa).
+    # Every word is compared: a curve with no table entry acts by its definition.
     words = [r.word for r in corpus.relators.values()] + list(_script_states())
-    compared = 0
+    assert len(words) == 17 + 7 + 206  # the relators, the scripts' starts and steps
     for w in words:
-        try:
-            act = pi1.word_action(reg, w)
-        except pi1.MissingAutomorphism:
-            continue
+        act = pi1.word_action(reg, w)
         assert act == _ref_word_action(tuple(reg.flat_word(w)))
         nested = _ref_word_action(w)
         assert all(pi1.elements_equal(act[g], nested[g]) for g in pi1.GENS)
-        compared += 1
-    assert compared >= 38  # Z0, chain30, chain40 and 35 script states
 
 
 _plain_letters = st.builds(letter, st.sampled_from(BASE), st.sampled_from([1, -1]))

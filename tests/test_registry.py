@@ -354,7 +354,7 @@ def test_derived_registries_do_not_share_the_canonical_curve_cache():
 
 def test_standard_report_evaluates_each_identity_once():
     names = [c.name for c in reg.validate()]
-    assert len(names) == len(set(names)) == 72
+    assert len(names) == len(set(names)) == 82
     assert "symbol:lambda(B0)=c1" in names
     assert not [
         n for n in names
