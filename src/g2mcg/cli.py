@@ -14,8 +14,9 @@ Exit codes: 0 success; 1 a verify or registry-check Verdict refuted or
 inconclusive, or a failed replay step; 2 parse or usage error.
 
 Each command imports its own modules when it runs: verify imports pi1 and
-invariants, decompose the decompose module.  A process loads only what the
-commands it runs need; replay and registry-check need neither.
+invariants, registry-check pi1, through Registry.validate, and decompose
+the decompose module.  A process loads only what the commands it runs
+need; replay needs none of them.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ The transvection is I + v (Jv)^T, a rank-one change of the identity, so
 Registry.image builds a word's image by one rank-one row update per letter
 and never forms a letter's matrix.  Registry.homology_class applies the
 image of a conjugator to a class with mat_vec, and Registry.validate
-compares images of words with mat_vec and mat_neg; the other matrix helpers
-serve the tests, as oracles, and the bench's tracer layer.
+compares images of words and asks is_primitive of a class; the other
+matrix helpers serve the tests, as oracles, and the bench's tracer layer.
 """
 
 from __future__ import annotations

@@ -376,7 +376,7 @@ def _apply(reg: Registry, w: Word, move: Move,
     if isinstance(move, CentralSlide):
         block = w[move.pos : move.pos + move.length]
         _need(move, len(block) == move.length, "block out of range")
-        _need(move, any(reg.words_equal(block, cw) for cw in reg.central_words),
+        _need(move, any(reg.words_equal(block, cw) for cw in reg.central_words.values()),
               "block is not a registered central word")
         end = move.pos + move.length
         _need(move, 0 <= move.dest <= len(w) - move.length, f"destination {move.dest} out of range")

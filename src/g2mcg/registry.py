@@ -7,35 +7,31 @@ configurations, the Matsumoto fibration curves B0, B1, B2, and the
 conjugated-copy curves Y1, Y2, Yc.  Each curve carries a separating flag
 and an integer homology class in the basis (a1, b1, a2, b2).
 
-The standard atlas is data, kept in one place: the packaged text file
+The atlas is data, kept in one place: the packaged text file
 corpus/standard.reg, in the format Registry.parse reads, which is the
 only definition of that format.  standard_registry() parses that file; a
---registry file in the same format replaces it.
+--registry file in the same format replaces it.  Beyond each curve's flag
+and class, every declaration is at once an entry of a table the moves
+engine consults and an identity u = v of Mod(S2) that validate proves:
+  - a curve's def= w(a): t_X = t_w(a), through which pi1 acts on X;
+  - a lantern: its four boundary twists equal its three interior twists;
+  - a disjoint pair a, b: a b = b a, which makes commuting them legal;
+    the table is conservative, a pair absent from it never commutes;
+  - a braid pair a, b: a b a = b a b, for the braid move;
+  - an alias u = v, whose sides the alias move trades;
+  - a central word w: w c = c w for every curve c of the registry, for
+    the central slide;
+  - a relator w: w = 1.
+Registry.__init__ takes these tables as parsed and derives none by rule.
 
-validate() certifies every class in the file, each identity once, by exact
-checks whose Verdicts are proved or refuted (inconclusive when a defn: or
-lantern: check names a missing curve, as it compares nothing):
-  - the chain c1 -> a1, c2 -> b1, c3 -> a2 - a1, c4 -> b2, c5 -> a2:
-    eq02:*, eq03:*, eq04:* and disjoint:ci,cj, the genus-2 presentation;
-  - the lantern interior curves x, k and kb: lantern:*:image, the two
-    sides of each lantern have one image, and primitive:*;
-  - the separating curves d, h and hb: flag:*, a curve is separating
-    exactly when its class is zero, and lantern:*:flags;
-  - B0, B1, Y1 and Y2: relator:matsumoto and relator:matsumoto-conj, both
-    Matsumoto words map to the identity, and symbol:lambda(B0)=c1, the
-    handle-swapping involution composed with c4^-1 c3^-1 c2^-1 c1^-1
-    takes B0 to c1 up to sign;
-  - every curve but the chain and d: defn:*, its def= u(a) has the class
-    and flag stored, and pi1 acts on the curve through it.
-disjoint:ci,cj, central:0 and alias:chain also cover chain curves two or
-more apart commuting, tau commuting with every curve of the registry (17
-on standard.reg), and d = (c1 c2)^6.
-
-The registry also curates the structural tables that the moves engine
-consults: geometric disjointness (commute legality), braid-adjacent
-pairs, central words, and alias relations.  Disjointness is conservative:
-a pair absent from the table never commutes, even if the homology images
-do.
+validate() checks each curve's data, and proves each identity by one
+rule, exact in pi1: inconclusive when it names a curve the registry
+lacks, refuted when the Sp(4,Z) images of u and v differ, and otherwise
+the verdict of pi1.relator_verdict on u v^-1.  By Dehn-Nielsen-Baer a word
+is a relator exactly when it acts on pi1 by an inner automorphism, so a
+wrong curve of the right class, which the image alone lets pass, is
+refuted; a curve with no action, such as one whose def= reaches itself,
+leaves each identity that names it inconclusive.
 
 canonical_curve gives a conjugate curve w(a) its normal form, in which
 moves compare words: w flattened to plain letters and reduced as a trace
@@ -97,7 +93,7 @@ class LanternInstance(NamedTuple):
 
 
 class AliasRelation(NamedTuple):
-    """Two words with equal homology image that may replace one another."""
+    """Two words, equal in Mod(S2) as validate proves, that the alias move trades."""
 
     ident: str
     lhs: Word
@@ -122,59 +118,26 @@ class Verdict(NamedTuple):
         return Verdict(name, PROVED) if holds else Verdict(name, REFUTED, reason)
 
 
-BASE_NAMES = ("c1", "c2", "c3", "c4", "c5")
-
-
-def _word(names: str) -> Word:
-    return tuple(letter(n) for n in names.split())
-
-
-# tau = t1 t2 t3 t4 t5^2 t4 t3 t2 t1, the hyperelliptic involution word.
-TAU: Word = _word("c1 c2 c3 c4 c5 c5 c4 c3 c2 c1")
-# The Matsumoto relator (B0 B1 B2 d)^2 and its conjugated form c1^2 (Y1 Y2 Yc)^2.
-MATSUMOTO: Word = _word("B0 B1 B2 d") * 2
-MATSUMOTO_CONJ: Word = _word("c1 c1") + _word("Y1 Y2 Yc") * 2
-
-
-def _std_disjoint(lanterns: Iterable[LanternInstance]) -> set[frozenset[str]]:
-    pairs: set[frozenset[str]] = set()
-    # Chain curves with index distance >= 2 are disjoint.
-    for i in range(1, 6):
-        for j in range(i + 2, 6):
-            pairs.add(frozenset((f"c{i}", f"c{j}")))
-    # d bounds the c1-c2 handle: disjoint from every chain curve but c3.
-    for n in ("c1", "c2", "c4", "c5"):
-        pairs.add(frozenset(("d", n)))
-    # Within each lantern, boundary curves are disjoint from each other and
-    # from the interior curves.  Interior curves pairwise intersect.
-    for inst in lanterns:
-        boundary = set(inst.lhs)
-        for a in boundary:
-            for b in boundary:
-                if a != b:
-                    pairs.add(frozenset((a, b)))
-            for b in inst.rhs:
-                if a != b:
-                    pairs.add(frozenset((a, b)))
-    return pairs
-
-
-_IOTA: Mat = (
-    (0, 0, 1, 0),
-    (0, 0, 0, 1),
-    (1, 0, 0, 0),
-    (0, 1, 0, 0),
-)
-
-
 class Registry:
-    """Read-only atlas built once; all methods are pure queries."""
+    """Read-only atlas built once from its parsed tables; all methods are pure queries."""
 
-    def __init__(self, curves: Sequence[CurveData], lanterns: Sequence[LanternInstance]) -> None:
+    def __init__(
+        self,
+        curves: Sequence[CurveData],
+        lanterns: Sequence[LanternInstance],
+        disjoint_pairs: Iterable[frozenset[str]],
+        braid_pairs: Iterable[frozenset[str]],
+        aliases: Iterable[AliasRelation],
+        central_words: dict[str, Word],
+        relators: dict[str, Word],
+    ) -> None:
         self.curves: dict[str, CurveData] = {c.name: c for c in curves}
         self.lanterns: dict[str, LanternInstance] = {l.ident: l for l in lanterns}
-        self.disjoint_pairs = _std_disjoint(lanterns)
-        self.braid_pairs = {frozenset((f"c{i}", f"c{i+1}")) for i in range(1, 5)}
+        self.disjoint_pairs = frozenset(disjoint_pairs)
+        self.braid_pairs = frozenset(braid_pairs)
+        self.aliases: dict[str, AliasRelation] = {a.ident: a for a in aliases}
+        self.central_words = central_words
+        self.relators = relators
         # (lantern, side) -> the side's rotations, built once for the Lantern move
         self.lantern_rotations = {(l.ident, side): tuple(l.rotations(side))
                                   for l in self.lanterns.values() for side in ("lhs", "rhs")}
@@ -183,35 +146,14 @@ class Registry:
         # t_u^e maps to (u, e Ju), all that image uses of it.
         self._twist_cache: dict[Letter, tuple[Vec, Vec]] = {}
         self._canonical_curve_cache: dict[Curve, Curve] = {}
-        # declare a central word or an alias only when the registry has every curve it names
-        self.central_words: tuple[Word, ...] = tuple(w for w in (TAU,) if not self._unknown_name(w))
-        self.aliases: dict[str, AliasRelation] = {
-            a.ident: a for a in self._std_aliases() if not self._unknown_name(a.lhs + a.rhs)
-        }
-
-    # -- construction helpers ------------------------------------------------
-
-    def _unknown_name(self, w: Word) -> Optional[str]:
-        """The first curve w names, in its conjugators too, that the registry lacks."""
-        return next(
-            (l.curve.name for l in self.flat_word(w) if l.curve.name not in self.curves),
-            None,
-        )
-
-    def _std_aliases(self) -> list[AliasRelation]:
-        out = [AliasRelation("chain", _word("d"), _word("c1 c2") * 6)]
-        if "B2" in self.curves and self.curves["B2"].defn is not None:
-            out.append(AliasRelation("B2def", _word("B2"), (Letter(self.curves["B2"].defn),)))
-        out.append(AliasRelation("matconj", MATSUMOTO, MATSUMOTO_CONJ))
-        return out
 
     def replace(
         self, name: Optional[str] = None, *, drop_lantern: Optional[str] = None, **fields
     ) -> "Registry":
         """A new registry, with empty caches, in which curve ``name`` takes the
         given CurveData ``fields`` (homology=, separating=, defn=) and lantern
-        ``drop_lantern`` is left out; perturbation tests build broken atlases
-        this way."""
+        ``drop_lantern`` is left out, every other table kept; perturbation
+        tests build broken atlases this way."""
         if name is not None and name not in self.curves:
             raise UnknownCurve(name)
         curves = [
@@ -219,7 +161,8 @@ class Registry:
             for c in self.curves.values()
         ]
         lanterns = [l for l in self.lanterns.values() if l.ident != drop_lantern]
-        return Registry(curves, lanterns)
+        return Registry(curves, lanterns, self.disjoint_pairs, self.braid_pairs,
+                        self.aliases.values(), self.central_words, self.relators)
 
     # -- basic queries -------------------------------------------------------
 
@@ -390,148 +333,137 @@ class Registry:
 
     # -- validation -------------------------------------------------------------
 
+    def _unknown_name(self, w: Word) -> Optional[str]:
+        """The first curve w names, in its conjugators too, that the registry lacks."""
+        return next(
+            (l.curve.name for l in self.flat_word(w) if l.curve.name not in self.curves),
+            None,
+        )
+
     def validate(self) -> list[Verdict]:
-        """Check the atlas in Sp(4,Z), each identity once, as image(u) == image(v)
-        for two words (v = () for a relator): disjoint:ci,cj covers chain curves
-        two or more apart commuting, central:0 tau commuting with every curve,
-        and alias:chain d = (c1 c2)^6.  Images are products of transvections,
-        so always symplectic, and no check asks for that.
-        A defn: or lantern: check whose words name a missing curve compares
-        nothing and is inconclusive."""
+        """Each curve's data checks, then each declared identity u = v once,
+        by one rule: inconclusive when u or v names a curve the registry
+        lacks, refuted when image(u) != image(v) (or, for a defn:, when the
+        stored class and flag are not those of the definition), and otherwise
+        pi1.relator_verdict of u v^-1, exact in Mod(S2).  Images are products
+        of transvections, so always symplectic, and no check asks for that."""
+        from .pi1 import relator_verdict  # pi1 imports this module
+
         checks: list[Verdict] = []
-
-        def add(name: str, ok: bool, detail: Optional[str] = None) -> None:
-            checks.append(Verdict.decided(name, ok, detail))
-
-        def undecided(name: str, detail: str) -> None:
-            checks.append(Verdict(name, INCONCLUSIVE, detail))
-
-        def same(name: str, u: Word, v: Word = (), detail: Optional[str] = None) -> None:
-            add(name, self.image(u) == self.image(v), detail)
-
+        data_refutes: dict[str, str] = {}  # the defn: checks a curve's stored data refutes
         for c in self.curves.values():
-            zero = c.homology == hom.ZERO
-            add(
-                f"flag:{c.name}",
-                c.separating == zero,
-                f"separating flag and homology class disagree for {c.name}",
-            )
+            checks.append(Verdict.decided(
+                f"flag:{c.name}", c.separating == (c.homology == hom.ZERO),
+                f"separating flag and homology class disagree for {c.name}"))
             if not c.separating:
-                add(
-                    f"primitive:{c.name}",
-                    hom.is_primitive(c.homology),
-                    f"{c.name} class {c.homology} is not primitive",
-                )
-            if c.defn is not None:
-                unknown = self._unknown_name((Letter(c.defn),))
-                if unknown:
-                    undecided(f"defn:{c.name}", f"definition of {c.name} names unknown curve {unknown}")
-                else:
-                    add(
-                        f"defn:{c.name}",
-                        self.homology_class(c.defn) == c.homology
-                        and self.data(c.defn.name).separating == c.separating,
-                        f"definition of {c.name} disagrees with stored data",
-                    )
+                checks.append(Verdict.decided(
+                    f"primitive:{c.name}", hom.is_primitive(c.homology),
+                    f"{c.name} class {c.homology} is not primitive"))
+            if c.defn is not None and not self._unknown_name((Letter(c.defn),)) and (
+                self.homology_class(c.defn) != c.homology
+                or self.curves[c.defn.name].separating != c.separating
+            ):
+                data_refutes[f"defn:{c.name}"] = f"definition of {c.name} disagrees with stored data"
 
-        if all(n in self.curves for n in BASE_NAMES):
-            for i in range(1, 5):
-                a, b = f"c{i}", f"c{i+1}"
-                same(f"eq02:{a},{b}", _word(f"{a} {b} {a}"), _word(f"{b} {a} {b}"))
-            same("eq03:tau^2", TAU * 2)
-            add("eq03:tau=-I", self.image(TAU) == hom.mat_neg(hom.IDENTITY))
-            same("eq04:(c1..c5)^6", _word(" ".join(BASE_NAMES)) * 6)
+        def word(*names: str) -> Word:
+            return tuple(map(letter, names))
 
-        for inst in self.lanterns.values():
-            lhs, rhs = inst.rotations("lhs")[0], inst.rotations("rhs")[0]
-            unknown = self._unknown_name(lhs + rhs)
+        identities = [
+            *((f"defn:{c.name}", word(c.name), (Letter(c.defn),))
+              for c in self.curves.values() if c.defn is not None),
+            *((f"lantern:{l.ident}", word(*l.lhs), word(*l.rhs)) for l in self.lanterns.values()),
+            *((f"disjoint:{a},{b}", word(a, b), word(b, a))
+              for a, b in sorted(map(sorted, self.disjoint_pairs))),
+            *((f"braid:{a},{b}", word(a, b, a), word(b, a, b))
+              for a, b in sorted(map(sorted, self.braid_pairs))),
+            *((f"alias:{a.ident}", a.lhs, a.rhs) for a in self.aliases.values()),
+            *((f"central:{ident},{n}", w + word(n), word(n) + w)
+              for ident, w in self.central_words.items() for n in self.curves),
+            *((f"relator:{ident}", w, ()) for ident, w in self.relators.items()),
+        ]
+        for name, u, v in identities:
+            unknown = self._unknown_name(u + v)
             if unknown:
-                detail = f"{inst.ident} names unknown curve {unknown}"
-                undecided(f"lantern:{inst.ident}:image", detail)
-                undecided(f"lantern:{inst.ident}:flags", detail)
-                continue
-            same(f"lantern:{inst.ident}:image", lhs, rhs,
-                 f"{inst.ident} sides have different homology image")
-            lhs_flags = [self.data(n).separating for n in inst.lhs]
-            rhs_flags = [self.data(n).separating for n in inst.rhs]
-            add(
-                f"lantern:{inst.ident}:flags",
-                not any(lhs_flags) and sorted(rhs_flags) == [False, False, True],
-                f"{inst.ident} separating-flag pattern is wrong",
-            )
-
-        if all(n in self.curves for n in ("B0", "B1", "B2", "d")):
-            same("relator:matsumoto", MATSUMOTO)
-        if all(n in self.curves for n in ("Y1", "Y2", "Yc", "c1")):
-            same("relator:matsumoto-conj", MATSUMOTO_CONJ)
-
-        if all(n in self.curves for n in (*BASE_NAMES, "B0")):
-            # lambda = iota . phi, phi the image of c4^-1 c3^-1 c2^-1 c1^-1
-            phi = self.image(tuple(letter(n, -1) for n in ("c4", "c3", "c2", "c1")))
-            img = hom.mat_vec(_IOTA, hom.mat_vec(phi, self.data("B0").homology))
-            c1v = self.data("c1").homology
-            add("symbol:lambda(B0)=c1", img == c1v or img == tuple(-x for x in c1v))
-
-        for pair in sorted(self.disjoint_pairs, key=sorted):
-            a, b = sorted(pair)
-            if a in self.curves and b in self.curves:
-                same(f"disjoint:{a},{b}", _word(f"{a} {b}"), _word(f"{b} {a}"),
-                     "declared disjoint pair has non-commuting images")
-
-        for alias in self.aliases.values():
-            same(f"alias:{alias.ident}", alias.lhs, alias.rhs)
-        for i, cw in enumerate(self.central_words):
-            add(f"central:{i}", all(self.image(cw + (letter(n),)) == self.image((letter(n),) + cw)
-                                    for n in self.curves))
-
-        add("coverage:lanterns", set(self.lanterns) == {"L1", "L2", "L3"},
-            "expected exactly the three standard lantern instances")
+                checks.append(Verdict(name, INCONCLUSIVE, f"{name} names unknown curve {unknown}"))
+            elif name in data_refutes or self.image(u) != self.image(v):
+                checks.append(Verdict(name, REFUTED, data_refutes.get(name, "the image refutes")))
+            else:
+                status, detail = relator_verdict(self, u + invert(v))[1:]
+                detail = {PROVED: None, REFUTED: "pi1 refutes"}.get(status, detail)
+                checks.append(Verdict(name, status, detail))
         return checks
 
     @staticmethod
     def parse(text: str) -> "Registry":
         """The registry a text spells, in the format that this reader alone
         defines: per line a '#' comment, a curve ``NAME sep|nonsep
-        h=(a1,b1,a2,b2) [def=[w](a)]`` or a lantern ``IDENT: NAMES = NAMES``.
-        A malformed line raises ParseError."""
+        h=(a1,b1,a2,b2) [def=[w](a)]``, a lantern ``IDENT: NAMES = NAMES``,
+        the pairs ``disjoint NAME: NAMES`` or ``braid NAME: NAMES`` of NAME
+        with each of NAMES, or the words ``alias IDENT: u = v``, ``central
+        IDENT: w`` or ``relator IDENT: w``.  A malformed line, or a second
+        declaration of a curve or an identity, raises ParseError."""
         from .dsl import parse_word
 
         curves: dict[str, CurveData] = {}
         lanterns: dict[str, LanternInstance] = {}
+        pairs: dict[str, dict[frozenset[str], None]] = {"disjoint": {}, "braid": {}}
+        words: dict[str, dict[str, tuple[Word, ...]]] = {"alias": {}, "central": {}, "relator": {}}
         curve_re = re.compile(
             r"^(\w+)\s+(sep|nonsep)\s+h=\(((?:\s*-?\d+\s*,){3}\s*-?\d+\s*)\)(?:\s+def=(.+))?$"
         )
         lant_re = re.compile(r"^(\w+):\s+(.+?)\s*=\s*(.+)$")
+        pairs_re = re.compile(r"^(disjoint|braid)\s+(\w+):((?:\s+\w+)+)$")
+        words_re = re.compile(
+            r"^(alias|central|relator)\s+([\w-]+):\s+([^=]+?)(?:\s*=\s*([^=]+))?$"
+        )
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            m = curve_re.match(line)
-            if m:
+            indent = len(raw) - len(raw.lstrip())  # parse_word counts columns from the raw line
+            if m := curve_re.match(line):
                 name, sep, h, defn = m.groups()
                 vec = tuple(int(x) for x in h.split(","))
                 d = None
                 if defn:
-                    # parse_word counts columns from the start of the raw line
-                    w = parse_word(defn, line=lineno, col=len(raw) - len(raw.lstrip()) + m.start(4))
+                    w = parse_word(defn, line=lineno, col=indent + m.start(4))
                     if len(w) != 1 or w[0].exp != 1 or not w[0].curve.conj:
                         raise ParseError(f"bad def expression {defn!r}", lineno)
                     d = w[0].curve
-                if name in curves:
-                    raise ParseError(f"duplicate curve {name}", lineno)
-                curves[name] = CurveData(name, sep == "sep", vec, d)  # type: ignore[arg-type]
-                continue
-            m = lant_re.match(line)
-            if m:
+                curve = CurveData(name, sep == "sep", vec, d)  # type: ignore[arg-type]
+                _declare(curves, name, curve, f"curve {name}", lineno)
+            elif m := lant_re.match(line):
                 ident, lhs, rhs = m.groups()
-                if ident in lanterns:
-                    raise ParseError(f"duplicate lantern {ident}", lineno)
-                lanterns[ident] = LanternInstance(
+                inst = LanternInstance(
                     ident, tuple(lhs.split()), tuple(rhs.split())  # type: ignore[arg-type]
                 )
-                continue
-            raise ParseError(f"cannot parse registry line {line!r}", lineno)
-        return Registry(list(curves.values()), list(lanterns.values()))
+                _declare(lanterns, ident, inst, f"lantern {ident}", lineno)
+            elif m := pairs_re.match(line):
+                kind, a, names = m.groups()
+                for b in names.split():
+                    if a == b:
+                        raise ParseError(f"{kind} pair of {a} with itself", lineno)
+                    _declare(pairs[kind], frozenset((a, b)), None, f"{kind} pair {a},{b}", lineno)
+            elif (m := words_re.match(line)) and (m[1] == "alias") == (m[4] is not None):
+                sides = tuple(parse_word(m[i], line=lineno, col=indent + m.start(i))
+                              for i in (3, 4) if m[i] is not None)
+                _declare(words[m[1]], m[2], sides, f"{m[1]} {m[2]}", lineno)
+            else:
+                raise ParseError(f"cannot parse registry line {line!r}", lineno)
+        return Registry(
+            list(curves.values()), list(lanterns.values()), pairs["disjoint"], pairs["braid"],
+            [AliasRelation(ident, *sides) for ident, sides in words["alias"].items()],
+            {ident: w for ident, (w,) in words["central"].items()},
+            {ident: w for ident, (w,) in words["relator"].items()},
+        )
+
+
+def _declare(table: dict, key, value, what: str, line: int) -> None:
+    """table[key] = value, or a ParseError at ``line`` when ``what``, under
+    that key, is declared already."""
+    if key in table:
+        raise ParseError(f"duplicate {what}", line)
+    table[key] = value
 
 
 @functools.cache

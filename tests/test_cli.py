@@ -15,7 +15,7 @@ from g2mcg.cli import main
 from g2mcg.dsl import ParseError, parse_document, serialize
 from g2mcg.fixtures import FILES, SCRIPTS, load_corpus, read_text, script_text
 from g2mcg.moves import Lantern
-from g2mcg.registry import INCONCLUSIVE, Registry, standard_registry
+from g2mcg.registry import INCONCLUSIVE, PROVED, Registry, standard_registry
 from g2mcg.words import Curve, letter, word_str
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -443,7 +443,7 @@ def test_conflicting_relators_raise_a_parse_error(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv, line", [
-    (["registry-check"], "[pass] coverage:lanterns"),
+    (["registry-check"], "[pass] lantern:L1"),
     (["decompose", "26", "2"], "summary: Unique"),
     (["replay", "--builtin", "x-seven"], "script x-seven: ok"),
     (["verify", "CHAIN30"], "  pi1: proved"),
@@ -532,7 +532,7 @@ def test_registry_check_corrupted(tmp_path, capsys):
 def test_registry_check_records(tmp_path, capsys):
     assert main(["--format", "records", "registry-check"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 82
+    assert len(lines) == 92
     assert all(re.fullmatch(r"check=\S+ ok=True", l) for l in lines)
     p = tmp_path / "bad.reg"
     p.write_text(read_text("standard.reg").replace("d sep h=(0,0,0,0)", "d nonsep h=(0,0,0,0)"))
@@ -552,19 +552,23 @@ def test_every_subcommand_honours_the_records_format(x0_file, capsys, argv):
     assert lines and all(re.match(r"^\w+=", l) for l in lines), lines
 
 
-def test_registry_check_missing_lantern(tmp_path):
+def test_registry_check_missing_lantern(tmp_path, capsys):
+    # a registry without L3 claims nothing false; replay fails the step that asks for it
     lines = [
         l for l in read_text("standard.reg").splitlines() if not l.startswith("L3:")
     ]
     p = tmp_path / "partial.reg"
     p.write_text("\n".join(lines))
-    assert main(["--registry", str(p), "registry-check"]) == 1
+    assert main(["--registry", str(p), "registry-check"]) == 0
+    assert "lantern:L3" not in capsys.readouterr().out
+    assert main(["--registry", str(p), "replay", "--builtin", "z-family"]) == 1
+    assert "unknown lantern instance L3" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("name", ["d", "c1", "c2"])
 def test_registry_check_runs_on_a_registry_without_a_curve_an_alias_names(tmp_path, capsys, name):
     # the curve's line is gone and the lanterns name h in its place; the
-    # aliases and the central word that name it are left undeclared
+    # alias chain, d = (c1 c2)^6, still names it, and its check compares nothing
     lines = [
         re.sub(rf"\b{name}\b", "h", l) if re.match(r"L\d:", l) else l
         for l in read_text("standard.reg").splitlines()
@@ -572,19 +576,18 @@ def test_registry_check_runs_on_a_registry_without_a_curve_an_alias_names(tmp_pa
     ]
     p = tmp_path / "partial.reg"
     p.write_text("\n".join(lines))
-    assert main(["--registry", str(p), "registry-check"]) in (0, 1)
+    assert main(["--registry", str(p), "registry-check"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out and all(re.match(r"\[(pass|FAIL)\] \S+", l) for l in out)
-    assert out[-1] == "[pass] coverage:lanterns"
+    assert f"[FAIL] alias:chain  (alias:chain names unknown curve {name})" in out
 
 
 @pytest.mark.parametrize("edits, failed", [
     # B2 is defined as [c3^-1](x), and L1 names k in x's place
     ((("\nx nonsep h=(1,0,1,0) def=[c2^-1 c1^-1 c1^-1 c2^-1](c3)\n", "\n"), ("= x c3 d", "= k c3 d")),
-     {"defn:B2": "definition of B2 names unknown curve x"}),
+     {"defn:B2": "defn:B2 names unknown curve x"}),
     ((("L1: c1 c1 c5 c5", "L1: c1 c1 c5 zz"),),
-     {"lantern:L1:image": "L1 names unknown curve zz",
-      "lantern:L1:flags": "L1 names unknown curve zz"}),
+     {"lantern:L1": "lantern:L1 names unknown curve zz"}),
 ])
 def test_registry_check_fails_a_check_that_names_a_missing_curve(tmp_path, capsys, edits, failed):
     text = read_text("standard.reg")
@@ -596,7 +599,7 @@ def test_registry_check_fails_a_check_that_names_a_missing_curve(tmp_path, capsy
     assert main(["--registry", str(p), "registry-check"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out and all(re.match(r"\[(pass|FAIL)\] \S+", l) for l in out)
-    assert out[-1] == "[pass] coverage:lanterns"
+    assert out[-1] == "[pass] relator:matsumoto-conj"
     for name, detail in failed.items():
         assert f"[FAIL] {name}  ({detail})" in out
     # such a check compares nothing, so it is neither proved nor refuted
@@ -605,11 +608,38 @@ def test_registry_check_fails_a_check_that_names_a_missing_curve(tmp_path, capsy
         assert (verdicts[name].status, verdicts[name].detail) == (INCONCLUSIVE, detail)
 
 
+def test_registry_check_fails_a_lantern_with_a_wrong_curve_of_the_right_class(tmp_path, capsys):
+    # B2 = [c3^-1](x) has x's class and flag, so only pi1 tells them apart
+    p = tmp_path / "wrong-lantern.reg"
+    p.write_text(read_text("standard.reg").replace("= x c3 d", "= B2 c3 d"))
+    assert main(["--registry", str(p), "registry-check"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [l for l in out if not l.startswith("[pass]")] == ["[FAIL] lantern:L1  (pi1 refutes)"]
+
+
+def test_registry_check_fails_a_definition_that_reaches_its_own_curve(tmp_path, capsys):
+    text = read_text("standard.reg").replace(
+        "x nonsep h=(1,0,1,0) def=[c2^-1 c1^-1 c1^-1 c2^-1](c3)", "x nonsep h=(1,0,1,0) def=[d](x)")
+    p = tmp_path / "circular.reg"
+    p.write_text(text)
+    assert main(["--registry", str(p), "registry-check"]) == 1
+    assert "[FAIL] defn:x  (no action for curve 'x')" in capsys.readouterr().out.splitlines()
+    # x has no action, so each identity that names x, or B2 = [c3^-1](x), is
+    # inconclusive, and every other check is proved
+    verdicts = Registry.parse(text).validate()
+    assert {v.name for v in verdicts if v.status != PROVED} == {
+        "defn:x", "lantern:L1", "disjoint:c1,x", "disjoint:c5,x", "alias:B2def", "central:tau,x",
+        "defn:B2", "alias:matconj", "central:tau,B2", "relator:matsumoto"}
+    assert all(v.status in (PROVED, INCONCLUSIVE) for v in verdicts)
+
+
 def test_registry_check_rejects_a_second_line_for_a_lantern(tmp_path, capsys):
     p = tmp_path / "dup.reg"
-    p.write_text(read_text("standard.reg") + "L1: c1 c1 c3 c3 = kb hb c5\n")
+    text = read_text("standard.reg") + "L1: c1 c1 c3 c3 = kb hb c5\n"
+    p.write_text(text)
     assert main(["--registry", str(p), "registry-check"]) == 2
-    assert capsys.readouterr().err == "error: duplicate lantern L1 at line 22\n"
+    line = len(text.splitlines())
+    assert capsys.readouterr().err == f"error: duplicate lantern L1 at line {line}\n"
 
 
 def test_out_flag(tmp_path, x0_file):

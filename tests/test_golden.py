@@ -94,6 +94,8 @@ EDITS = (
     ("B2 nonsep h=(1,0,1,0)", "B2 nonsep h=(0,1,0,1)"),
     ("L1: c1 c1 c5 c5 = x c3 d", "L1: c1 c1 c5 c5 = c1 c5 c5"),
     ("c3 nonsep h=(-1,0,1,0)", "c3 nonsep h=(0,1,1,0)"),
+    ("L1: c1 c1 c5 c5 = x c3 d", "L1: c1 c1 c5 c5 = B2 c3 d"),
+    ("x nonsep h=(1,0,1,0) def=[c2^-1 c1^-1 c1^-1 c2^-1](c3)", "x nonsep h=(1,0,1,0) def=[d](x)"),
 )
 CLASSES = ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 1, 0), (1, 1, 1, 0), (1, 0, 1, 0), (-2, 1, 0, 2))
 

@@ -343,7 +343,7 @@ def splice_move(data, w):
         block = rel.lhs if direction == "fwd" else rel.rhs
         move = Alias(pos, rel.ident, direction)
     else:
-        block = data.draw(st.sampled_from(reg.central_words))
+        block = data.draw(st.sampled_from(list(reg.central_words.values())))
         move = CentralSlide(pos, len(block), data.draw(st.integers(0, len(w))))
     return reg.canonical_word(w[:pos] + block + w[pos:]), move
 

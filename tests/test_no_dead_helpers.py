@@ -27,6 +27,7 @@ PACKAGE = ROOT / "src" / "g2mcg"
 # Kept on purpose, each with its reason.
 ALLOWED = {
     "homology.is_symplectic": "test oracle: every Sp(4,Z) image is symplectic",
+    "homology.mat_neg": "serves the test oracle sp_inverse, and the tests' tau = -I",
     "homology.sp_inverse": "test oracle: a word's inverse maps to the inverse matrix",
     "homology.transpose": "serves the test oracles is_symplectic and sp_inverse",
     "homology.transvection": "test oracle: the matrix of a right-handed twist",

@@ -1,12 +1,10 @@
-import re
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from g2mcg import homology as hom
 from g2mcg.dsl import ParseError, parse_document, parse_word
 from g2mcg.fixtures import read_text
-from g2mcg.registry import PROVED, Registry, UnknownCurve, standard_registry
+from g2mcg.registry import PROVED, REFUTED, AliasRelation, Registry, UnknownCurve, standard_registry
 from g2mcg.words import Curve, Letter, letter
 
 reg = standard_registry()
@@ -53,15 +51,23 @@ def test_unknown_curve():
 def test_corrupting_x_breaks_lantern_check():
     # an inconsistent class on either side of L1 is caught by its image check
     for name in ("x", "c3"):
-        assert "lantern:L1:image" in failed(reg.replace(name, homology=(1, 1, 1, 0))), name
+        assert "lantern:L1" in failed(reg.replace(name, homology=(1, 1, 1, 0))), name
 
 
 def test_marking_d_nonseparating_fails():
     assert "flag:d" in failed(reg.replace("d", separating=False))
 
 
-def test_missing_lantern_fails_coverage():
-    assert "coverage:lanterns" in failed(reg.replace(drop_lantern="L3"))
+def test_a_missing_lantern_fails_replay_not_the_registry_check():
+    # the registry declares no L3 and claims nothing false; a script that
+    # asks for L3 fails at that step
+    from g2mcg.fixtures import load_corpus
+    from g2mcg.moves import replay
+
+    dropped = reg.replace(drop_lantern="L3")
+    assert failed(dropped) == set()
+    report = replay(dropped, load_corpus(reg).scripts["z-family"])
+    assert not report.ok and "unknown lantern instance L3" in report.failure
 
 
 def test_lantern_instances_are_homology_consistent():
@@ -240,9 +246,11 @@ def test_replace_changes_one_curve_or_drops_one_lantern():
     assert changed.lanterns == reg.lanterns
     dropped = reg.replace(drop_lantern="L3")
     assert set(dropped.lanterns) == {"L1", "L2"} and dropped.curves == reg.curves
-    # the L3-only pairs (c3/c5 against k and h) leave the disjointness table
-    assert frozenset(("c3", "k")) not in dropped.disjoint_pairs
-    assert dropped.disjoint_pairs < reg.disjoint_pairs
+    # the pairs are data of their own: L3's (c3/c5 against k and h) stay
+    assert frozenset(("c3", "k")) in dropped.disjoint_pairs
+    assert (dropped.disjoint_pairs, dropped.braid_pairs, dropped.aliases, dropped.central_words,
+            dropped.relators) == (reg.disjoint_pairs, reg.braid_pairs, reg.aliases,
+                                  reg.central_words, reg.relators)
     with pytest.raises(UnknownCurve):
         reg.replace("zz", separating=True)
 
@@ -258,13 +266,30 @@ def test_replace_changes_one_curve_or_drops_one_lantern():
     # a second line for a curve or a lantern would silently replace the first
     pytest.param(read_text("standard.reg") + "x nonsep h=(1,0,1,0)\n", id="duplicate curve"),
     pytest.param(read_text("standard.reg") + "L1: c1 c1 c3 c3 = kb hb c5\n", id="duplicate lantern"),
+    # a pair line names a curve and at least one partner, other than itself
+    pytest.param("disjoint c1:\n", id="disjoint without a partner"),
+    pytest.param("disjoint c1 c2: c4\n", id="disjoint of two curves"),
+    pytest.param("braid c1 c2\n", id="braid without its colon"),
+    pytest.param("braid c1: c1\n", id="braid of a curve with itself"),
+    # an alias has two sides, a central word and a relator one
+    pytest.param("alias chain: d\n", id="alias of one side"),
+    pytest.param("central tau: c1 = c2\n", id="central of two sides"),
+    pytest.param("relator r: c1 = c2 = c3\n", id="relator of three sides"),
+    pytest.param(read_text("standard.reg") + "disjoint c4: c1\n", id="duplicate disjoint pair"),
+    pytest.param(read_text("standard.reg") + "braid c2: c1\n", id="duplicate braid pair"),
+    pytest.param(read_text("standard.reg") + "alias chain: d = d\n", id="duplicate alias"),
+    pytest.param(read_text("standard.reg") + "central tau: d\n", id="duplicate central word"),
+    pytest.param(read_text("standard.reg") + "relator tau2: d\n", id="duplicate relator"),
 ])
 def test_parse_rejects_malformed_lines(text):
-    with pytest.raises(ParseError):
+    # each malformed line is the text's last, and the error names it
+    with pytest.raises(ParseError) as err:
         Registry.parse(text)
+    assert err.value.line == len(text.splitlines())
 
 
 _BAD_B2 = "B2 nonsep h=(1,0,1,0) def=[c3^-1 @](x)"
+_ALIAS = "alias matconj: (B0 B1 B2 d)^2 = c1^2 (Y1 Y2 Yc)^2"
 
 
 @pytest.mark.parametrize("slot, text, where", [
@@ -275,10 +300,14 @@ _BAD_B2 = "B2 nonsep h=(1,0,1,0) def=[c3^-1 @](x)"
     ("move", "script s\nstart: c1\nC by=c1 · @\nend\n", (3, 11)),
     ("def", read_text("standard.reg").replace("B2 nonsep h=(1,0,1,0) def=[c3^-1](x)", _BAD_B2),
      (15, 34)),
-], ids=["relator", "start", "checkpoint", "final", "move", "def"])
+    ("alias lhs", read_text("standard.reg").replace(_ALIAS, _ALIAS.replace("B2 d", "B2 &")),
+     (35, 26)),
+    ("alias rhs", read_text("standard.reg").replace(_ALIAS, "  " + _ALIAS.replace("Yc", "Y¢")),
+     (35, 48)),
+], ids=["relator", "start", "checkpoint", "final", "move", "def", "alias lhs", "alias rhs"])
 def test_a_bad_character_gives_its_raw_column_in_every_word_slot(slot, text, where):
     with pytest.raises(ParseError) as err:
-        Registry.parse(text) if slot == "def" else parse_document(text, reg)
+        Registry.parse(text) if slot in ("def", "alias lhs", "alias rhs") else parse_document(text, reg)
     line, col = where
     assert (err.value.line, err.value.col) == where
     bad = text.splitlines()[line - 1][col - 1]
@@ -354,13 +383,13 @@ def test_derived_registries_do_not_share_the_canonical_curve_cache():
 
 def test_standard_report_evaluates_each_identity_once():
     names = [c.name for c in reg.validate()]
-    assert len(names) == len(set(names)) == 82
-    assert "symbol:lambda(B0)=c1" in names
-    assert not [
-        n for n in names
-        if n.startswith(("eq01:", "eq05:", "chain:"))
-        or re.fullmatch(r"symbol:\w+:(symplectic|expansion)", n)
-    ]
+    assert len(names) == len(set(names)) == 92
+    kinds = [n.split(":")[0] for n in names]
+    # 17 flags, 13 primitive classes, 11 definitions, 3 lanterns, 20
+    # disjoint pairs, 4 braid pairs, 3 aliases, tau against 17 curves and 4 relators
+    assert {k: kinds.count(k) for k in kinds} == {
+        "flag": 17, "primitive": 13, "defn": 11, "lantern": 3, "disjoint": 20,
+        "braid": 4, "alias": 3, "central": 17, "relator": 4}
 
 
 def _commute(a, b):
@@ -385,6 +414,76 @@ def test_identities_checked_once_still_fail_through_their_twin(name, cls):
             if not _commute(t[i], t[j]):
                 assert f"disjoint:c{i},c{j}" in refuted
         if not _commute(tau, t[i]):
-            assert "central:0" in refuted
+            assert f"central:tau,c{i}" in refuted
     if bad.image(parse_word("d")) != bad.image(parse_word("(c1 c2)^6")):
         assert "alias:chain" in refuted
+
+
+# -- the tables are data: the rules that built them before, kept as references --
+
+
+def _words(names):
+    return tuple(letter(n) for n in names.split())
+
+
+def _ref_std_disjoint(lanterns):
+    pairs = set()
+    # chain curves with index distance >= 2 are disjoint
+    for i in range(1, 6):
+        for j in range(i + 2, 6):
+            pairs.add(frozenset((f"c{i}", f"c{j}")))
+    # d bounds the c1-c2 handle: disjoint from every chain curve but c3
+    for n in ("c1", "c2", "c4", "c5"):
+        pairs.add(frozenset(("d", n)))
+    # within each lantern, boundary curves are disjoint from each other and
+    # from the interior curves
+    for inst in lanterns:
+        for a in inst.lhs:
+            pairs.update(frozenset((a, b)) for b in (*inst.lhs, *inst.rhs) if a != b)
+    return pairs
+
+
+_TAU = _words("c1 c2 c3 c4 c5 c5 c4 c3 c2 c1")
+_MATSUMOTO = _words("B0 B1 B2 d") * 2
+_MATSUMOTO_CONJ = _words("c1 c1") + _words("Y1 Y2 Yc") * 2
+
+
+def test_the_tables_of_standard_reg_are_those_the_rules_built():
+    # a typo in a data line fails here, not only in a replay
+    assert reg.disjoint_pairs == _ref_std_disjoint(reg.lanterns.values())
+    assert len(reg.disjoint_pairs) == 20
+    assert reg.braid_pairs == {frozenset((f"c{i}", f"c{i+1}")) for i in range(1, 5)}
+    assert reg.aliases == {
+        "chain": AliasRelation("chain", _words("d"), _words("c1 c2") * 6),
+        "B2def": AliasRelation("B2def", _words("B2"), (Letter(reg.data("B2").defn),)),
+        "matconj": AliasRelation("matconj", _MATSUMOTO, _MATSUMOTO_CONJ),
+    }
+    assert reg.central_words == {"tau": _TAU}
+    assert reg.relators == {
+        "tau2": _TAU * 2, "chain5": _words("c1 c2 c3 c4 c5") * 6,
+        "matsumoto": _MATSUMOTO, "matsumoto-conj": _MATSUMOTO_CONJ,
+    }
+
+
+# One perturbation per identity kind whose Sp(4,Z) image still agrees: only
+# pi1 sees it.  B2 = [c3^-1](x) has x's class, and d is separating.
+PI1_ONLY = {
+    "lantern": (("L1: c1 c1 c5 c5 = x c3 d", "L1: c1 c1 c5 c5 = B2 c3 d"), "lantern:L1"),
+    "disjoint": (("disjoint c4: d", "disjoint c4: d\ndisjoint c3: d"), "disjoint:c3,d"),
+    "braid": (("braid c4: c5", "braid c4: c5\nbraid x: B2"), "braid:B2,x"),
+    "alias": (("alias B2def: B2 = [c3^-1](x)", "alias B2def: B2 = x"), "alias:B2def"),
+    "central": (("central tau:", "central d: d\ncentral tau:"), "central:d,c3"),
+    "relator": (("relator tau2:", "relator d: d\nrelator tau2:"), "relator:d"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PI1_ONLY))
+def test_pi1_refutes_an_identity_whose_image_agrees(kind):
+    (old, new), name = PI1_ONLY[kind]
+    text = read_text("standard.reg")
+    assert old in text
+    verdicts = {v.name: v for v in Registry.parse(text.replace(old, new, 1)).validate()}
+    assert (verdicts[name].status, verdicts[name].detail) == (REFUTED, "pi1 refutes")
+    # nothing fails by its image, and all that the edit leaves alone holds
+    assert all(v.detail == "pi1 refutes" for v in verdicts.values() if v.status != PROVED)
+    assert all(v.status == PROVED for v in verdicts.values() if not v.name.startswith(f"{kind}:"))
